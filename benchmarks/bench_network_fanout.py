@@ -296,7 +296,10 @@ def test_nf1_tree_pruning_matches_flooded_and_local():
 # Script mode (CI smoke step): print the report, enforce the speedup bar
 # ---------------------------------------------------------------------------
 
-def main() -> int:
+def main(record: bool = False) -> int:
+    """Print the report and enforce the bars.  Only script mode passes
+    ``record`` and rewrites the tracked ``BENCH_NF1.json``; ``python -m
+    repro report`` and the test suite leave it alone."""
     print(f"NF1 — concurrent vs sequential fan-out, "
           f"{N_PEERS} peers, {LATENCY_S * 1000:.0f} ms per-link latency")
     print(f"  {'topology':>8s} {'seq_ms':>8s} {'fanout_ms':>10s} "
@@ -409,20 +412,14 @@ def main() -> int:
     if tree_routed["subtrees"] == 0:
         failures.append("tree schedule pruned no subtrees")
 
-    try:
+    if record:
         from trajectory import write_trajectory
-    except ModuleNotFoundError:
-        # imported via ``python -m repro report`` without benchmarks/
-        # on sys.path (script mode and pytest collection both add it)
-        import sys
-        from pathlib import Path
-        sys.path.insert(0, str(Path(__file__).resolve().parent))
-        from trajectory import write_trajectory
-    write_trajectory("NF1", metrics, ok=not failures,
-                     bars={"min_star_speedup": MIN_STAR_SPEEDUP,
-                           "min_routing_reduction": MIN_ROUTING_REDUCTION,
-                           "min_tree_msg_reduction": MIN_TREE_MSG_REDUCTION,
-                           "min_tree_byte_reduction": MIN_TREE_BYTE_REDUCTION})
+        write_trajectory(
+            "NF1", metrics, ok=not failures,
+            bars={"min_star_speedup": MIN_STAR_SPEEDUP,
+                  "min_routing_reduction": MIN_ROUTING_REDUCTION,
+                  "min_tree_msg_reduction": MIN_TREE_MSG_REDUCTION,
+                  "min_tree_byte_reduction": MIN_TREE_BYTE_REDUCTION})
 
     if failures:
         print("\n  FAILED: " + "; ".join(failures))
@@ -442,4 +439,4 @@ if __name__ == "__main__":
     import sys
     from pathlib import Path
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    raise SystemExit(main())
+    raise SystemExit(main(record=True))

@@ -35,7 +35,7 @@ from ..datalog.engine import AnswerSetEngine
 from ..datalog.program import Program, Rule
 from ..datalog.terms import Atom, Literal, Variable
 from ..relational.constraints import Constraint
-from ..relational.instance import DatabaseInstance
+from ..relational.instance import DatabaseInstance, canonical_order
 from ..relational.query import (
     And,
     Cmp,
@@ -329,14 +329,14 @@ class GavSpecification:
         for model in self.answer_sets():
             decoded.setdefault(self._decode(model))
         instances = list(decoded)
-        if minimal_only:
+        if minimal_only and len(instances) > 1:
             deltas = {inst: inst.delta(self.instance)
                       for inst in instances}
             instances = [inst for inst in instances
                          if not any(deltas[other] < deltas[inst]
                                     for other in instances
                                     if other is not inst)]
-        return sorted(instances, key=str)
+        return canonical_order(instances)
 
     def _decode(self, model) -> DatabaseInstance:
         """Read a solution instance off an answer set (final layer when
@@ -461,8 +461,10 @@ def asp_solutions_for_peer(system: PeerSystem, peer: str, *,
     else:
         stage1_results = [global_instance]
 
+    # each specification's solutions come distinct and in canonical order,
+    # so only a merge of several stage-2 lists needs ordering again
     if not same:
-        return sorted(set(stage1_results), key=str)
+        return stage1_results
 
     final: dict[DatabaseInstance, None] = {}
     for stage1 in stage1_results:
@@ -470,7 +472,9 @@ def asp_solutions_for_peer(system: PeerSystem, peer: str, *,
                                        enforce=less, local_ics=local)
         for solution in stage2_spec.solutions(minimal_only=minimal_only):
             final.setdefault(solution)
-    return sorted(final, key=str)
+    if len(stage1_results) == 1:
+        return list(final)
+    return canonical_order(final)
 
 
 def asp_peer_consistent_answers(system: PeerSystem, peer: str,

@@ -46,7 +46,7 @@ from ..relational.constraints import (
     EqualityGeneratingConstraint,
     TupleGeneratingConstraint,
 )
-from ..relational.instance import DatabaseInstance
+from ..relational.instance import DatabaseInstance, canonical_order
 from .errors import SystemError_
 from .naming import NameMap
 from .system import PeerSystem
@@ -323,4 +323,4 @@ class LavSpecification:
                     contents[relation].add(values[:-1])
             decoded.setdefault(
                 self.instance.replace_relations(contents))
-        return sorted(decoded, key=str)
+        return canonical_order(decoded)

@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 
 from ..cqa.repairs import RepairProblem, repairs
 from ..relational.constraints import Constraint
-from ..relational.instance import DatabaseInstance
+from ..relational.instance import DatabaseInstance, canonical_order
 from .system import PeerSystem
 from .trust import TrustLevel
 
@@ -119,8 +119,8 @@ class SolutionSearch:
                 found.setdefault(stage2)
                 if self.max_solutions is not None \
                         and len(found) >= self.max_solutions:
-                    return sorted(found, key=str)
-        return sorted(found, key=str)
+                    return canonical_order(found)
+        return canonical_order(found)
 
     def is_solution(self, candidate: DatabaseInstance) -> bool:
         """Membership test via full enumeration (reference semantics)."""

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 from ..datalog.engine import AnswerSetEngine
 from ..datalog.program import Program, Rule
 from ..datalog.terms import Atom
-from ..relational.instance import DatabaseInstance
+from ..relational.instance import DatabaseInstance, canonical_order
 from ..relational.query import Query
 from .asp_common import (
     TranslationContext,
@@ -204,7 +204,7 @@ class TransitiveSpecification:
         for model in self.answer_sets():
             decoded.setdefault(decode_model(model, self.global_instance,
                                             self._decode_context))
-        return sorted(decoded, key=str)
+        return canonical_order(decoded)
 
 
 def global_solutions(system: PeerSystem, root: str,

@@ -71,17 +71,25 @@ class AnswerSetEngine:
     def answer_sets(self) -> list[frozenset[Literal]]:
         """All answer sets, as frozensets of objective literals.
 
-        Deterministic order (sorted by rendered literals) for stable output.
+        Deterministic order, independent of hash seeds: models compare by
+        their sorted rendered literals.  Each atom occurring in some model
+        is rendered once and ranked, and models are sorted by their sorted
+        rank tuples, which gives the same order without rendering every
+        literal of every model.  Zero or one model is not sorted at all.
         """
         if self._models is not None:
             return self._models
         ground = self.ground
+        table = ground.table
         id_models = self._solve_ids(ground)
-        models = []
-        for id_model in id_models:
-            models.append(frozenset(ground.table.literal_for(i)
-                                    for i in id_model))
-        models.sort(key=lambda m: sorted(str(l) for l in m))
+        if len(id_models) > 1:
+            text = {atom: str(table.literal_for(atom))
+                    for atom in frozenset().union(*id_models)}
+            rank = {s: r for r, s in enumerate(sorted(set(text.values())))}
+            id_models = sorted(id_models,
+                               key=lambda m: sorted(rank[text[a]] for a in m))
+        models = [frozenset(table.literal_for(i) for i in id_model)
+                  for id_model in id_models]
         self._models = models
         return models
 

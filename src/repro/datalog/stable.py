@@ -12,12 +12,19 @@ Architecture — a small smodels-style branch-and-propagate search:
   true atom with exactly one remaining support → that rule's body forced.
 * **Unfounded-set pruning**: after unit propagation quiesces, compute the
   set of atoms still derivable given the current partial assignment; atoms
-  outside it must be false (this catches positive loops).
-* **Verification**: every total assignment is checked against the
-  Gelfond–Lifschitz definition — least-model equality for normal programs,
-  model-plus-minimality for disjunctive ones.  Propagation is sound (never
-  prunes a stable model), so enumeration is complete; verification makes it
-  exact regardless of propagation strength.
+  outside it must be false (this catches positive loops).  It runs only
+  on *non-tight* programs, whose positive atom graph has a cycle: on a
+  tight program every supported model is stable (Fages 1994), and unit
+  propagation already enforces support.
+* **Verification**: on a *disjunctive* program (one that is not
+  head-cycle-free, so it was not shifted) every total assignment is
+  checked against the Gelfond–Lifschitz definition by
+  model-plus-minimality, since propagation alone cannot prove
+  minimality there.  On a normal program a total assignment that survives
+  propagation is a supported model and, after the unfounded-set check (or
+  by tightness), unfounded-free, hence stable (Leone et al. 1997), so it
+  is accepted as is.  Propagation is sound (never prunes a stable model),
+  so enumeration is complete.
 
 Head-cycle-free disjunctive programs should be *shifted* to normal programs
 first (paper Section 4.1); :func:`shift_ground` implements the ground-level
@@ -46,6 +53,7 @@ __all__ = [
     "is_stable_model",
     "shift_ground",
     "ground_head_cycle_free",
+    "ground_tight",
 ]
 
 _UNKNOWN, _TRUE, _FALSE = 0, 1, 2
@@ -65,13 +73,28 @@ def is_stable_model(ground: GroundProgram, candidate: set[int]) -> bool:
     return least_model(positive) == candidate
 
 
-def ground_head_cycle_free(ground: GroundProgram) -> bool:
-    """Exact (atom-level) head-cycle-freedom of a ground program."""
+def _positive_atom_graph(ground: GroundProgram) -> dict[int, set[int]]:
+    """Edges from each positive body atom to the heads of its rule."""
     graph: dict[int, set[int]] = {i: set() for i in range(ground.atom_count)}
     for rule in ground.rules:
         for body_atom in rule.pos:
             graph[body_atom].update(rule.head)
-    components = strongly_connected_components(graph)
+    return graph
+
+
+def ground_tight(ground: GroundProgram) -> bool:
+    """True when the positive atom graph is acyclic: no strongly connected
+    component has more than one atom, and no atom depends on itself."""
+    graph = _positive_atom_graph(ground)
+    if any(atom in successors for atom, successors in graph.items()):
+        return False
+    return all(len(component) == 1
+               for component in strongly_connected_components(graph))
+
+
+def ground_head_cycle_free(ground: GroundProgram) -> bool:
+    """Exact (atom-level) head-cycle-freedom of a ground program."""
+    components = strongly_connected_components(_positive_atom_graph(ground))
     component_of: dict[int, int] = {}
     for number, component in enumerate(components):
         for atom in component:
@@ -117,7 +140,7 @@ class StableModelSolver:
         ground: the program to solve.
         shift_hcf: when True (default) and the program is disjunctive but
             ground-level head-cycle-free, solve the shifted normal program
-            instead (identical answer sets, cheaper verification).
+            instead (identical answer sets, no leaf verification).
         max_models: stop after this many models (None = enumerate all).
         max_decisions: safety valve on branch decisions; raises
             :class:`SolverError` when exceeded.
@@ -131,6 +154,10 @@ class StableModelSolver:
                 and ground_head_cycle_free(ground):
             ground = shift_ground(ground)
         self._ground = ground
+        # Leaves need verifying only while the program is disjunctive, and
+        # unfounded sets need checking only while it has a positive loop.
+        self._normal = not ground.is_disjunctive()
+        self._tight = self._normal and ground_tight(ground)
         self._max_models = max_models
         self._max_decisions = max_decisions
         self._decisions = 0
@@ -234,6 +261,8 @@ class StableModelSolver:
                     ok = self._on_false(state, atom, queue)
                 if not ok:
                     return False
+            if self._tight:
+                return True
             if not self._unfounded_check(state, queue):
                 return False
             if not queue:
@@ -441,7 +470,7 @@ class StableModelSolver:
         if branch_atom == -1:
             candidate = {a for a in range(self._atom_count)
                          if value[a] == _TRUE}
-            if self._verify(candidate):
+            if self._normal or self._verify(candidate):
                 yield frozenset(candidate)
             return
         self._decisions += 1
@@ -458,9 +487,8 @@ class StableModelSolver:
             yield from self._dfs(child)
 
     def _verify(self, candidate: set[int]) -> bool:
-        # Verify against the *solved* program (shifted if shifting was
-        # applied); shifting preserves answer sets exactly on HCF programs,
-        # and we only shift those.
+        # Only disjunctive programs get here: propagation cannot show that a
+        # total assignment is a *minimal* model of the reduct.
         rules = self._ground.rules
         for rule in self._rules[len(rules):]:
             # complement-pair constraints

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from ..storage.tables import FactTable
+from ..storage.tables import FactTable, row_sort_key
 from .errors import InstanceError
 from .indexes import TupleIndex
 from .schema import DatabaseSchema
 
-__all__ = ["Fact", "DatabaseInstance"]
+__all__ = ["Fact", "DatabaseInstance", "canonical_order"]
 
 
 class Fact:
@@ -79,6 +79,28 @@ class Fact:
 def _sort_key(values: tuple) -> tuple:
     return tuple((0, v) if isinstance(v, int) else (1, str(v))
                  for v in values)
+
+
+_NO_ROWS: frozenset = frozenset()
+
+
+def canonical_order(instances: Iterable["DatabaseInstance"]
+                    ) -> list["DatabaseInstance"]:
+    """``instances`` in one content-determined order, the same under every
+    hash seed: by relation name, then by each relation's sorted rows
+    (:func:`~repro.storage.tables.row_sort_key`).  Each key is computed
+    once per instance; lists of zero or one instance are returned as is.
+    """
+    instances = list(instances)
+    if len(instances) < 2:
+        return instances
+    return sorted(instances, key=_content_key)
+
+
+def _content_key(instance: "DatabaseInstance") -> tuple:
+    data = instance.fact_table()
+    return tuple((name, sorted(map(row_sort_key, data[name])))
+                 for name in sorted(data))
 
 
 class DatabaseInstance:
@@ -210,8 +232,19 @@ class DatabaseInstance:
     # Definition 1: distance and order
     # ------------------------------------------------------------------
     def delta(self, other: "DatabaseInstance") -> set[Fact]:
-        """Δ(self, other): symmetric difference of fact sets."""
-        return self.facts() ^ other.facts()
+        """Δ(self, other): symmetric difference of fact sets.
+
+        Computed relation by relation: only rows of relations whose
+        contents differ become facts.
+        """
+        ours, theirs = self._data, other._data
+        result: set[Fact] = set()
+        for name in ours.keys() | theirs.keys():
+            rows = ours.get(name, _NO_ROWS)
+            other_rows = theirs.get(name, _NO_ROWS)
+            if rows is not other_rows:
+                result.update(Fact(name, row) for row in rows ^ other_rows)
+        return result
 
     def insertions_from(self, base: "DatabaseInstance") -> set[Fact]:
         """Facts of ``self`` missing from ``base`` (Σ(self) ∖ Σ(base))."""
