@@ -2,23 +2,18 @@
 
 A production peer answers many queries against the same (slowly changing)
 data, but the per-peer solutions — the expensive object behind Definition
-5 — do not depend on the query.  The legacy pattern (one
-:class:`PeerConsistentEngine` per query) recomputes them every time;
-:class:`PeerQuerySession` memoizes them per ``(system version, peer,
-method)`` and reuses them across the whole workload, including
-``answer_many`` batches.
+5 — do not depend on the query.  A fresh :class:`PeerQuerySession` per
+query recomputes them every time; one session memoizes them per
+``(system version, peer, method)`` and reuses them across the whole
+workload, including ``answer_many`` batches.
 
 Expected series shape: the first session answer pays the same enumeration
-cost as the engine; every further query is answered at FO-evaluation
-cost, so the speedup over the per-query baseline grows roughly linearly
-with the number of repeated queries.
+cost as the per-query baseline; every further query is answered at
+FO-evaluation cost, so the speedup over the per-query baseline grows
+roughly linearly with the number of repeated queries.
 """
 
-import warnings
-
-import pytest
-
-from repro.core import PeerConsistentEngine, PeerQuerySession
+from repro.core import PeerQuerySession
 from repro.relational import parse_query
 from repro.workloads import import_star_system
 
@@ -41,16 +36,11 @@ def queries():
     return [parse_query(text) for text in QUERY_TEXTS] * N_ROUNDS
 
 
-def run_engine_per_query(system):
-    """Baseline: the legacy pattern — an engine per query, no reuse."""
-    results = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for query in queries():
-            engine = PeerConsistentEngine(system, method="asp")
-            results.append(
-                set(engine.peer_consistent_answers("P0", query).answers))
-    return results
+def run_session_per_query(system):
+    """Baseline: a fresh session per query, no reuse."""
+    return [set(PeerQuerySession(system).answer("P0", query,
+                                                method="asp").answers)
+            for query in queries()]
 
 
 def run_session(system):
@@ -67,16 +57,16 @@ def test_sc6_session_cached(benchmark):
     benchmark.extra_info["queries"] = len(queries())
 
 
-def test_sc6_engine_baseline(benchmark):
+def test_sc6_per_query_baseline(benchmark):
     system = make_system()
-    answers = benchmark(lambda: run_engine_per_query(system))
+    answers = benchmark(lambda: run_session_per_query(system))
     assert answers[0]
     benchmark.extra_info["queries"] = len(queries())
 
 
 def test_sc6_same_answers():
     system = make_system(30)
-    assert run_session(system) == run_engine_per_query(system)
+    assert run_session(system) == run_session_per_query(system)
 
 
 def test_sc6_cache_hits():
@@ -90,20 +80,20 @@ def test_sc6_cache_hits():
 
 def main() -> None:
     import time
-    print("SC6 — session cache vs per-query engine, import-star family, "
-          f"{len(queries())} repeated queries")
-    print(f"  {'n':>5s} {'engine_ms':>10s} {'session_ms':>11s} "
+    print("SC6 — one session vs a fresh session per query, import-star "
+          f"family, {len(queries())} repeated queries")
+    print(f"  {'n':>5s} {'fresh_ms':>10s} {'session_ms':>11s} "
           f"{'speedup':>8s} {'agree':>6s}")
     for n in (30, 60, 120):
         system = make_system(n)
         start = time.perf_counter()
-        baseline = run_engine_per_query(system)
-        engine_ms = (time.perf_counter() - start) * 1000
+        baseline = run_session_per_query(system)
+        fresh_ms = (time.perf_counter() - start) * 1000
         start = time.perf_counter()
         cached = run_session(system)
         session_ms = (time.perf_counter() - start) * 1000
-        speedup = engine_ms / session_ms if session_ms else float("inf")
-        print(f"  {n:5d} {engine_ms:10.1f} {session_ms:11.1f} "
+        speedup = fresh_ms / session_ms if session_ms else float("inf")
+        print(f"  {n:5d} {fresh_ms:10.1f} {session_ms:11.1f} "
               f"{speedup:8.1f} {str(baseline == cached):>6s}")
     print("  expected: identical answers; the session amortises one "
           "solution\n  enumeration over the whole workload — speedup "

@@ -10,8 +10,8 @@ Subpackages
     Relational substrate: schemas, instances, FO queries, integrity and
     data-exchange constraints.
 ``repro.cqa``
-    Consistent query answering over single databases (repairs, consistent
-    answers) — the baseline framework the paper builds on.
+    Database repairs over single databases (Definition 1) — the baseline
+    framework the paper builds on.
 ``repro.core``
     The paper's contribution: peer-to-peer data-exchange systems, trust,
     solutions for a peer, peer consistent answers, and the FO-rewriting,

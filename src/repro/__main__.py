@@ -2,19 +2,18 @@
 
 Commands
 --------
-``query SYSTEM.json PEER QUERY [--method M] [--brave] [--network] [--json]``
+``query SYSTEM.json PEER QUERY [--method M] [--brave] [--json]``
     Answer a query posed to a peer of a JSON-defined system
-    (see :mod:`repro.core.io` for the file format).  ``--method auto``
-    (the default) picks FO rewriting when it applies and falls back to
-    ASP; any registered answer method can be named.  ``--network`` runs
-    the query over the :mod:`repro.net` message-passing runtime instead
-    of the in-process session.
+    (see :mod:`repro.core.io` for the file format) in-process.
+    ``--method auto`` (the default) picks FO rewriting when it applies
+    and falls back to ASP; any registered answer method can be named.
 
 ``network SYSTEM.json PEER QUERY [--latency MS] [--drop P] [--seed N]
-[--hops N] [--retries N] [--sequential] [--data-dir DIR] [--method M]
-[--brave] [--json]``
-    Answer a query over the peer network runtime and print the exchange
-    trace — the actual protocol messages that flowed.  ``--latency`` and
+[--hops N] [--retries N] [--sequential] [--data-dir DIR] [--timeout S]
+[--routing] [--tracing] [--method M] [--brave] [--json]``
+    Answer a query over the in-process :mod:`repro.net` peer network
+    runtime and print the exchange trace — the actual protocol messages
+    that flowed.  ``--latency`` and
     ``--drop`` inject per-link delay and seeded message loss through a
     :class:`~repro.net.transport.ThreadedTransport`; without them the
     zero-overhead loopback transport is used.  ``--data-dir`` makes
@@ -22,7 +21,10 @@ Commands
     snapshot store, answers cached by content version): re-running the
     same query against the same directory answers from disk without a
     single message, and after editing the system file the nodes sync by
-    versioned deltas.  Network failures (peer down, hop budget
+    versioned deltas.  ``--tracing`` also renders the distributed span
+    tree — every hop's gather, per-neighbour fetches, and local
+    evaluation, with durations and the critical path starred — plus the
+    per-phase timing breakdown.  Network failures (peer down, hop budget
     exhausted) are reported as typed errors, exit 3.
 
 ``serve SYSTEM.json PEER [--host H] [--port N] [--peers SPEC]
@@ -46,13 +48,6 @@ DIR] [--hops N] [--retries N] [--timeout S] [--host H] [--json]``
     down.  With ``--data-dir`` the peer processes are durable: a
     re-run against the same directory restarts them warm and re-syncs
     by versioned deltas.
-
-``trace SYSTEM.json PEER QUERY [--method M] [--brave] [--hops N]
-[--routing] [--json]``
-    Answer the query over the network runtime with tracing on and
-    render the distributed span tree — every hop's gather, per-
-    neighbour fetches, and local evaluation, with durations and the
-    critical path starred — plus the per-phase timing breakdown.
 
 ``metrics ADDR [--timeout S] [--json]``
     Ask one running peer server what it is doing: dial ``host:port``,
@@ -158,27 +153,13 @@ def _print_result(result, args: argparse.Namespace,
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from .core import load_system
-    from .net import open_session
-    system = load_system(args.system)
-    # --routing/--tracing are network-runtime knobs; open_session
-    # rejects them for the local backend with a typed error, so only
-    # forward them when set
-    extras = {}
-    if args.routing:
-        extras["routing"] = True
-    if getattr(args, "tracing", False):
-        extras["tracing"] = True
-    session = open_session(system, network=args.network, **extras)
+    from .core import PeerQuerySession, load_system
+    session = PeerQuerySession(load_system(args.system))
     semantics = "possible" if args.brave else "certain"
-    try:
-        # --brave --method rewrite is rejected by the method itself
-        # (P2PError), rendered as a clean `error:` line by main()
-        result = session.answer(args.peer, args.query,
-                                method=args.method, semantics=semantics)
-    finally:
-        if args.network:
-            session.close()
+    # --brave --method rewrite is rejected by the method itself
+    # (P2PError), rendered as a clean `error:` line by main()
+    result = session.answer(args.peer, args.query,
+                            method=args.method, semantics=semantics)
     return _print_result(result, args)
 
 
@@ -241,7 +222,7 @@ def _cmd_network(args: argparse.Namespace) -> int:
 
 def _print_trace(result) -> None:
     """Render a traced result's span tree, critical path, and
-    per-phase timings (shared by `network --tracing` and `trace`)."""
+    per-phase timings (shared by `network` and `cluster`)."""
     from .obs import TraceCollector
     collector = TraceCollector(result.trace)
     print(f"trace ({len(result.trace)} span(s), "
@@ -256,22 +237,6 @@ def _print_trace(result) -> None:
         parts = ", ".join(f"{name}={value * 1000:.1f} ms"
                           for name, value in result.timings.items())
         print(f"timings: {parts}")
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from .core import load_system
-    from .net import NetworkSession
-    system = load_system(args.system)
-    semantics = "possible" if args.brave else "certain"
-    with NetworkSession(system, hop_budget=args.hops,
-                        routing=args.routing,
-                        tracing=True) as session:
-        result = session.answer(args.peer, args.query,
-                                method=args.method, semantics=semantics)
-    status = _print_result(result, args)
-    if not args.json and not result.failed:
-        _print_trace(result)
-    return status
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -478,18 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=list(available_methods()))
     query.add_argument("--brave", action="store_true",
                        help="possible (brave) answers instead of certain")
-    query.add_argument("--network", action="store_true",
-                       help="execute over the message-passing peer "
-                            "network runtime instead of in-process")
-    query.add_argument("--routing", default=False,
-                       action=argparse.BooleanOptionalAction,
-                       help="consult the query-driven routing index "
-                            "while gathering (requires --network)")
-    query.add_argument("--tracing", default=False,
-                       action=argparse.BooleanOptionalAction,
-                       help="record a distributed span tree for the "
-                            "answer (requires --network; see the "
-                            "`trace` command for a rendered tree)")
     query.add_argument("--json", action="store_true",
                        help="print the full QueryResult as JSON")
     query.set_defaults(func=_cmd_query)
@@ -547,30 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "local eval, per-hop serving)")
     network.add_argument("--json", action="store_true",
                          help="print the full QueryResult as JSON "
-                              "including the exchange trace")
+                              "including the exchange trace (and the "
+                              "raw spans with --tracing)")
     network.set_defaults(func=_cmd_network)
-
-    trace = sub.add_parser(
-        "trace",
-        help="answer a query with tracing on and render the span tree")
-    trace.add_argument("system", help="JSON system definition")
-    trace.add_argument("peer")
-    trace.add_argument("query", help='e.g. "q(X, Y) := R1(X, Y)"')
-    trace.add_argument("--method", default="auto",
-                       choices=list(available_methods()))
-    trace.add_argument("--brave", action="store_true",
-                       help="possible (brave) answers instead of "
-                            "certain")
-    trace.add_argument("--hops", type=int, default=None, metavar="N",
-                       help="hop budget for transitive gathers")
-    trace.add_argument("--routing", default=False,
-                       action=argparse.BooleanOptionalAction,
-                       help="trace a routed gather instead of a "
-                            "flooded one")
-    trace.add_argument("--json", action="store_true",
-                       help="print the full QueryResult as JSON "
-                            "including the raw spans")
-    trace.set_defaults(func=_cmd_trace)
 
     metrics = sub.add_parser(
         "metrics",

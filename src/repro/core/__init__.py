@@ -47,9 +47,6 @@ Quick start::
     session = PeerQuerySession(system)
     result = session.answer("P1", "q(X, Y) := R1(X, Y)")  # method="auto"
     result.answers, result.method_used, result.solution_count
-
-The string-typed :class:`PeerConsistentEngine` façade is deprecated and
-will be removed next release; it now delegates to a session internally.
 """
 
 from .asp_gav import (
@@ -59,7 +56,6 @@ from .asp_gav import (
 )
 from .asp_lav import LavSpecification, SourceLabel, labels_for_peer
 from .builder import SystemBuilder
-from .engine import PeerConsistentEngine
 from .errors import (
     NoSolutionsError,
     P2PError,
@@ -138,8 +134,6 @@ __all__ = [
     "LavSpecification", "SourceLabel", "labels_for_peer",
     "TransitiveSpecification", "global_solutions",
     "transitive_peer_consistent_answers",
-    # deprecated façade
-    "PeerConsistentEngine",
     # support
     "NameMap", "ExchangeLog", "ExchangeEvent", "estimate_bytes",
     # errors

@@ -312,17 +312,14 @@ def rewrite_peer_query(system: PeerSystem, peer: str,
 
 
 def answers_via_rewriting(system: PeerSystem, peer: str,
-                          query: Query, *,
-                          evaluator: str = "planner") -> set[tuple]:
+                          query: Query) -> set[tuple]:
     """PCAs by rewriting: rewrite, fetch the mentioned neighbour
     relations (logged on the exchange log), evaluate over the combined
     data.
 
-    ``evaluator`` selects the FO evaluation engine for the rewritten
-    query — ``"planner"`` (indexed, default) or ``"naive"``.  The
-    rewriting is only a win when its evaluation is genuinely
-    first-order-cheap, which is exactly what the planner provides: the
-    guarded universals of formula (1) become index-backed guard scans
+    The rewriting is only a win when its evaluation is genuinely
+    first-order-cheap, which is exactly what the indexed planner provides:
+    the guarded universals of formula (1) become index-backed guard scans
     instead of active-domain products.
     """
     rewritten = rewrite_peer_query(system, peer, query)
@@ -337,4 +334,4 @@ def answers_via_rewriting(system: PeerSystem, peer: str,
                 peer, relation, purpose=f"rewritten query {query.name}")
     schema = system.global_schema.restrict(sorted(needed))
     instance = DatabaseInstance(schema, data)
-    return rewritten.answers(instance, evaluator=evaluator)
+    return rewritten.answers(instance)

@@ -8,7 +8,7 @@ combined-program semantics of Section 4.3.  Each is packaged here as an
 :class:`AnswerMethod` so that
 
 * new mechanisms can be plugged in with :func:`register_method` without
-  touching the session/engine layers;
+  touching the session layer;
 * each mechanism declares :meth:`AnswerMethod.supports`, letting the
   ``auto`` planner pick the cheap FO rewriting when it applies and fall
   back to ASP otherwise (the method-selection concern of the follow-up
@@ -18,10 +18,7 @@ combined-program semantics of Section 4.3.  Each is packaged here as an
   across queries.
 
 Methods are stateless singletons; all system state travels through the
-session handed to every call — including the session's ``evaluator``
-setting, which selects the FO evaluation engine (the indexed planner by
-default, or the naive reference evaluator for differential runs) used by
-the mechanisms that evaluate queries and constraints directly.
+session handed to every call.
 """
 
 from __future__ import annotations
@@ -92,18 +89,15 @@ class AnswerMethod(ABC):
         """
         session.system.validate_query_scope(peer, query)
         solutions = session.solutions(peer, method=self.name)
-        return pca_from_solutions(
-            session.system, peer, query, solutions,
-            evaluator=getattr(session, "evaluator", "planner"))
+        return pca_from_solutions(session.system, peer, query, solutions)
 
     def possible_answers(self, session: "PeerQuerySession", peer: str,
                          query: Query) -> PCAResult:
         """The brave dual: tuples true in *some* solution restriction."""
         session.system.validate_query_scope(peer, query)
         solutions = session.solutions(peer, method=self.name)
-        return possible_from_solutions(
-            session.system, peer, query, solutions,
-            evaluator=getattr(session, "evaluator", "planner"))
+        return possible_from_solutions(session.system, peer, query,
+                                       solutions)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
@@ -185,8 +179,7 @@ class ModelMethod(AnswerMethod):
         from .solutions import solutions_for_peer
         return solutions_for_peer(
             session.system, peer,
-            include_local_ics=session.include_local_ics,
-            evaluator=getattr(session, "evaluator", "planner"))
+            include_local_ics=session.include_local_ics)
 
 
 @register_method
@@ -246,9 +239,7 @@ class RewriteMethod(AnswerMethod):
     def certain_answers(self, session: "PeerQuerySession", peer: str,
                         query: Query) -> PCAResult:
         from .fo_rewriting import answers_via_rewriting
-        answers = answers_via_rewriting(
-            session.system, peer, query,
-            evaluator=getattr(session, "evaluator", "planner"))
+        answers = answers_via_rewriting(session.system, peer, query)
         # the rewriting evaluates one FO query; solutions are never
         # enumerated, so the count is honestly "not computed".
         return PCAResult(answers, None)

@@ -63,8 +63,7 @@ class PCAResult:
 
 
 def pca_from_solutions(system: PeerSystem, peer: str, query: Query,
-                       solutions: Sequence[DatabaseInstance], *,
-                       evaluator: str = "planner") -> PCAResult:
+                       solutions: Sequence[DatabaseInstance]) -> PCAResult:
     """Intersect the query answers over ``r'|P`` for each solution."""
     system.validate_query_scope(peer, query)
     if not solutions:
@@ -72,7 +71,7 @@ def pca_from_solutions(system: PeerSystem, peer: str, query: Query,
     common: Optional[set[tuple]] = None
     for solution in solutions:
         restricted = system.restrict_to_peer(solution, peer)
-        answers = query.answers(restricted, evaluator=evaluator)
+        answers = query.answers(restricted)
         common = answers if common is None else (common & answers)
         if not common:
             break
@@ -81,15 +80,15 @@ def pca_from_solutions(system: PeerSystem, peer: str, query: Query,
 
 
 def possible_from_solutions(system: PeerSystem, peer: str, query: Query,
-                            solutions: Sequence[DatabaseInstance], *,
-                            evaluator: str = "planner") -> PCAResult:
+                            solutions: Sequence[DatabaseInstance]
+                            ) -> PCAResult:
     """Union the query answers over ``r'|P`` for each solution (the brave
     dual of :func:`pca_from_solutions`)."""
     system.validate_query_scope(peer, query)
     union: set[tuple] = set()
     for solution in solutions:
         restricted = system.restrict_to_peer(solution, peer)
-        union |= query.answers(restricted, evaluator=evaluator)
+        union |= query.answers(restricted)
     return PCAResult(union, len(solutions))
 
 
@@ -99,8 +98,7 @@ def peer_consistent_answers(system: PeerSystem, peer: str, query: Query,
     evaluate, intersect.  Exponential; see :mod:`repro.core.asp_gav` and
     :mod:`repro.core.fo_rewriting` for the paper's computation methods."""
     search = SolutionSearch(system, peer, **search_kwargs)
-    return pca_from_solutions(system, peer, query, search.solutions(),
-                              evaluator=search.evaluator)
+    return pca_from_solutions(system, peer, query, search.solutions())
 
 
 def possible_peer_answers(system: PeerSystem, peer: str, query: Query,
@@ -115,6 +113,4 @@ def possible_peer_answers(system: PeerSystem, peer: str, query: Query,
     """
     system.validate_query_scope(peer, query)  # before the expensive search
     search = SolutionSearch(system, peer, **search_kwargs)
-    return possible_from_solutions(system, peer, query,
-                                   search.solutions(),
-                                   evaluator=search.evaluator)
+    return possible_from_solutions(system, peer, query, search.solutions())

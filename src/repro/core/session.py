@@ -2,8 +2,7 @@
 
 Per-peer solutions are the expensive object in this system — every
 Definition-5 answer intersects over them, and recomputing them per query
-(as the old :class:`~repro.core.engine.PeerConsistentEngine` did) repeats
-the repair enumeration or ASP grounding + solving on every call.  A
+repeats the repair enumeration or ASP grounding + solving on every call.  A
 session memoizes solutions per ``(system version, peer, method,
 include_local_ics)`` and serves any number of queries from them;
 :meth:`PeerSystem.version` is a *content-derived* fingerprint, so
@@ -60,10 +59,6 @@ class PeerQuerySession:
         default_method: registered method name used when a request names
             none (default ``"auto"``).
         include_local_ics: enforce IC(P) inside the solution semantics.
-        evaluator: FO-evaluation engine used by the mechanisms this
-            session drives — ``"planner"`` (indexed, default) or
-            ``"naive"`` (the reference evaluator, for differential
-            runs).
 
     The bound system may be swapped (:meth:`use_system`, or assignment to
     :attr:`system`); caches are keyed on
@@ -73,17 +68,11 @@ class PeerQuerySession:
 
     def __init__(self, system: PeerSystem, *,
                  default_method: str = "auto",
-                 include_local_ics: bool = True,
-                 evaluator: str = "planner") -> None:
+                 include_local_ics: bool = True) -> None:
         get_method(default_method)  # fail fast on typos
-        if evaluator not in ("planner", "naive"):
-            raise ValueError(
-                f"unknown evaluator {evaluator!r}; "
-                f"choose 'planner' or 'naive'")
         self.system = system
         self.default_method = default_method
         self.include_local_ics = include_local_ics
-        self.evaluator = evaluator
         self._solutions: dict[tuple, list[DatabaseInstance]] = {}
         self._hits = 0
         self._misses = 0
@@ -106,8 +95,7 @@ class PeerQuerySession:
         if not resolved.enumerates_solutions or resolved.is_planner:
             name = "asp"
         self.system.peer(peer)  # validate before touching the cache
-        key = (self.system.version(), peer, name, self.include_local_ics,
-               self.evaluator)
+        key = (self.system.version(), peer, name, self.include_local_ics)
         cached = self._solutions.get(key)
         if cached is not None:
             self._hits += 1

@@ -49,21 +49,17 @@ class SolutionSearch:
             3.2 discusses layering — disable to study raw DEC repairs.
         max_changes / max_solutions: safety valves forwarded to the repair
             engine.
-        evaluator: constraint-checking engine inside the repair stages —
-            ``"planner"`` (indexed, default) or ``"naive"``.
     """
 
     def __init__(self, system: PeerSystem, peer: str, *,
                  include_local_ics: bool = True,
                  max_changes: int = 64,
-                 max_solutions: Optional[int] = None,
-                 evaluator: str = "planner") -> None:
+                 max_solutions: Optional[int] = None) -> None:
         self.system = system
         self.peer = system.peer(peer)
         self.include_local_ics = include_local_ics
         self.max_changes = max_changes
         self.max_solutions = max_solutions
-        self.evaluator = evaluator
 
     # ------------------------------------------------------------------
     def _constraints(self, level: TrustLevel) -> list[Constraint]:
@@ -83,8 +79,7 @@ class SolutionSearch:
         problem = RepairProblem(
             global_instance, constraints,
             changeable=self.peer.schema.names,
-            max_changes=self.max_changes,
-            evaluator=self.evaluator)
+            max_changes=self.max_changes)
         return list(repairs(problem))
 
     def stage2_repairs(self, stage1: DatabaseInstance
@@ -107,8 +102,7 @@ class SolutionSearch:
                 self.system.peer(exchange.other).schema.names)
         problem = RepairProblem(stage1, constraints,
                                 changeable=changeable,
-                                max_changes=self.max_changes,
-                                evaluator=self.evaluator)
+                                max_changes=self.max_changes)
         return list(repairs(problem))
 
     def solutions(self) -> list[DatabaseInstance]:

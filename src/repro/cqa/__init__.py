@@ -1,29 +1,13 @@
-"""Consistent query answering over single databases — the [1]/[8] baseline.
+"""Database repairs over single databases — the [1]/[8] baseline.
 
 The paper builds its peer-to-peer semantics on the repair framework of
 Arenas, Bertossi & Chomicki: Definition 1 (repairs as ≤_r-minimal
 consistent instances) is quoted verbatim.  This package provides
-
-* :func:`repairs` — repair enumeration with *fixed predicates* and
-  insertion-based fixes for referential constraints (the generalisation
-  Definition 4 needs);
-* :func:`consistent_answers` / :func:`possible_answers` — certain/brave
-  answers over all repairs;
-* :func:`rewrite_query` — the classical residue-based FO rewriting for the
-  denial/FD fragment, used as a baseline to contrast with the paper's P2P
-  rewriting.
+:func:`repairs` — repair enumeration with *fixed predicates* and
+insertion-based fixes for referential constraints (the generalisation
+Definition 4 needs).
 """
 
-from .answers import consistent_answers, possible_answers
 from .repairs import RepairProblem, RepairResult, is_repair, repairs
-from .rewriting import (
-    ResidueRewriter,
-    RewritingNotApplicable,
-    rewrite_query,
-)
 
-__all__ = [
-    "RepairProblem", "RepairResult", "repairs", "is_repair",
-    "consistent_answers", "possible_answers",
-    "ResidueRewriter", "RewritingNotApplicable", "rewrite_query",
-]
+__all__ = ["RepairProblem", "RepairResult", "repairs", "is_repair"]

@@ -55,16 +55,13 @@ class RepairProblem:
         witness_domain: value pool for unguarded existential witnesses
             (default: the instance's active domain).
         max_changes: hard bound on |Δ| per branch (safety valve).
-        evaluator: constraint-checking engine — ``"planner"`` (indexed,
-            default) or ``"naive"`` (reference active-domain evaluation).
     """
 
     def __init__(self, instance: DatabaseInstance,
                  constraints: Sequence[Constraint],
                  changeable: Optional[Iterable[str]] = None,
                  witness_domain: Optional[Sequence[object]] = None,
-                 max_changes: int = 64,
-                 evaluator: str = "planner") -> None:
+                 max_changes: int = 64) -> None:
         self.instance = instance
         self.constraints = tuple(constraints)
         if changeable is None:
@@ -74,7 +71,6 @@ class RepairProblem:
         self.witness_domain = tuple(witness_domain) \
             if witness_domain is not None else None
         self.max_changes = max_changes
-        self.evaluator = evaluator
 
 
 class RepairResult:
@@ -94,10 +90,10 @@ class RepairResult:
 
 
 def _first_violation(instance: DatabaseInstance,
-                     constraints: Sequence[Constraint],
-                     evaluator: str = "planner") -> Optional[Violation]:
+                     constraints: Sequence[Constraint]
+                     ) -> Optional[Violation]:
     for constraint in constraints:
-        found = constraint.violations(instance, evaluator=evaluator)
+        found = constraint.violations(instance)
         if found:
             return min(found, key=lambda v: (v.constraint.name,
                                              v.antecedent_facts))
@@ -120,8 +116,7 @@ def _fix_options(problem: RepairProblem, instance: DatabaseInstance,
         for _tau, inserts in constraint.witness_options(
                 instance, violation.assignment,
                 insertable=set(problem.changeable),
-                witness_domain=problem.witness_domain,
-                evaluator=problem.evaluator):
+                witness_domain=problem.witness_domain):
             if not inserts:
                 continue
             if any(fact in deleted for fact in inserts):
@@ -152,8 +147,7 @@ def repairs(problem: RepairProblem, *,
             continue
         seen_states.add(state)
         explored += 1
-        violation = _first_violation(instance, problem.constraints,
-                                     problem.evaluator)
+        violation = _first_violation(instance, problem.constraints)
         if violation is None:
             candidates.setdefault(instance, set(inserted | deleted))
             continue
@@ -182,8 +176,7 @@ def repairs(problem: RepairProblem, *,
 
 def is_repair(original: DatabaseInstance, candidate: DatabaseInstance,
               constraints: Sequence[Constraint],
-              changeable: Optional[Iterable[str]] = None,
-              evaluator: str = "planner") -> bool:
+              changeable: Optional[Iterable[str]] = None) -> bool:
     """Exact check of the repair conditions for ``candidate``:
 
     consistency, fixed relations untouched — minimality is NOT checked here
@@ -195,5 +188,4 @@ def is_repair(original: DatabaseInstance, candidate: DatabaseInstance,
         for relation in fixed:
             if original.tuples(relation) != candidate.tuples(relation):
                 return False
-    return all(c.holds_in(candidate, evaluator=evaluator)
-               for c in constraints)
+    return all(c.holds_in(candidate) for c in constraints)

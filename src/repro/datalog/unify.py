@@ -5,7 +5,7 @@ engine only ever needs ground substitutions (grounding instantiates variables
 with constants), so there is no occurs-check or variable-to-variable binding
 machinery here.  :func:`match_atom` implements one-sided matching of a
 pattern atom against a ground atom, which is the workhorse of both the
-grounder and the relational query evaluator.
+grounder and relational query evaluation.
 """
 
 from __future__ import annotations

@@ -133,7 +133,6 @@ class PeerNetwork:
                     timeout: Optional[float] = None,
                     default_method: str = "auto",
                     include_local_ics: bool = True,
-                    evaluator: str = "planner",
                     data_dir: Optional[Union[str, Path]] = None,
                     snapshot_every: int = 64,
                     routing: bool = False,
@@ -174,7 +173,6 @@ class PeerNetwork:
                 trust_edges=own_edges,
                 default_method=default_method,
                 include_local_ics=include_local_ics,
-                evaluator=evaluator,
                 data_dir=root / name if root is not None else None,
                 snapshot_every=snapshot_every,
                 routing=routing,

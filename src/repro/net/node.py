@@ -118,6 +118,12 @@ __all__ = ["PeerNode"]
 #: long-lived data directory cannot grow without bound across syncs
 _MAX_PERSISTED_ANSWERS = 512
 
+#: what one persisted answer entry holds, and the fields that key it
+_ANSWER_KEY = ("version", "query", "method", "semantics",
+               "include_local_ics")
+_ANSWER_FIELDS = _ANSWER_KEY + ("answers", "solution_count", "method_used",
+                                "method_requested")
+
 #: the shared falsy context untraced operations run under
 _UNTRACED = TraceContext()
 
@@ -159,7 +165,6 @@ class PeerNode:
                  version: str = "",
                  default_method: str = "auto",
                  include_local_ics: bool = True,
-                 evaluator: str = "planner",
                  data_dir: Optional[Union[str, Path]] = None,
                  snapshot_every: int = 64,
                  routing: bool = False,
@@ -170,7 +175,6 @@ class PeerNode:
         self.trust_edges = tuple(trust_edges)
         self.default_method = default_method
         self.include_local_ics = include_local_ics
-        self.evaluator = evaluator
         self.network: Optional["PeerNetwork"] = None  # set on registration
         self.data_dir = Path(data_dir) if data_dir is not None else None
         if self.data_dir is None:
@@ -1220,8 +1224,7 @@ class PeerNode:
                 session = PeerQuerySession(
                     self._view_and_cost(constants)[0],
                     default_method=self.default_method,
-                    include_local_ics=self.include_local_ics,
-                    evaluator=self.evaluator)
+                    include_local_ics=self.include_local_ics)
                 self._sessions[key] = session
             return session
 
@@ -1250,7 +1253,7 @@ class PeerNode:
             cached = self._answers.get(key)
             if cached is None and self._persisted:
                 stored = self._persisted.get(
-                    key + (self.include_local_ics, self.evaluator))
+                    key + (self.include_local_ics,))
                 if stored is not None:
                     cached = self._revive_answer(parsed, stored)
                     self._answers[key] = cached
@@ -1345,17 +1348,6 @@ class PeerNode:
             solution_count=stored["solution_count"],
         )
 
-    def _answer_config(self) -> dict:
-        """The knobs a cached answer depends on beyond its key.
-
-        ``method`` and ``semantics`` are in the key already (and the
-        default method is resolved into it); these two change what a
-        given key *means*, so persisted entries carry them and a node
-        configured differently must not revive them.
-        """
-        return {"include_local_ics": self.include_local_ics,
-                "evaluator": self.evaluator}
-
     def _load_persisted(self) -> None:
         answers_path = self.data_dir / "answers.json"
         if answers_path.is_file():
@@ -1366,13 +1358,15 @@ class PeerNode:
                 payload = {}
             for entry in payload.get("entries", []):
                 try:
-                    # the full key includes the answering configuration:
-                    # entries computed under a different configuration
-                    # are kept (and re-persisted), never served
-                    key = (entry["version"], entry["query"],
-                           entry["method"], entry["semantics"],
-                           entry["include_local_ics"],
-                           entry["evaluator"])
+                    # include_local_ics changes what a key *means*: an
+                    # entry computed under the other setting is kept
+                    # (and re-persisted), never served.  Fields outside
+                    # _ANSWER_FIELDS (older files name the FO engine
+                    # that computed the entry) change nothing and are
+                    # dropped
+                    entry = {field: entry[field]
+                             for field in _ANSWER_FIELDS}
+                    key = tuple(entry[field] for field in _ANSWER_KEY)
                     self._persisted[key] = entry
                 except (KeyError, TypeError):
                     continue  # skip malformed entries, keep the rest
@@ -1395,17 +1389,15 @@ class PeerNode:
     def _persist_answers(self) -> None:
         if self.data_dir is None:
             return
-        config = (self.include_local_ics, self.evaluator)
         entries = list(self._persisted.values())
-        seen = {(e["version"], e["query"], e["method"], e["semantics"],
-                 e["include_local_ics"], e["evaluator"])
-                for e in entries}
+        seen = set(self._persisted)
         for key, result in self._answers.items():
-            if key + config in seen or result.failed:
+            if key + (self.include_local_ics,) in seen or result.failed:
                 continue
             entries.append({
                 "version": key[0], "query": key[1], "method": key[2],
-                "semantics": key[3], **self._answer_config(),
+                "semantics": key[3],
+                "include_local_ics": self.include_local_ics,
                 "answers": [list(row) for row in sorted(
                     result.answers, key=row_sort_key)],
                 "solution_count": result.solution_count,

@@ -70,7 +70,7 @@ class NetworkSession:
     Construct from a :class:`~repro.core.system.PeerSystem` (a network
     is built with :meth:`PeerNetwork.from_system`) or from an existing
     :class:`PeerNetwork`.  Keyword arguments mirror the local session's
-    (``default_method``, ``include_local_ics``, ``evaluator``) plus the
+    (``default_method``, ``include_local_ics``) plus the
     network knobs (``transport``, ``hop_budget``, ``retries``,
     ``concurrency``, ``timeout`` — an end-to-end per-query budget in
     seconds, surfacing expiry as a ``deadline-exceeded`` typed result
@@ -84,7 +84,6 @@ class NetworkSession:
                  *, transport: Optional[Transport] = None,
                  default_method: str = "auto",
                  include_local_ics: bool = True,
-                 evaluator: str = "planner",
                  hop_budget: Optional[int] = None,
                  retries: int = 2,
                  concurrency: str = "fanout",
@@ -123,8 +122,7 @@ class NetworkSession:
                 concurrency=concurrency, max_workers=max_workers,
                 timeout=timeout,
                 default_method=default_method,
-                include_local_ics=include_local_ics,
-                evaluator=evaluator, data_dir=data_dir,
+                include_local_ics=include_local_ics, data_dir=data_dir,
                 snapshot_every=snapshot_every, routing=routing,
                 tracing=tracing)
         self.default_method = default_method
@@ -212,6 +210,36 @@ class NetworkSession:
                 f"default_method={self.default_method!r})")
 
 
+#: the keywords each :func:`open_session` backend accepts
+_BACKEND_KEYWORDS = {
+    "local": ("default_method", "include_local_ics"),
+    "in-process network": (
+        "default_method", "include_local_ics", "transport", "hop_budget",
+        "retries", "concurrency", "max_workers", "timeout", "data_dir",
+        "snapshot_every", "routing", "tracing"),
+    "wire": ("default_method", "retries", "timeout", "request_timeout",
+             "data_dir", "host", "hop_budget", "snapshot_every",
+             "startup_timeout", "python", "routing", "tracing"),
+}
+
+
+def _check_keywords(backend: str, kwargs: dict) -> None:
+    """Reject keywords ``backend`` does not take with a typed
+    :class:`NetworkError` listing what it does take."""
+    allowed = _BACKEND_KEYWORDS[backend]
+    unknown = sorted(set(kwargs) - set(allowed))
+    if not unknown:
+        return
+    known = set().union(*_BACKEND_KEYWORDS.values())
+    if backend == "local" and known.issuperset(unknown):
+        raise NetworkError(
+            f"{unknown} only apply to the network backends; "
+            f"pass network=True or network='wire'")
+    raise NetworkError(
+        f"{unknown} do not apply to the {backend} backend; "
+        f"it takes {sorted(allowed)}")
+
+
 def open_session(system: PeerSystem, *,
                  network: Union[bool, str] = False,
                  **kwargs):
@@ -228,37 +256,27 @@ def open_session(system: PeerSystem, *,
     shuts the processes down.
 
     Keyword arguments are forwarded to whichever backend is chosen (the
-    local session accepts ``default_method``, ``include_local_ics``,
-    ``evaluator``; the network session also takes ``transport``,
-    ``hop_budget``, ``retries``, ``concurrency``, ``timeout``,
-    ``data_dir``, ``routing``, ``tracing``; the wire backend takes the
-    cluster knobs of :func:`repro.wire.cluster.open_wire_session` —
-    ``data_dir``, ``host``, ``hop_budget``, ``retries``, ``timeout``,
+    local session accepts ``default_method`` and ``include_local_ics``;
+    the network session also takes ``transport``, ``hop_budget``,
+    ``retries``, ``concurrency``, ``max_workers``, ``timeout``,
+    ``data_dir``, ``snapshot_every``, ``routing``, ``tracing``; the wire
+    backend takes the cluster knobs of
+    :func:`repro.wire.cluster.open_wire_session` — ``data_dir``,
+    ``host``, ``hop_budget``, ``retries``, ``timeout``,
     ``request_timeout``, ``snapshot_every``, ``startup_timeout``,
-    ``routing``, ``tracing``).
+    ``python``, ``routing``, ``tracing``).  Any other keyword raises
+    :class:`~repro.net.errors.NetworkError`.
     """
     if network == "wire":
+        _check_keywords("wire", kwargs)
         from ..wire import open_wire_session
-        allowed = ("default_method", "retries", "timeout",
-                   "request_timeout", "data_dir", "host", "hop_budget",
-                   "snapshot_every", "startup_timeout", "python",
-                   "routing", "tracing")
-        unknown = set(kwargs) - set(allowed)
-        if unknown:
-            raise NetworkError(
-                f"{sorted(unknown)} do not apply to the wire backend; "
-                f"it takes {sorted(allowed)}")
         return open_wire_session(system, **kwargs)
     if network is True or network == "network":
+        _check_keywords("in-process network", kwargs)
         return NetworkSession(system, **kwargs)
     if network is not False and network != "local":
         raise NetworkError(
             f"unknown execution backend {network!r}; use False (local), "
             f"True (in-process network), or 'wire' (cross-process)")
-    allowed = ("default_method", "include_local_ics", "evaluator")
-    unknown = set(kwargs) - set(allowed)
-    if unknown:
-        raise NetworkError(
-            f"{sorted(unknown)} only apply to the network backends; "
-            f"pass network=True or network='wire'")
+    _check_keywords("local", kwargs)
     return PeerQuerySession(system, **kwargs)

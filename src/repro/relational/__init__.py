@@ -11,12 +11,13 @@ carry lazily-built, incrementally-maintained per-column hash indexes
 (:mod:`repro.relational.indexes`), and the evaluation planner
 (:mod:`repro.relational.planner`) compiles formulas into plans with
 selection pushdown and selectivity-ordered index joins.  The naive
-active-domain evaluator remains available everywhere via
-``evaluator="naive"`` for differential testing.
+active-domain evaluator of :mod:`repro.relational.query` is kept as the
+reference the crosscheck suites compare the planner against, reached
+through ``evaluator="naive"`` on ``Query.answers`` / ``Query.is_true`` and
+the constraint-checking methods.
 """
 
 from ..datalog.terms import Constant, Variable
-from .algebra import NamedRelation, from_instance
 from .indexes import TupleIndex
 from .planner import (
     QueryPlanner,
@@ -74,8 +75,6 @@ __all__ = [
     # index layer and evaluation planner
     "TupleIndex", "QueryPlanner", "plan_answers", "plan_bindings",
     "plan_holds", "explain_plan",
-    # algebra
-    "NamedRelation", "from_instance",
     # constraints
     "Constraint", "TupleGeneratingConstraint", "InclusionDependency",
     "EqualityGeneratingConstraint", "FunctionalDependency",

@@ -28,9 +28,9 @@ implement rules (6)–(9) of the paper.
 
 Checking goes through the indexed evaluation planner by default
 (antecedent matching and witness search become selectivity-ordered index
-joins); pass ``evaluator="naive"`` to any checking method to use the
-naive active-domain evaluator instead — the differential property tests
-assert both give identical verdicts.
+joins), and every layer above ``relational`` uses it.  The checking
+methods also take ``evaluator="naive"``, the reference active-domain
+evaluator; the crosscheck suites assert both give identical verdicts.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ Two evaluators share these semantics:
   enumerated only for genuinely range-unrestricted variables.
 
 * ``evaluator="naive"`` — the evaluator defined in this module, kept as
-  the reference for differential testing: a candidate-generation pass
+  the reference the crosscheck suites compare the planner against (no
+  session, node or server selects it): a candidate-generation pass
   (`bindings`) drives answer enumeration through relation atoms wherever
   possible, and every candidate is re-verified with the direct recursive
   truth test (`holds`), so the optimiser can be aggressive without

@@ -191,7 +191,6 @@ def build_shard_node(system: PeerSystem, peer: str, *,
                      shard_index: int = 0,
                      default_method: str = "auto",
                      include_local_ics: bool = True,
-                     evaluator: str = "planner",
                      data_dir: Optional[Union[str, Path]] = None,
                      snapshot_every: int = 64,
                      routing: bool = False,
@@ -217,7 +216,6 @@ def build_shard_node(system: PeerSystem, peer: str, *,
         trust_edges=own_edges,
         default_method=default_method,
         include_local_ics=include_local_ics,
-        evaluator=evaluator,
         data_dir=data_dir,
         snapshot_every=snapshot_every,
         routing=routing,

@@ -46,7 +46,6 @@ class ShardedNetwork:
                  replicas: int = 1,
                  default_method: str = "auto",
                  include_local_ics: bool = True,
-                 evaluator: str = "planner",
                  hop_budget: Optional[int] = None,
                  retries: int = 2,
                  timeout: Optional[float] = None,

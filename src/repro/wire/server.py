@@ -91,7 +91,6 @@ __all__ = ["PeerServer", "build_peer_node"]
 def build_peer_node(system: PeerSystem, peer: str, *,
                     default_method: str = "auto",
                     include_local_ics: bool = True,
-                    evaluator: str = "planner",
                     data_dir: Optional[Union[str, Path]] = None,
                     snapshot_every: int = 64,
                     shard_map=None, shard_index: int = 0,
@@ -118,7 +117,7 @@ def build_peer_node(system: PeerSystem, peer: str, *,
         return build_shard_node(
             system, peer, shard_map=shard_map, shard_index=shard_index,
             default_method=default_method,
-            include_local_ics=include_local_ics, evaluator=evaluator,
+            include_local_ics=include_local_ics,
             data_dir=data_dir, snapshot_every=snapshot_every,
             routing=routing, tracing=tracing)
     if peer not in system.peers:
@@ -134,7 +133,6 @@ def build_peer_node(system: PeerSystem, peer: str, *,
         trust_edges=own_edges,
         default_method=default_method,
         include_local_ics=include_local_ics,
-        evaluator=evaluator,
         data_dir=data_dir,
         snapshot_every=snapshot_every,
         routing=routing,
@@ -179,7 +177,6 @@ class PeerServer:
                  timeout: Optional[float] = None,
                  default_method: str = "auto",
                  include_local_ics: bool = True,
-                 evaluator: str = "planner",
                  snapshot_every: int = 64,
                  request_timeout: float = 10.0,
                  connect_timeout: float = 2.0,
@@ -209,7 +206,6 @@ class PeerServer:
             system, peer,
             default_method=default_method,
             include_local_ics=include_local_ics,
-            evaluator=evaluator,
             # the cluster-level directory, scoped per *unit* (two
             # replicas of one peer must never share a store) exactly
             # like PeerNetwork.from_system(data_dir=...) scopes nodes

@@ -84,12 +84,11 @@ class TestNetworkCommand:
         assert "exchange trace" in out
         assert "P1 <- P2" in out and "P1 <- P3" in out
 
-    def test_query_network_flag_matches_local(self, system_file,
-                                              capsys):
+    def test_network_command_matches_local_query(self, system_file,
+                                                 capsys):
         main(["query", system_file, "P1", "q(X, Y) := R1(X, Y)"])
         local_out = capsys.readouterr().out
-        code = main(["query", system_file, "P1", "q(X, Y) := R1(X, Y)",
-                     "--network"])
+        code = main(["network", system_file, "P1", "q(X, Y) := R1(X, Y)"])
         network_out = capsys.readouterr().out
         assert code == 0
         for row in self.EXPECTED:
@@ -140,9 +139,9 @@ class TestNetworkCommand:
                      "q(X, Y) := R1(X, Y)", "--no-routing"]) == 0
         capsys.readouterr()
 
-    def test_query_network_routing_flag(self, system_file, capsys):
-        code = main(["query", system_file, "P1",
-                     "q(X, Y) := R1(X, Y)", "--network", "--routing"])
+    def test_network_routing_flag_text_output(self, system_file, capsys):
+        code = main(["network", system_file, "P1",
+                     "q(X, Y) := R1(X, Y)", "--routing"])
         out = capsys.readouterr().out
         assert code == 0
         for row in self.EXPECTED:
@@ -150,10 +149,42 @@ class TestNetworkCommand:
 
     def test_routing_without_network_backend_is_rejected(
             self, system_file, capsys):
-        code = main(["query", system_file, "P1",
-                     "q(X, Y) := R1(X, Y)", "--routing"])
-        assert code != 0
+        # `query` is local only: the network knobs live on `network`
+        for flag in ("--routing", "--tracing", "--network"):
+            with pytest.raises(SystemExit) as exited:
+                main(["query", system_file, "P1", "q(X, Y) := R1(X, Y)",
+                      flag])
+            assert exited.value.code != 0
         capsys.readouterr()
+
+    def test_tracing_renders_span_tree(self, system_file, capsys):
+        code = main(["network", system_file, "P1",
+                     "q(X, Y) := R1(X, Y)", "--tracing"])
+        out = capsys.readouterr().out
+        assert code == 0
+        for row in self.EXPECTED:
+            assert row in out
+        assert "exchange trace" in out
+        assert "span(s), depth" in out and "* = critical path" in out
+        assert "answer@P1" in out and "gather@P1" in out
+        assert "serve:gather@P2" in out and "serve:gather@P3" in out
+        assert "critical path: answer@P1 -> " in out
+        assert "timings: " in out and "gather_s=" in out
+
+    def test_tracing_json_embeds_spans_and_exchange_trace(self,
+                                                          system_file,
+                                                          capsys):
+        code = main(["network", system_file, "P1",
+                     "q(X, Y) := R1(X, Y)", "--tracing", "--json"])
+        out = capsys.readouterr().out
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["trace"], "a traced answer must carry its spans"
+        assert {"answer", "gather", "eval"} <= {
+            span["name"] for span in payload["trace"]}
+        assert payload["exchange_trace"]
+        assert set(payload["timings"]) >= {"gather_s", "eval_s",
+                                           "total_s"}
 
     def test_insufficient_hop_budget_exit_3(self, tmp_path, capsys):
         from repro.workloads import topology_system

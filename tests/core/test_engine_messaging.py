@@ -1,4 +1,5 @@
-"""Unit tests for the engine façade and the exchange log."""
+"""Unit tests for the answer methods behind a session and the exchange
+log."""
 
 import pytest
 
@@ -6,7 +7,7 @@ from repro.core import (
     ExchangeEvent,
     ExchangeLog,
     P2PError,
-    PeerConsistentEngine,
+    PeerQuerySession,
 )
 from repro.relational import parse_query
 from repro.workloads import example1_system, section31_system
@@ -18,42 +19,41 @@ EXPECTED = {("a", "b"), ("c", "d"), ("a", "e")}
 class TestEngineMethods:
     @pytest.mark.parametrize("method", ["model", "asp", "rewrite"])
     def test_methods_agree_on_example1(self, method):
-        engine = PeerConsistentEngine(example1_system(), method=method)
-        result = engine.peer_consistent_answers("P1", QUERY)
+        session = PeerQuerySession(example1_system())
+        result = session.answer("P1", QUERY, method=method)
         assert set(result.answers) == EXPECTED
 
     def test_lav_method_solutions(self):
-        engine = PeerConsistentEngine(section31_system(), method="lav")
-        assert len(engine.solutions("P")) == 3
+        session = PeerQuerySession(section31_system())
+        assert len(session.solutions("P", method="lav")) == 3
 
     def test_unknown_method_rejected(self):
         with pytest.raises(P2PError):
-            PeerConsistentEngine(example1_system(), method="quantum")
+            PeerQuerySession(example1_system(), default_method="quantum")
 
-    def test_transitive_requires_asp(self):
+    def test_transitive_rejects_same_trust_systems(self):
+        # Section 4.3 is defined for `less`-trusted chains only
+        session = PeerQuerySession(example1_system())
         with pytest.raises(P2PError):
-            PeerConsistentEngine(example1_system(), method="rewrite",
-                                 transitive=True)
+            session.answer("P1", QUERY, method="transitive")
 
     def test_compare_methods(self):
-        engine = PeerConsistentEngine(example1_system())
-        results = engine.compare_methods("P1", QUERY,
-                                         methods=("model", "asp",
-                                                  "rewrite"))
+        session = PeerQuerySession(example1_system())
+        results = {method: session.answer("P1", QUERY,
+                                          method=method).answers
+                   for method in ("model", "asp", "rewrite")}
         assert results["model"] == results["asp"] == results["rewrite"] \
             == EXPECTED
 
     def test_transitive_engine(self):
         from repro.workloads import example4_system
-        engine = PeerConsistentEngine(example4_system(), method="asp",
-                                      transitive=True)
-        assert len(engine.solutions("P")) == 3
+        session = PeerQuerySession(example4_system())
+        assert len(session.solutions("P", method="transitive")) == 3
 
     def test_solutions_model_vs_asp(self):
-        system = example1_system()
-        model = PeerConsistentEngine(system, method="model")
-        asp = PeerConsistentEngine(system, method="asp")
-        assert model.solutions("P1") == asp.solutions("P1")
+        session = PeerQuerySession(example1_system())
+        assert session.solutions("P1", method="model") \
+            == session.solutions("P1", method="asp")
 
 
 class TestAspExchangeLogging:

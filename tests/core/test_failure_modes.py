@@ -7,7 +7,7 @@ from repro.core import (
     DataExchange,
     GavSpecification,
     Peer,
-    PeerConsistentEngine,
+    PeerQuerySession,
     PeerSystem,
     SystemError_,
     TrustRelation,
@@ -68,12 +68,12 @@ class TestContradictorySystems:
         assert result.answers == set()
 
     def test_engine_consistent_behaviour_across_methods(self):
-        system = self.make_pinned_contradiction()
+        session = PeerQuerySession(self.make_pinned_contradiction())
         for method in ("model", "asp"):
-            engine = PeerConsistentEngine(system, method=method)
-            result = engine.peer_consistent_answers(
-                "P1", parse_query("q(X, Y) := A(X, Y)"))
+            result = session.answer(
+                "P1", parse_query("q(X, Y) := A(X, Y)"), method=method)
             assert result.answers == set()
+            assert result.no_solutions
 
 
 class TestFootnote1LocalViolations:

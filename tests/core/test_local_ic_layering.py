@@ -175,11 +175,11 @@ class TestTradingScenario:
                            ("Retail", "same", "Partner")]))
 
     def test_certified_catalog(self):
-        system = self.make_system()
-        from repro.core import PeerConsistentEngine
-        engine = PeerConsistentEngine(system, method="asp")
-        result = engine.peer_consistent_answers(
-            "Retail", parse_query("q(S, P) := Catalog(S, P)"))
+        from repro.core import PeerQuerySession
+        session = PeerQuerySession(self.make_system())
+        result = session.answer(
+            "Retail", parse_query("q(S, P) := Catalog(S, P)"),
+            method="asp")
         assert set(result.answers) == {
             ("umbrella", 12), ("teapot", 25), ("rug", 99), ("chair", 75)}
 

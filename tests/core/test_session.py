@@ -227,61 +227,3 @@ class TestExplain:
         assert statuses[("s", "t")] == AnswerExplanation.POSSIBLE
         # the session enumerated solutions at most once for explain
         assert session.cache_info().misses <= 1
-
-
-class TestEngineShimCompatibility:
-    def test_engine_emits_deprecation_warning(self):
-        from repro.core import PeerConsistentEngine
-        with pytest.warns(DeprecationWarning):
-            PeerConsistentEngine(example1_system())
-
-    def test_engine_rewrite_count_is_honest(self):
-        from repro.core import PeerConsistentEngine
-        with pytest.warns(DeprecationWarning):
-            engine = PeerConsistentEngine(example1_system(),
-                                          method="rewrite")
-        result = engine.peer_consistent_answers("P1", example1_query())
-        assert result.answers == EXPECTED
-        assert result.solution_count is None  # no fake "1" anymore
-        assert not result.no_solutions
-
-
-class TestEvaluatorToggle:
-    """The session's ``evaluator`` setting must reach every FO
-    evaluation the mechanisms perform — including the final PCA
-    intersection over solutions — and both settings must agree."""
-
-    def test_unknown_evaluator_rejected(self):
-        with pytest.raises(ValueError):
-            PeerQuerySession(example1_system(), evaluator="vectorised")
-
-    def test_evaluators_agree_across_methods(self):
-        fast = PeerQuerySession(example1_system(), evaluator="planner")
-        slow = PeerQuerySession(example1_system(), evaluator="naive")
-        for method in ("auto", "asp", "model", "rewrite"):
-            assert fast.answer("P1", example1_query(),
-                               method=method).answers == \
-                slow.answer("P1", example1_query(),
-                            method=method).answers == EXPECTED
-
-    def test_naive_session_never_runs_the_planner(self, monkeypatch):
-        """Regression: with evaluator="naive" even the per-solution
-        answer intersection must use the naive evaluator, otherwise the
-        toggle cannot serve differential testing."""
-        import repro.relational.planner as planner_module
-
-        def explode(self, *args, **kwargs):
-            raise AssertionError("planner invoked in a naive session")
-
-        for name in ("answers", "holds", "bindings"):
-            monkeypatch.setattr(planner_module.QueryPlanner, name,
-                                explode)
-        session = PeerQuerySession(example1_system(), evaluator="naive")
-        result = session.answer("P1", example1_query(), method="model")
-        assert result.answers == EXPECTED
-
-    def test_evaluator_separates_cache_entries(self):
-        fast = PeerQuerySession(example1_system(), evaluator="planner")
-        fast.answer("P1", example1_query(), method="asp")
-        key_evaluators = {key[-1] for key in fast._solutions}
-        assert key_evaluators == {"planner"}

@@ -153,3 +153,28 @@ class TestOpenSession:
         from repro.net import NetworkError, open_session
         with pytest.raises(NetworkError):
             open_session(example1_system(), retries=5)
+
+    def test_network_kwargs_keep_their_message_for_local_backend(self):
+        from repro.net import NetworkError, open_session
+        with pytest.raises(NetworkError,
+                           match="only apply to the network backends"):
+            open_session(example1_system(), routing=True)
+
+    @pytest.mark.parametrize("backend, accepted", [
+        (False, "include_local_ics"),
+        (True, "concurrency"),
+        ("wire", "request_timeout"),
+    ])
+    @pytest.mark.parametrize("keyword", ["default_methd", "evaluator"])
+    def test_keyword_no_backend_takes_is_typed(self, backend, accepted,
+                                               keyword):
+        # a typo (or the retired evaluator switch) names what the
+        # chosen backend does take — never a raw TypeError, and never
+        # a spawned process
+        from repro.net import NetworkError, open_session
+        with pytest.raises(NetworkError, match=accepted) as raised:
+            open_session(example1_system(), network=backend,
+                         **{keyword: "asp"})
+        assert keyword in str(raised.value)
+        assert "only apply to the network backends" not in \
+            str(raised.value)

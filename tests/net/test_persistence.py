@@ -9,6 +9,7 @@ versioned deltas instead of full re-gathers.
 """
 
 import itertools
+import json
 
 import pytest
 
@@ -345,8 +346,8 @@ class TestAnswerCacheConfiguration:
 
     def test_different_config_does_not_revive_persisted_answers(
             self, tmp_path):
-        # include_local_ics / evaluator change what an answer key means;
-        # a node configured differently must recompute, not revive
+        # include_local_ics changes what an answer key means; a node
+        # configured differently must recompute, not revive
         system = example1_system()
         first = NetworkSession(system, data_dir=tmp_path / "n")
         first.answer("P1", self.QUERY)
@@ -369,3 +370,32 @@ class TestAnswerCacheConfiguration:
             assert same.answer("P1", self.QUERY).from_cache
         finally:
             same.close()
+
+    def test_entries_naming_an_evaluator_still_revive(self, tmp_path):
+        # answer caches written by earlier releases carry an extra
+        # "evaluator" field per entry; it must not block the warm path
+        system = example1_system()
+        first = NetworkSession(system, data_dir=tmp_path / "n")
+        expected = first.answer("P1", self.QUERY)
+        first.close()
+        path = tmp_path / "n" / "P1" / "answers.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["entries"]
+        for entry in payload["entries"]:
+            entry["evaluator"] = "planner"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+
+        reopened = NetworkSession(system, data_dir=tmp_path / "n")
+        try:
+            result = reopened.answer("P1", self.QUERY)
+            assert result.from_cache
+            assert result.exchange.requests == 0
+            assert len(reopened.exchange_log) == 0  # no message at all
+            assert result.answers == expected.answers
+        finally:
+            reopened.close()
+        # re-persisted entries no longer carry the field
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["entries"]
+        assert all("evaluator" not in entry
+                   for entry in payload["entries"])

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import (
     LavSpecification,
-    PeerConsistentEngine,
+    PeerQuerySession,
     SourceLabel,
     labels_for_peer,
 )
@@ -139,6 +139,6 @@ class TestSolutions:
 
     def test_lav_agrees_with_gav(self):
         system = section31_system()
-        lav = PeerConsistentEngine(system, method="lav").solutions("P")
+        lav = PeerQuerySession(system).solutions("P", method="lav")
         gav = asp_solutions_for_peer(system, "P")
         assert lav == gav

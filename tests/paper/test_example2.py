@@ -11,7 +11,7 @@ the peer consistent answers to query Q for peer P1".
 import pytest
 
 from repro.core import (
-    PeerConsistentEngine,
+    PeerQuerySession,
     answers_via_rewriting,
     peer_consistent_answers,
     rewrite_peer_query,
@@ -68,9 +68,8 @@ class TestLibraryRewriting:
 class TestAllMethodsAgree:
     @pytest.mark.parametrize("method", ["model", "asp", "rewrite"])
     def test_method(self, method):
-        system = example1_system()
-        engine = PeerConsistentEngine(system, method=method)
-        result = engine.peer_consistent_answers("P1", example1_query())
+        session = PeerQuerySession(example1_system())
+        result = session.answer("P1", example1_query(), method=method)
         assert set(result.answers) == EXPECTED_PCA
 
 

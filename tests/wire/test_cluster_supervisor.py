@@ -49,7 +49,7 @@ def test_open_session_wire_rejects_foreign_kwargs_typed():
     from repro.net import open_session
     with pytest.raises(NetworkError, match="do not apply to the wire"):
         open_session(example1_system(), network="wire",
-                     evaluator="naive")
+                     include_local_ics=False)
 
 
 # ---------------------------------------------------------------------------
