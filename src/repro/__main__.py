@@ -9,8 +9,8 @@ Commands
     and falls back to ASP; any registered answer method can be named.
 
 ``network SYSTEM.json PEER QUERY [--latency MS] [--drop P] [--seed N]
-[--hops N] [--retries N] [--sequential] [--data-dir DIR] [--timeout S]
-[--routing] [--tracing] [--method M] [--brave] [--json]``
+[--hops N] [--retries N] [--data-dir DIR] [--timeout S] [--routing]
+[--tracing] [--method M] [--brave] [--json]``
     Answer a query over the in-process :mod:`repro.net` peer network
     runtime and print the exchange trace — the actual protocol messages
     that flowed.  ``--latency`` and
@@ -67,18 +67,10 @@ DIR] [--hops N] [--retries N] [--timeout S] [--host H] [--json]``
 ``methods``
     List the registered answer methods.
 
-``report``
-    Regenerate every experiment report (EX1–EX6, SC1–SC6) and print the
-    rows to stdout (the repository keeps no generated report file; the
-    benchmark modules under ``benchmarks/`` are the source of truth).
-
 ``examples``
-    Run the bundled example scripts.
-
-The ``report`` and ``examples`` commands locate ``benchmarks/`` and
-``examples/`` relative to the installed package (they live next to the
-``src`` tree in a source checkout) and load the scripts by file path —
-no ``sys.path`` mutation.
+    Run the bundled example scripts.  They are located relative to the
+    installed package (``examples/`` lives next to the ``src`` tree in a
+    source checkout) and loaded by file path — no ``sys.path`` mutation.
 """
 
 from __future__ import annotations
@@ -89,24 +81,23 @@ import sys
 from pathlib import Path
 
 
-def _script_dir(kind: str) -> Path:
-    """The repo-level ``benchmarks``/``examples`` directory, resolved
-    relative to this package (``<root>/src/repro/__main__.py`` →
-    ``<root>/<kind>``)."""
+def _script_dir() -> Path:
+    """The repo-level ``examples`` directory, resolved relative to this
+    package (``<root>/src/repro/__main__.py`` → ``<root>/examples``)."""
     root = Path(__file__).resolve().parent.parent.parent
-    directory = root / kind
+    directory = root / "examples"
     if not directory.is_dir():
         raise FileNotFoundError(
-            f"no {kind}/ directory next to the package "
+            f"no examples/ directory next to the package "
             f"(looked at {directory}); run from a source checkout")
     return directory
 
 
-def _load_script(kind: str, name: str):
-    path = _script_dir(kind) / f"{name}.py"
+def _load_script(name: str):
+    path = _script_dir() / f"{name}.py"
     if not path.exists():
         return None, str(path)
-    spec = importlib.util.spec_from_file_location(f"{kind}_{name}",
+    spec = importlib.util.spec_from_file_location(f"examples_{name}",
                                                   str(path))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -181,8 +172,6 @@ def _cmd_network(args: argparse.Namespace) -> int:
     semantics = "possible" if args.brave else "certain"
     with NetworkSession(system, transport=transport,
                         hop_budget=args.hops, retries=args.retries,
-                        concurrency=("sequential" if args.sequential
-                                     else "fanout"),
                         timeout=args.timeout,
                         data_dir=args.data_dir,
                         routing=args.routing,
@@ -390,32 +379,11 @@ def _cmd_methods(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(_args: argparse.Namespace) -> int:
-    names = ["bench_example1", "bench_example2", "bench_section31",
-             "bench_hcf_shift", "bench_lav", "bench_transitive",
-             "bench_scaling_solutions", "bench_rewriting_vs_asp",
-             "bench_hcf_ablation", "bench_transitive_scaling",
-             "bench_engine_ablation", "bench_session_cache",
-             "bench_network_fanout", "bench_store_restart"]
-    for name in names:
-        try:
-            module, path = _load_script("benchmarks", name)
-        except Exception as exc:  # keep the report going past one
-            print(f"[skip] {name}: {exc}")  # broken benchmark module
-            continue
-        if module is None:
-            print(f"[skip] {name}: not found at {path}")
-            continue
-        module.main()
-        print()
-    return 0
-
-
 def _cmd_examples(_args: argparse.Namespace) -> int:
     for name in ["quickstart", "referential_exchange",
                  "transitive_network", "trading_network"]:
         try:
-            module, path = _load_script("examples", name)
+            module, path = _load_script(name)
         except Exception as exc:
             print(f"[skip] {name}: {exc}")
             continue
@@ -474,9 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     network.add_argument("--retries", type=int, default=2, metavar="N",
                          help="extra delivery attempts on transport "
                               "loss")
-    network.add_argument("--sequential", action="store_true",
-                         help="route neighbour requests one by one "
-                              "instead of fanning out concurrently")
     network.add_argument("--data-dir", default=None, metavar="DIR",
                          help="make nodes durable under DIR/<peer>/ "
                               "(delta-log + snapshot store, persisted "
@@ -632,10 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     methods = sub.add_parser("methods",
                              help="list the registered answer methods")
     methods.set_defaults(func=_cmd_methods)
-
-    report = sub.add_parser("report",
-                            help="regenerate the experiment reports")
-    report.set_defaults(func=_cmd_report)
 
     examples = sub.add_parser("examples",
                               help="run the bundled examples")

@@ -65,8 +65,8 @@ def shift_program(program: Program, *, force: bool = False) -> Program:
     """Shift every disjunctive rule of an HCF program.
 
     Raises :class:`ProgramError` when the program is not HCF, unless
-    ``force=True`` (useful for the ablation benchmark that measures what
-    goes wrong — the shifted program may then admit extra answer sets).
+    ``force=True`` (useful for ablation tests that show what goes wrong
+    — the shifted program may then admit extra answer sets).
     """
     if not program.has_disjunction():
         return program

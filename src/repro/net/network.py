@@ -17,9 +17,7 @@ The network layer owns the concerns individual nodes should not:
   :class:`~repro.net.protocol.Failure` replies are mapped back onto the
   matching exceptions and are never retried;
 * **concurrent fan-out** — :meth:`fan_out` runs independent requests
-  through a shared :class:`~concurrent.futures.ThreadPoolExecutor`
-  (``concurrency="sequential"`` keeps the one-at-a-time baseline the
-  NF1 benchmark compares against);
+  through a shared :class:`~concurrent.futures.ThreadPoolExecutor`;
 * **traffic accounting** — every delivered request lands on a
   thread-safe :class:`~repro.core.messaging.ExchangeLog` as a real
   :class:`~repro.core.messaging.ExchangeEvent` (tuples, byte estimate,
@@ -55,10 +53,6 @@ from .transport import LoopbackTransport, Transport
 
 __all__ = ["PeerNetwork"]
 
-#: fan-out modes
-FANOUT = "fanout"
-SEQUENTIAL = "sequential"
-
 
 def _request_span_name(message: Message) -> str:
     """How a request's round-trip span is labelled in the trace."""
@@ -77,13 +71,7 @@ class PeerNetwork:
                  transport: Optional[Transport] = None, *,
                  hop_budget: Optional[int] = None,
                  retries: int = 2,
-                 concurrency: str = FANOUT,
-                 max_workers: Optional[int] = None,
                  timeout: Optional[float] = None) -> None:
-        if concurrency not in (FANOUT, SEQUENTIAL):
-            raise NetworkError(
-                f"unknown concurrency mode {concurrency!r}; use "
-                f"{FANOUT!r} or {SEQUENTIAL!r}")
         if retries < 0:
             raise NetworkError("retries must be >= 0")
         if timeout is not None and timeout <= 0:
@@ -92,7 +80,6 @@ class PeerNetwork:
         self.transport = (transport if transport is not None
                           else LoopbackTransport())
         self.retries = retries
-        self.concurrency = concurrency
         self.exchange_log = ExchangeLog()
         #: completed trace spans of in-flight traced operations (shared
         #: by every node on this network; drained per trace id)
@@ -113,7 +100,6 @@ class PeerNetwork:
         self.hop_budget = (hop_budget if hop_budget is not None
                            else len(self.nodes))
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._max_workers = max_workers or min(32, 4 * len(self.nodes))
         self._lock = threading.Lock()
         #: overall per-operation budget in seconds (None = unbounded)
         self.timeout = timeout
@@ -128,8 +114,6 @@ class PeerNetwork:
                     transport: Optional[Transport] = None,
                     hop_budget: Optional[int] = None,
                     retries: int = 2,
-                    concurrency: str = FANOUT,
-                    max_workers: Optional[int] = None,
                     timeout: Optional[float] = None,
                     default_method: str = "auto",
                     include_local_ics: bool = True,
@@ -196,8 +180,7 @@ class PeerNetwork:
         for node in nodes:
             node.stamp_version(version)
         return cls(nodes, transport, hop_budget=hop_budget,
-                   retries=retries, concurrency=concurrency,
-                   max_workers=max_workers, timeout=timeout)
+                   retries=retries, timeout=timeout)
 
     # ------------------------------------------------------------------
     # Topology and lifecycle
@@ -439,19 +422,18 @@ class PeerNetwork:
     # ------------------------------------------------------------------
     def fan_out(self, sender: str,
                 messages: Sequence[Message]) -> list[Answer]:
-        """Issue independent requests, concurrently by default.
+        """Issue independent requests concurrently.
 
-        Replies come back in request order.  In ``"fanout"`` mode the
-        requests run on the shared thread pool, so per-link latency is
-        paid once per *level* instead of once per *message*; in
-        ``"sequential"`` mode they run one by one (the baseline NF1
-        measures against).  The first failure is raised after all
-        requests settle — no orphaned in-flight work.
+        Replies come back in request order.  The requests run on the
+        shared thread pool, so per-link latency is paid once per
+        *level* instead of once per *message*; a single request runs
+        inline.  The first failure is raised after all requests settle
+        — no orphaned in-flight work.
         """
         if not messages:
             return []
-        if self.concurrency == SEQUENTIAL or len(messages) == 1:
-            return [self.request(message) for message in messages]
+        if len(messages) == 1:
+            return [self.request(messages[0])]
         # the caller always executes the last request inline: nested
         # fan-outs (hop-by-hop gathers) then make progress even with the
         # pool saturated, so pool starvation can never deadlock a gather
@@ -488,12 +470,11 @@ class PeerNetwork:
         with self._lock:
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
+                    max_workers=min(32, 4 * len(self.nodes)),
                     thread_name_prefix="peer-fanout")
             return self._executor
 
     def __repr__(self) -> str:
         return (f"PeerNetwork({sorted(self.nodes)}, "
                 f"transport={type(self.transport).__name__}, "
-                f"concurrency={self.concurrency!r}, "
                 f"hop_budget={self.hop_budget})")

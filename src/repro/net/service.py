@@ -64,6 +64,14 @@ def _error_code(exc: NetworkError) -> str:
     return "network"
 
 
+#: the defaults of :class:`NetworkSession`'s build-time keywords
+_BUILD_DEFAULTS = {
+    "transport": None, "include_local_ics": True, "hop_budget": None,
+    "retries": 2, "timeout": None, "data_dir": None,
+    "snapshot_every": 64, "routing": False, "tracing": False,
+}
+
+
 class NetworkSession:
     """Query answering over message-passing peer nodes.
 
@@ -72,12 +80,15 @@ class NetworkSession:
     :class:`PeerNetwork`.  Keyword arguments mirror the local session's
     (``default_method``, ``include_local_ics``) plus the
     network knobs (``transport``, ``hop_budget``, ``retries``,
-    ``concurrency``, ``timeout`` — an end-to-end per-query budget in
+    ``timeout`` — an end-to-end per-query budget in
     seconds, surfacing expiry as a ``deadline-exceeded`` typed result
     error) and durability (``data_dir`` makes every node
     persist its facts, answers, and fetch cache under
     ``<data_dir>/<peer>/`` and reload them on construction;
-    ``snapshot_every`` bounds the delta logs).
+    ``snapshot_every`` bounds the delta logs).  Every keyword but
+    ``default_method`` configures how the network is built, so a
+    session over an existing network rejects any of them set to a
+    non-default value with a :class:`NetworkError`.
     """
 
     def __init__(self, system_or_network: Union[PeerSystem, PeerNetwork],
@@ -86,45 +97,29 @@ class NetworkSession:
                  include_local_ics: bool = True,
                  hop_budget: Optional[int] = None,
                  retries: int = 2,
-                 concurrency: str = "fanout",
-                 max_workers: Optional[int] = None,
                  timeout: Optional[float] = None,
                  data_dir: Optional[Union[str, "Path"]] = None,
                  snapshot_every: int = 64,
                  routing: bool = False,
                  tracing: bool = False) -> None:
+        build = {"transport": transport,
+                 "include_local_ics": include_local_ics,
+                 "hop_budget": hop_budget, "retries": retries,
+                 "timeout": timeout, "data_dir": data_dir,
+                 "snapshot_every": snapshot_every, "routing": routing,
+                 "tracing": tracing}
         if isinstance(system_or_network, PeerNetwork):
-            if transport is not None:
+            ignored = sorted(name for name, value in build.items()
+                             if value != _BUILD_DEFAULTS[name])
+            if ignored:
                 raise NetworkError(
-                    "pass the transport when the network is built, not "
-                    "to a session over an existing network")
-            if routing:
-                raise NetworkError(
-                    "pass routing when the network is built, not to a "
-                    "session over an existing network")
-            if tracing:
-                raise NetworkError(
-                    "pass tracing when the network is built, not to a "
-                    "session over an existing network")
-            if data_dir is not None:
-                raise NetworkError(
-                    "pass data_dir when the network is built, not to a "
-                    "session over an existing network")
-            if timeout is not None:
-                raise NetworkError(
-                    "pass timeout when the network is built, not to a "
-                    "session over an existing network")
+                    f"pass {', '.join(ignored)} when the network is "
+                    f"built, not to a session over an existing network")
             self.network = system_or_network
         else:
             self.network = PeerNetwork.from_system(
-                system_or_network, transport=transport,
-                hop_budget=hop_budget, retries=retries,
-                concurrency=concurrency, max_workers=max_workers,
-                timeout=timeout,
-                default_method=default_method,
-                include_local_ics=include_local_ics, data_dir=data_dir,
-                snapshot_every=snapshot_every, routing=routing,
-                tracing=tracing)
+                system_or_network, default_method=default_method,
+                **build)
         self.default_method = default_method
 
     # ------------------------------------------------------------------
@@ -215,8 +210,8 @@ _BACKEND_KEYWORDS = {
     "local": ("default_method", "include_local_ics"),
     "in-process network": (
         "default_method", "include_local_ics", "transport", "hop_budget",
-        "retries", "concurrency", "max_workers", "timeout", "data_dir",
-        "snapshot_every", "routing", "tracing"),
+        "retries", "timeout", "data_dir", "snapshot_every", "routing",
+        "tracing"),
     "wire": ("default_method", "retries", "timeout", "request_timeout",
              "data_dir", "host", "hop_budget", "snapshot_every",
              "startup_timeout", "python", "routing", "tracing"),
@@ -258,8 +253,8 @@ def open_session(system: PeerSystem, *,
     Keyword arguments are forwarded to whichever backend is chosen (the
     local session accepts ``default_method`` and ``include_local_ics``;
     the network session also takes ``transport``, ``hop_budget``,
-    ``retries``, ``concurrency``, ``max_workers``, ``timeout``,
-    ``data_dir``, ``snapshot_every``, ``routing``, ``tracing``; the wire
+    ``retries``, ``timeout``, ``data_dir``, ``snapshot_every``,
+    ``routing``, ``tracing``; the wire
     backend takes the cluster knobs of
     :func:`repro.wire.cluster.open_wire_session` — ``data_dir``,
     ``host``, ``hop_budget``, ``retries``, ``timeout``,

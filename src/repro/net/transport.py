@@ -11,7 +11,7 @@ ship:
   draining its own mailbox (a node is single-threaded, like a real
   process); requests block on a per-call reply box.  Per-link latency,
   seeded message drops, and peer-down faults are injectable, which is
-  what the fault-scenario tests and the NF1 fan-out benchmark drive.
+  what the fault-scenario and deadline tests drive.
 
 Both transports share :class:`FaultPlan`, so `peer-down` scenarios can be
 scripted without threads too.  Transports know nothing about retries or

@@ -12,9 +12,8 @@ paper's network of autonomous sites: every byte between peers crosses a
 real socket.
 
 The server is deliberately also usable in-process (``start()`` runs the
-event loop on a daemon thread): the socket-transport unit tests and
-the WC1/WC2 benchmarks exercise real TCP framing without paying process
-startup; ``python -m repro serve`` wraps the blocking
+event loop on a daemon thread): the socket-transport and server tests
+exercise real TCP framing without paying process startup; ``python -m repro serve`` wraps the blocking
 :meth:`PeerServer.serve_forever` for the real cross-process deployment,
 and :mod:`repro.wire.cluster` spawns one such process per peer.
 

@@ -2,11 +2,10 @@
 
 ``repro.workloads.paper`` transcribes every worked example of the paper
 (Examples 1–4, Section 3.1, the Appendix) into constructor functions so
-that tests, examples, and benchmarks share a single source of truth.
+that tests and examples share a single source of truth.
 
 ``repro.workloads.synthetic`` generates the parameterised system families
-behind the scaling studies SC1–SC6 (see ``benchmarks/`` and
-``python -m repro report``).
+the tests sweep and the ``bench/`` workloads build on.
 """
 
 from .paper import (
@@ -20,7 +19,6 @@ from .paper import (
     section31_system,
 )
 from .synthetic import (
-    bulk_relation_system,
     conflict_chain_system,
     import_star_system,
     peer_chain_system,
@@ -35,5 +33,5 @@ __all__ = [
     "appendix_instance", "example4_system",
     "conflict_chain_system", "import_star_system", "referential_system",
     "peer_chain_system", "topology_system",
-    "sharded_topology_system", "bulk_relation_system",
+    "sharded_topology_system",
 ]

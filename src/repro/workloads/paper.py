@@ -1,7 +1,7 @@
 """The paper's worked examples as reusable fixtures.
 
 Every instance, DEC, and trust edge below is transcribed from the paper;
-tests, examples, and benchmarks all build on these functions so the
+tests and examples all build on these functions so the
 expected outputs (solutions, PCAs, stable models) live in exactly one
 place: the paper.
 """

@@ -1,23 +1,23 @@
-"""Synthetic workload generators for the scaling studies.
+"""Synthetic workload generators for the tests and the benchmark.
 
 The paper has no quantitative evaluation, but Section 3.2 makes
 complexity claims (Π^p_2 data complexity; exponentially many repairs) and
 Section 4.1 an optimisation claim (HCF shifting).  These generators
-produce the parameterised families the benchmarks sweep:
+produce the parameterised families that exercise them:
 
 * :func:`conflict_chain_system` — n independent same-trust conflicts, so
-  the peer has exactly 2^n solutions (the exponential blow-up of SC1);
+  the peer has exactly 2^n solutions (the exponential blow-up);
 * :func:`import_star_system` — one peer importing from k more-trusted
   neighbours via full inclusions, with adjustable consistent/conflicting
-  tuple counts (the FO-rewriting-friendly family of SC2);
+  tuple counts (the FO-rewriting-friendly family);
 * :func:`referential_system` — Section 3.1-shaped referential DECs with a
-  tunable number of violations and witnesses (SC3's HCF ablation);
+  tunable number of violations and witnesses (the HCF-shift family);
 * :func:`peer_chain_system` — a transitive chain of k peers propagating
-  imports (SC4);
+  imports;
 * :func:`topology_system` — one seeded generator for chain/star/random
-  accessibility graphs, shared by the network benchmarks (NF1) and the
-  :mod:`repro.net` differential tests so they exercise identical system
-  families.
+  accessibility graphs, shared by the ``bench/`` network workloads and
+  the :mod:`repro.net` differential tests so they exercise identical
+  system families.
 
 All generators are deterministic given their ``seed``.
 """
@@ -43,7 +43,6 @@ __all__ = [
     "peer_chain_system",
     "topology_system",
     "sharded_topology_system",
-    "bulk_relation_system",
 ]
 
 _X, _Y, _Z, _W = (Variable("X"), Variable("Y"), Variable("Z"),
@@ -78,8 +77,8 @@ def import_star_system(n_tuples: int, n_neighbours: int = 1, *,
     violations.
 
     ``overlap`` is the fraction of each neighbour's tuples already present
-    at P0 (imports that change nothing).  The query family of SC2 runs
-    over this system at growing ``n_tuples``.
+    at P0 (imports that change nothing).  The ``asp_ground`` and
+    ``rewrite_scan`` benchmark workloads run over this system.
     """
     rng = random.Random(seed)
     own = [(f"k{i}", f"v{i}") for i in range(n_tuples)]
@@ -279,25 +278,6 @@ def sharded_topology_system(n_peers: int, *, shards: int = 2,
                              extra_edges=extra_edges,
                              branching=branching, seed=seed)
     return system, ShardMap.uniform(system.peers, shards)
-
-
-def bulk_relation_system(n_rows: int, *, value_width: int = 24,
-                         seed: int = 0) -> PeerSystem:
-    """One peer, one wide relation, many rows — the bulk-transfer
-    family the SH1 benchmark fetches through shard fan-out.
-
-    Keys are unique (every row is its own shard-placement decision) and
-    values are ``value_width`` characters of seeded noise, so fetch
-    cost is dominated by genuine payload bytes rather than framing.
-    """
-    rng = random.Random(f"bulk:{seed}:{n_rows}:{value_width}")
-    alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
-    rows = [(f"k{i:07d}",
-             "".join(rng.choice(alphabet) for _ in range(value_width)))
-            for i in range(n_rows)]
-    return (PeerSystem.builder()
-            .peer("P0", {"R0": 2}, instance={"R0": rows})
-            .build())
 
 
 def peer_chain_system(length: int, n_tuples: int = 2) -> PeerSystem:

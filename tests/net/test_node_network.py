@@ -7,6 +7,7 @@ from repro.net import (
     Answer,
     Failure,
     FetchRelation,
+    LoopbackTransport,
     NetworkSession,
     PeerNetwork,
     PeerQuery,
@@ -97,6 +98,30 @@ class TestNetworkRouting:
         assert first.exchange.requests > 0
         assert second.exchange.requests == 0
 
+    @pytest.mark.parametrize("keyword, value", [
+        ("transport", LoopbackTransport()),
+        ("include_local_ics", False),
+        ("hop_budget", 1),
+        ("retries", 7),
+        ("timeout", 5.0),
+        ("data_dir", "nodes"),
+        ("snapshot_every", 3),
+        ("routing", True),
+        ("tracing", True),
+    ])
+    def test_session_over_a_built_network_rejects_build_keywords(
+            self, keyword, value):
+        # the network is already built: a build-time keyword would be
+        # silently ignored, so it must fail loudly instead
+        from repro.net import NetworkError
+        network = network_for(example1_system())
+        try:
+            with pytest.raises(NetworkError, match=keyword):
+                NetworkSession(network, **{keyword: value})
+            NetworkSession(network, retries=2, routing=False)  # defaults
+        finally:
+            network.close()
+
     def test_sync_invalidates_node_caches(self):
         session = NetworkSession(example1_system())
         before = session.answer("P1", QUERY)
@@ -162,7 +187,7 @@ class TestOpenSession:
 
     @pytest.mark.parametrize("backend, accepted", [
         (False, "include_local_ics"),
-        (True, "concurrency"),
+        (True, "hop_budget"),
         ("wire", "request_timeout"),
     ])
     @pytest.mark.parametrize("keyword", ["default_methd", "evaluator"])

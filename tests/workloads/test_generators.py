@@ -1,9 +1,14 @@
 """Unit tests for the synthetic workload generators (shape guarantees the
-benchmarks rely on)."""
+tests and the ``bench/`` workloads rely on)."""
 
 import pytest
 
-from repro.core import solutions_for_peer
+from repro.core import (
+    GavSpecification,
+    PeerQuerySession,
+    TrustLevel,
+    solutions_for_peer,
+)
 from repro.core.asp_gav import asp_solutions_for_peer
 from repro.core.transitive import global_solutions
 from repro.workloads import (
@@ -32,6 +37,17 @@ class TestConflictChain:
         assert asp_solutions_for_peer(system, "P1") == \
             solutions_for_peer(system, "P1")
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_program_stays_linear_in_the_conflicts(self, n):
+        # Section 3.2: the program represents all 2^n solutions compactly
+        # — facts, per-relation persistence and one rule per equality
+        system = conflict_chain_system(n)
+        same = [e.constraint
+                for e in system.trusted_decs_of("P1", TrustLevel.SAME)]
+        spec = GavSpecification(system.global_instance(), same,
+                                changeable={"R1", "R3"})
+        assert len(spec.program) <= 8 * n + 10
+
 
 class TestImportStar:
     def test_single_solution_without_conflicts(self):
@@ -51,6 +67,17 @@ class TestImportStar:
                                     overlap=0.0)
         solutions = solutions_for_peer(system, "P0")
         assert len(solutions) == 4  # 2 independent conflicts
+
+    @pytest.mark.parametrize("n", [20, 60])
+    def test_rewriting_agrees_with_asp(self, n):
+        system = import_star_system(n, n_neighbours=2, conflicts=2,
+                                    seed=11)
+        session = PeerQuerySession(system)
+        query = "q(X, Y) := R0(X, Y)"
+        rewritten = session.answer("P0", query, method="rewrite")
+        assert rewritten.answers
+        assert rewritten.answers == \
+            session.answer("P0", query, method="asp").answers
 
     def test_deterministic_given_seed(self):
         one = import_star_system(8, n_neighbours=2, seed=3)
