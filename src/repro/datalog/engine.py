@@ -5,10 +5,11 @@ This is the façade the rest of the library uses.  The pipeline is::
     program
       └─ unfold choice goals (stable version)           [choice.py]
       └─ shift disjunctive heads when HCF               [hcf.py]
-      └─ ground                                         [grounding.py]
+      └─ ground; the deterministic part is evaluated    [grounding.py]
+         exactly and comes out as facts
       └─ solve:
-           stratified normal program  -> perfect model  [fixpoint.py]
-           otherwise                  -> branch & bound [stable.py]
+           facts only -> the one model, read off the rules
+           otherwise  -> branch & bound                 [stable.py]
 
 Skeptical (cautious) and brave query answering follow the paper's usage:
 peer consistent answers are obtained by running a query program "under the
@@ -20,8 +21,6 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .choice import unfold_choice
-from .fixpoint import stratified_model
-from .graphs import objective_key, stratification
 from .grounding import GroundProgram, ground_program
 from .hcf import can_shift, shift_program
 from .program import Program, Rule
@@ -40,18 +39,14 @@ class AnswerSetEngine:
             program.
         shift_hcf: shift disjunctive heads when the program is HCF
             (Section 4.1 optimisation).  Disable only for ablation studies.
-        use_stratified_fast_path: evaluate stratified normal programs by
-            iterated fixpoint instead of search.
         max_models: optional cap on the number of models computed.
     """
 
     def __init__(self, program: Program, *, shift_hcf: bool = True,
-                 use_stratified_fast_path: bool = True,
                  max_models: Optional[int] = None) -> None:
         self.source_program = program
         self._max_models = max_models
         self._shift_hcf = shift_hcf
-        self._use_stratified = use_stratified_fast_path
 
         prepared = unfold_choice(program)
         if shift_hcf and prepared.has_disjunction() and can_shift(prepared):
@@ -94,20 +89,17 @@ class AnswerSetEngine:
         return models
 
     def _solve_ids(self, ground: GroundProgram) -> list[frozenset[int]]:
-        if self._use_stratified and not ground.is_disjunctive():
-            strata = stratification(self.prepared_program)
-            if strata is not None:
-                atom_strata = [
-                    strata.get(objective_key(ground.table.literal_for(i)), 0)
-                    for i in range(ground.atom_count)]
-                model = stratified_model(ground, atom_strata)
-                if model is None:
+        # The grounder turns a stratified program into facts (plus, at
+        # most, an empty constraint); its one model needs no search.
+        if all(not rule.pos and not rule.naf and len(rule.head) <= 1
+               for rule in ground.rules):
+            if any(rule.is_constraint() for rule in ground.rules):
+                return []
+            model = frozenset(rule.head[0] for rule in ground.rules)
+            for first, second in ground.table.complement_pairs():
+                if first in model and second in model:
                     return []
-                # Classical-negation consistency check.
-                for first, second in ground.table.complement_pairs():
-                    if first in model and second in model:
-                        return []
-                return [frozenset(model)]
+            return [model]
         solver = StableModelSolver(ground, shift_hcf=self._shift_hcf,
                                    max_models=self._max_models)
         return solver.solve()

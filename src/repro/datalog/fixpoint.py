@@ -1,7 +1,6 @@
 """Fixpoint computations over ground programs.
 
-Provides the building blocks the stable-model solver and the fast
-stratified path both rely on:
+Provides the building blocks of the stable-model solver's checks:
 
 * :func:`least_model` — least Herbrand model of a definite ground program
   (single heads, no NAF), in linear time (Dowling–Gallier counters).
@@ -10,8 +9,6 @@ stratified path both rely on:
 * :func:`is_minimal_model` — minimality check for models of positive
   disjunctive ground programs (the Σ/Π second level of the polynomial
   hierarchy lives here, as Section 3.2 of the paper notes).
-* :func:`stratified_model` — perfect-model evaluation for ground normal
-  programs given a stratification.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
-from .grounding import GroundProgram, GroundRule
+from .grounding import GroundRule
 
 __all__ = [
     "least_model",
@@ -27,7 +24,6 @@ __all__ = [
     "satisfies_rule",
     "is_model",
     "is_minimal_model",
-    "stratified_model",
 ]
 
 
@@ -168,39 +164,3 @@ def is_minimal_model(rules: Sequence[GroundRule], model: set[int]) -> bool:
 
     return not search([None] * len(atoms))
 
-
-def stratified_model(ground: GroundProgram,
-                     strata_of_atom: Sequence[int]) -> Optional[set[int]]:
-    """Perfect model of a stratified ground normal program.
-
-    ``strata_of_atom[atom_id]`` gives the stratum of each atom (derived from
-    the predicate-level stratification).  Returns ``None`` when a denial
-    constraint is violated.  Disjunctive rules are rejected.
-    """
-    if ground.is_disjunctive():
-        raise ValueError("stratified evaluation requires a normal program")
-    max_stratum = max(strata_of_atom, default=0)
-    by_stratum: dict[int, list[GroundRule]] = {}
-    constraints: list[GroundRule] = []
-    for rule in ground.rules:
-        if rule.is_constraint():
-            constraints.append(rule)
-            continue
-        by_stratum.setdefault(strata_of_atom[rule.head[0]], []).append(rule)
-
-    true: set[int] = set()
-    for stratum in range(max_stratum + 1):
-        rules = by_stratum.get(stratum, ())
-        # NAF atoms of these rules are in strictly lower strata: decided.
-        definite: list[GroundRule] = []
-        for rule in rules:
-            if any(atom in true for atom in rule.naf):
-                continue
-            definite.append(GroundRule(rule.head, rule.pos, ()))
-        # Seed with already-true atoms by adding them as facts.
-        seeded = definite + [GroundRule((atom,), (), ()) for atom in true]
-        true = least_model(seeded)
-    for constraint in constraints:
-        if not satisfies_rule(constraint, true):
-            return None
-    return true

@@ -1,22 +1,42 @@
 """Relevant (intelligent) grounding of safe programs.
 
-The grounder computes an over-approximation ``possible`` of the objective
-literals derivable in *any* answer set (ignoring negation-as-failure and
-treating every disjunct of a head as derivable), then instantiates rules so
-that
+Before grounding, the program is split at predicate level.  An objective
+key (``p`` or ``-p``) is *deterministic* when nothing it depends on —
+itself included — lies on a dependency cycle through negation or occurs
+in a head with two or more literals, and its classical complement is
+deterministic too.  The rules defining deterministic keys form a
+stratified, disjunction-free *bottom* whose heads the rest of the program
+never defines, so by the splitting-set theorem (Lifschitz & Turner 1994)
+every answer set is the bottom's unique perfect model plus an answer set
+of the rest, partially evaluated against that model.  Grounding runs in
+three passes:
 
-* every positive body literal ranges only over ``possible``,
-* comparisons are evaluated and eliminated,
-* NAF literals whose atom is not in ``possible`` are removed (they are
-  certainly true), and
-* the resulting ground program is represented over dense integer atom ids
-  for the solver.
+0. **Exact evaluation of the bottom.**  Deterministic strongly connected
+   components are evaluated in dependency order, each semi-naively; a NAF
+   literal always refers to a completed lower component, so it is checked
+   exactly.
+1. **Possible set of the rest.**  An over-approximation of the objective
+   literals the remaining rules can derive in *any* answer set (ignoring
+   NAF over non-deterministic atoms and treating every disjunct of a head
+   as derivable), seeded with the bottom's model.
+2. **Instantiation.**  Every deterministic atom becomes a fact.  The
+   remaining rules are instantiated over the possible set so that
+
+   * deterministic positive body literals are dropped (they are true),
+   * rules with a NAF literal over a deterministic fact are dropped,
+   * NAF literals whose atom is not possible are dropped (they are true),
+   * comparisons are evaluated and eliminated, and
+   * the result is represented over dense integer atom ids for the solver.
+
+A stratified normal program therefore comes out as facts alone, plus one
+empty constraint when one of its constraints is violated.
 
 Choice goals must be unfolded (see :mod:`repro.datalog.choice`) before
 grounding; the grounder refuses programs that still contain them.
 
-The fixpoint loop is semi-naive: each round only re-evaluates rule bodies in
-ways that touch at least one atom discovered in the previous round.
+Both fixpoint loops are semi-naive: each round only re-evaluates rule
+bodies in ways that touch at least one atom discovered in the previous
+round.
 """
 
 from __future__ import annotations
@@ -25,7 +45,11 @@ from typing import Iterator, Optional
 
 from ..relational.indexes import TupleIndex
 from .errors import GroundingError
-from .graphs import objective_key
+from .graphs import (
+    dependency_edges,
+    objective_key,
+    strongly_connected_components,
+)
 from .program import Program, Rule
 from .terms import (
     Atom,
@@ -258,9 +282,21 @@ class _RuleGrounder:
         self.rule = rule
         self.seed, self.residual_comparisons = _seed_substitution(rule)
         self.ordered_body = _order_positive_body(rule)
+        self.naf_body = [(objective_key(literal), literal)
+                         for literal in rule.naf_body()]
+
+    def blocked(self, subst: Substitution, possible: _PossibleSet,
+                deterministic: set[str]) -> bool:
+        """True when a NAF literal's atom is a deterministic fact, so this
+        instance can never fire."""
+        for key, literal in self.naf_body:
+            if key in deterministic and possible.contains(
+                    key, _instantiate(literal.atom.args, subst)):
+                return True
+        return False
 
     def substitutions(self, possible: _PossibleSet,
-                      delta: Optional[dict[str, set[tuple]]] = None
+                      delta: Optional[dict[str, list[tuple]]] = None
                       ) -> Iterator[dict[Variable, Constant]]:
         """All substitutions making the positive body hold in ``possible``.
 
@@ -279,7 +315,7 @@ class _RuleGrounder:
             return
 
     def _join(self, position: int, subst: dict[Variable, Constant],
-              possible: _PossibleSet, delta: Optional[dict[str, set[tuple]]],
+              possible: _PossibleSet, delta: Optional[dict[str, list[tuple]]],
               pivot: int) -> Iterator[dict[Variable, Constant]]:
         if position == len(self.ordered_body):
             if self._comparisons_hold(subst):
@@ -364,108 +400,175 @@ def _instantiate(term_args: tuple[Term, ...],
     return tuple(values)
 
 
+def _complement_key(key: str) -> str:
+    return key[1:] if key.startswith("-") else f"-{key}"
+
+
+def _deterministic_components(program: Program) -> list[set[str]]:
+    """The deterministic keys of ``program``, as strongly connected
+    components of its dependency graph in dependency order (a component's
+    dependencies come before it).
+
+    A key *branches* when it lies on a cycle through negation or occurs in
+    a head with two or more literals (``p(X) v p(Y)`` adds no graph edge,
+    so heads are checked directly); so does every key that depends on a
+    branching key, and the classical complement of a branching key.  The
+    remaining keys are deterministic.
+    """
+    graph, negative = dependency_edges(program)
+    components = strongly_connected_components(graph)
+    component_of = {key: number for number, component in enumerate(components)
+                    for key in component}
+    branching = {head for head, body in negative
+                 if component_of[head] == component_of[body]}
+    for rule in program:
+        if len(rule.head) > 1:
+            branching.update(objective_key(literal) for literal in rule.head)
+    dependants: dict[str, list[str]] = {}
+    for head, bodies in graph.items():
+        for body in bodies:
+            dependants.setdefault(body, []).append(head)
+    pending = list(branching)
+    while pending:
+        key = pending.pop()
+        for other in (*dependants.get(key, ()), _complement_key(key)):
+            if other not in branching:
+                branching.add(other)
+                pending.append(other)
+    return [component for component in components
+            if not component & branching]
+
+
+def _fixpoint(grounders: list[_RuleGrounder], possible: _PossibleSet,
+              deterministic: set[str], atoms: int, max_atoms: int) -> int:
+    """Derive the heads of ``grounders`` into ``possible`` semi-naively
+    until nothing new appears; returns the updated atom count.
+
+    Instances blocked by a deterministic fact never fire; NAF over other
+    atoms is ignored, which over-approximates.
+    """
+    def fire(grounder: _RuleGrounder, substs: Iterator[Substitution],
+             new: dict[str, list[tuple]]) -> None:
+        for subst in substs:
+            if grounder.blocked(subst, possible, deterministic):
+                continue
+            for head_literal in grounder.rule.head:
+                values = _instantiate(head_literal.atom.args, subst)
+                if values is None:
+                    raise GroundingError(
+                        f"unbound head variable in rule {grounder.rule}")
+                key = objective_key(head_literal)
+                if possible.add(key, values):
+                    new.setdefault(key, []).append(values)
+
+    # Round 0: every rule evaluated naively (facts, bodyless rules, and
+    # rules over what earlier passes derived).
+    delta: dict[str, list[tuple]] = {}
+    for grounder in grounders:
+        fire(grounder, grounder.substitutions(possible), delta)
+    recursive = [grounder for grounder in grounders
+                 if grounder.rule.positive_body()]
+    while delta:
+        atoms += sum(len(values) for values in delta.values())
+        if atoms > max_atoms:
+            raise GroundingError(
+                f"grounding exceeded {max_atoms} atoms; "
+                "the program may be unintentionally large")
+        next_delta: dict[str, list[tuple]] = {}
+        for grounder in recursive:
+            fire(grounder, grounder.substitutions(possible, delta),
+                 next_delta)
+        delta = next_delta
+    return atoms
+
+
 def ground_program(program: Program, *,
                    max_atoms: int = 2_000_000) -> GroundProgram:
     """Ground ``program`` into a :class:`GroundProgram`.
 
+    Deterministic atoms come out as facts; see the module docstring.
     Raises :class:`GroundingError` if the program contains choice goals,
-    unsafe rules, or exceeds ``max_atoms`` interned ground literals.
+    unsafe rules, or exceeds ``max_atoms`` derived ground literals.
     """
     if program.has_choice():
         raise GroundingError(
             "program contains choice goals; unfold them first "
             "(repro.datalog.choice.unfold_choice)")
     grounders = [_RuleGrounder(rule) for rule in program]
-
-    # Pass 1: possible-set fixpoint (semi-naive).
-    possible = _PossibleSet()
-    delta: dict[str, set[tuple]] = {}
-
-    def derive(key: str, values: tuple,
-               next_delta: dict[str, set[tuple]]) -> None:
-        if possible.add(key, values):
-            next_delta.setdefault(key, set()).add(values)
-
-    # Round 0: every rule evaluated naively (facts, bodyless rules, and
-    # rules over the initially empty set).
-    round_delta: dict[str, set[tuple]] = {}
+    components = _deterministic_components(program)
+    deterministic = set().union(*components)
+    component_of = {key: number for number, component in enumerate(components)
+                    for key in component}
+    bottom: list[list[_RuleGrounder]] = [[] for _ in components]
+    residual: list[_RuleGrounder] = []
     for grounder in grounders:
-        if grounder.rule.is_constraint():
-            continue
-        for subst in grounder.substitutions(possible):
-            for head_literal in grounder.rule.head:
-                values = _instantiate(head_literal.atom.args, subst)
-                if values is None:
-                    raise GroundingError(
-                        f"unbound head variable in rule {grounder.rule}")
-                derive(objective_key(head_literal), values, round_delta)
-    delta = round_delta
-    total_atoms = sum(len(rel) for rel in possible.relations.values())
-    while delta:
-        if total_atoms > max_atoms:
-            raise GroundingError(
-                f"grounding exceeded {max_atoms} atoms; "
-                "the program may be unintentionally large")
-        next_delta: dict[str, set[tuple]] = {}
-        for grounder in grounders:
-            rule = grounder.rule
-            if rule.is_constraint() or not rule.positive_body():
-                continue
-            for subst in grounder.substitutions(possible, delta):
-                for head_literal in rule.head:
-                    values = _instantiate(head_literal.atom.args, subst)
-                    if values is None:
-                        raise GroundingError(
-                            f"unbound head variable in rule {rule}")
-                    derive(objective_key(head_literal), values, next_delta)
-        total_atoms += sum(len(v) for v in next_delta.values())
-        delta = next_delta
+        head = grounder.rule.head
+        number = component_of.get(objective_key(head[0])) if head else None
+        if number is None:
+            residual.append(grounder)
+        else:
+            bottom[number].append(grounder)
 
-    # Pass 2: instantiate rules over the final possible set.
+    # Pass 0: the deterministic part, exactly, one component at a time.
+    possible = _PossibleSet()
+    atoms = 0
+    for component_grounders in bottom:
+        atoms = _fixpoint(component_grounders, possible, deterministic,
+                          atoms, max_atoms)
+
+    # Pass 1: possible-set fixpoint of the remaining rules.
+    _fixpoint([grounder for grounder in residual
+               if not grounder.rule.is_constraint()],
+              possible, deterministic, atoms, max_atoms)
+
+    # Pass 2: deterministic atoms as facts, then the remaining rules
+    # instantiated over the final possible set.
     table = AtomTable()
+    rules: dict[GroundRule, None] = {}
+    for component in components:
+        for key in sorted(component):
+            relation = possible.relation(key)
+            if relation is None:
+                continue
+            positive = not key.startswith("-")
+            predicate = key if positive else key[1:]
+            for values in relation:
+                fact = table.add(Literal(Atom(predicate, values), positive))
+                rules[GroundRule((fact,), (), ())] = None
 
-    def intern(literal_template: Literal, subst: Substitution
-               ) -> Optional[int]:
+    def intern(literal_template: Literal, subst: Substitution) -> int:
         values = _instantiate(literal_template.atom.args, subst)
-        if values is None:
-            return None
+        assert values is not None
         atom = Atom(literal_template.atom.predicate, values)
         return table.add(Literal(atom, literal_template.positive))
 
-    rules: dict[GroundRule, None] = {}
-    for grounder in grounders:
+    for grounder in residual:
         rule = grounder.rule
+        residual_pos = [literal for literal in rule.positive_body()
+                        if objective_key(literal) not in deterministic]
         for subst in grounder.substitutions(possible):
-            head_ids = []
-            for head_literal in rule.head:
-                ident = intern(head_literal, subst)
-                assert ident is not None
-                head_ids.append(ident)
-            pos_ids = []
-            for body_literal in rule.positive_body():
-                ident = intern(body_literal, subst)
-                assert ident is not None
-                pos_ids.append(ident)
-            naf_ids = []
-            for body_literal in rule.naf_body():
+            if grounder.blocked(subst, possible, deterministic):
+                continue  # `not fact` is false: never fires
+            head_ids = [intern(literal, subst) for literal in rule.head]
+            # deterministic positive literals are facts: true, so dropped
+            pos_set = {intern(literal, subst) for literal in residual_pos}
+            naf_ids = set()
+            for key, body_literal in grounder.naf_body:
                 values = _instantiate(body_literal.atom.args, subst)
                 if values is None:
                     raise GroundingError(
                         f"unbound NAF variable in rule {rule}")
-                key = objective_key(body_literal)
                 if not possible.contains(key, values):
                     continue  # atom never derivable: `not atom` is true
                 atom = Atom(body_literal.atom.predicate, values)
-                naf_ids.append(table.add(Literal(atom,
-                                                 body_literal.positive)))
-            pos_set = set(pos_ids)
-            if pos_set & set(naf_ids):
+                naf_ids.add(table.add(Literal(atom, body_literal.positive)))
+            if pos_set & naf_ids:
                 continue  # body requires both a and `not a`: never fires
             if set(head_ids) & pos_set:
                 continue  # tautology (h :- h, ...): redundant for stability
             # dedupe head atoms (`a v a` is just `a`), preserving order
             ground_rule = GroundRule(tuple(dict.fromkeys(head_ids)),
                                      tuple(sorted(pos_set)),
-                                     tuple(sorted(set(naf_ids))))
+                                     tuple(sorted(naf_ids)))
             rules.setdefault(ground_rule)
     return GroundProgram(table, list(rules))

@@ -25,14 +25,33 @@ from .choice import unfold_choice
 from .errors import ProgramError
 from .graphs import is_head_cycle_free
 from .program import Program, Rule
-from .terms import ChoiceGoal, Literal
+from .terms import ChoiceGoal, Literal, Variable
 
 __all__ = ["can_shift", "shift_rule", "shift_program"]
 
 
+def _heads_may_coincide(rule: Rule) -> bool:
+    """True when two head literals of ``rule`` may have a common ground
+    instance: shifting ``p(X) v p(Y)`` would give ``p(a) :- not p(a)``."""
+    for index, first in enumerate(rule.head):
+        for second in rule.head[index + 1:]:
+            if (first.predicate == second.predicate
+                    and first.positive == second.positive
+                    and first.atom.arity == second.atom.arity
+                    and all(a == b or isinstance(a, Variable)
+                            or isinstance(b, Variable)
+                            for a, b in zip(first.atom.args,
+                                            second.atom.args))):
+                return True
+    return False
+
+
 def can_shift(program: Program) -> bool:
-    """True when shifting is guaranteed to preserve the answer sets."""
-    return is_head_cycle_free(program)
+    """True when shifting is guaranteed to preserve the answer sets: the
+    program is HCF and no rule has two head literals that may coincide
+    once ground (the solver shifts those after grounding instead)."""
+    return is_head_cycle_free(program) and not any(
+        _heads_may_coincide(rule) for rule in program)
 
 
 def shift_rule(rule: Rule) -> list[Rule]:

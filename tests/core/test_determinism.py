@@ -38,7 +38,7 @@ CASES = {
 DUMP = """
 from repro.core import GavSpecification, PeerQuerySession
 from repro.datalog import AnswerSetEngine, parse_program
-from repro.workloads import conflict_chain_system
+from repro.workloads import conflict_chain_system, import_star_system
 from tests.core.test_determinism import CASES
 
 for name, (build, peer, methods) in CASES.items():
@@ -55,6 +55,14 @@ programs = [spec.program, parse_program(
 for program in programs:
     for model in AnswerSetEngine(program).answer_sets():
         print(sorted(str(literal) for literal in model))
+# deterministic atoms are interned in set order: only content may show
+system = import_star_system(20, 3)
+spec = GavSpecification(system.global_instance(),
+                        [e.constraint for e in system.trusted_decs_of("P0")],
+                        {"R0"})
+for model in spec.engine.answer_sets():
+    print(sorted(str(literal) for literal in model))
+print(spec.engine.ground.pretty())
 """
 
 
@@ -70,8 +78,9 @@ def _dump(hash_seed: str) -> str:
 def test_order_is_the_same_under_two_hash_seeds():
     first, second = _dump("0"), _dump("1")
     assert first == second
-    # one line per (case, method) solution list, then 16 + 8 models
-    assert len(first.splitlines()) == 12 + 16 + 8
+    # one line per (case, method) solution list, then 16 + 8 models, then
+    # the import specification's one model and its 154 ground facts
+    assert len(first.splitlines()) == 12 + 16 + 8 + 1 + 154
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,4 +1,4 @@
-"""Unit tests for least models, reducts, minimality, stratified evaluation."""
+"""Unit tests for least models, reducts and minimality checks."""
 
 import pytest
 
@@ -9,14 +9,26 @@ from repro.datalog.fixpoint import (
     is_model,
     least_model,
     satisfies_rule,
-    stratified_model,
 )
-from repro.datalog.graphs import objective_key, stratification
-from repro.datalog.grounding import GroundRule
+from repro.datalog.grounding import AtomTable, GroundProgram, GroundRule
+from repro.datalog.terms import Atom, Literal
 
 
 def _ground(text):
     return ground_program(parse_program(text))
+
+
+def _hand_ground(*rules):
+    """A ground program built without the grounder, which would evaluate
+    these stratified programs to facts.  Each rule is a ``(head, pos,
+    naf)`` triple of strings whose letters name propositional atoms."""
+    table = AtomTable()
+
+    def ids(names):
+        return tuple(table.add(Literal(Atom(name))) for name in names)
+
+    return GroundProgram(table, [GroundRule(ids(head), ids(pos), ids(naf))
+                                 for head, pos, naf in rules])
 
 
 def _ids(ground, *names):
@@ -44,7 +56,7 @@ class TestLeastModel:
         assert names == {"c"}
 
     def test_rejects_naf(self):
-        ground = _ground("a :- not b. b.")
+        ground = _hand_ground(("a", "", "b"), ("b", "", ""))
         with pytest.raises(ValueError):
             least_model(ground.rules)
 
@@ -61,7 +73,7 @@ class TestLeastModel:
 
 class TestReduct:
     def test_rule_with_true_naf_dropped(self):
-        ground = _ground("a :- not b. b :- c. c.")
+        ground = _hand_ground(("a", "", "b"), ("b", "c", ""), ("c", "", ""))
         (b_id,) = _ids(ground, "b")
         reduct = gelfond_lifschitz_reduct(ground.rules, {b_id})
         # the rule `a :- not b` must be gone
@@ -70,7 +82,7 @@ class TestReduct:
         assert (a_id,) not in heads
 
     def test_naf_stripped_from_survivors(self):
-        ground = _ground("a :- not b. b.")
+        ground = _hand_ground(("a", "", "b"), ("b", "", ""))
         reduct = gelfond_lifschitz_reduct(ground.rules, set())
         assert all(not rule.naf for rule in reduct)
 
@@ -123,49 +135,7 @@ class TestMinimalModel:
         assert is_minimal_model(ground.rules, {a, b})
 
     def test_rejects_naf(self):
-        ground = _ground("a :- not b. b.")
+        ground = _hand_ground(("a", "", "b"), ("b", "", ""))
         with pytest.raises(ValueError):
             is_minimal_model(ground.rules, set())
 
-
-class TestStratifiedModel:
-    def _atom_strata(self, program, ground):
-        strata = stratification(program)
-        assert strata is not None
-        return [strata.get(objective_key(ground.table.literal_for(i)), 0)
-                for i in range(ground.atom_count)]
-
-    def test_two_strata(self):
-        program = parse_program("""
-            q(X) :- p(X), not r(X).
-            r(a).
-            p(a). p(b).
-        """)
-        ground = ground_program(program)
-        model = stratified_model(ground, self._atom_strata(program, ground))
-        names = {str(ground.table.literal_for(i)) for i in model}
-        assert "q(b)" in names and "q(a)" not in names
-
-    def test_three_strata(self):
-        program = parse_program("""
-            s(X) :- q(X), not t(X).
-            t(X) :- p(X), not r(X).
-            r(a).
-            q(a). q(b). p(a). p(b).
-        """)
-        ground = ground_program(program)
-        model = stratified_model(ground, self._atom_strata(program, ground))
-        names = {str(ground.table.literal_for(i)) for i in model}
-        assert "t(b)" in names and "s(a)" in names and "s(b)" not in names
-
-    def test_constraint_violation_returns_none(self):
-        program = parse_program("p(a). :- p(a).")
-        ground = ground_program(program)
-        model = stratified_model(ground, self._atom_strata(program, ground))
-        assert model is None
-
-    def test_rejects_disjunctive(self):
-        program = parse_program("a v b.")
-        ground = ground_program(program)
-        with pytest.raises(ValueError):
-            stratified_model(ground, [0] * ground.atom_count)

@@ -84,8 +84,8 @@ class TestStratification:
         assert not is_stratified(program)
 
     def test_disjunction_treated_as_unstratified(self):
-        # Disjunctive heads entangle their literals; the fast path must not
-        # claim them.
+        # Disjunctive heads entangle their literals: a cycle through
+        # negation, so the grounder never evaluates them as deterministic.
         program = parse_program("a v b :- c. c.")
         assert not is_stratified(program)
 

@@ -5,6 +5,7 @@ import pytest
 from repro.datalog import (
     GroundingError,
     SafetyError,
+    answer_sets,
     ground_program,
     parse_program,
 )
@@ -23,10 +24,10 @@ class TestBasicGrounding:
         assert len(ground.rules) == 2
 
     def test_single_rule_instantiation(self):
+        # deterministic: evaluated during grounding, so facts come out
         ground = ground_program(parse_program("q(X) :- p(X). p(a). p(b)."))
-        lines = _rendered_rules(ground)
-        assert "q(a) :- p(a)." in lines
-        assert "q(b) :- p(b)." in lines
+        assert _rendered_rules(ground) == ["p(a).", "p(b).", "q(a).",
+                                           "q(b)."]
 
     def test_join(self):
         ground = ground_program(parse_program("""
@@ -34,7 +35,7 @@ class TestBasicGrounding:
             e(a, b). e(b, c).
         """))
         lines = _rendered_rules(ground)
-        assert "r(a, c) :- e(a, b), e(b, c)." in lines
+        assert "r(a, c)." in lines
         # no spurious instantiations
         assert not any(line.startswith("r(a, b)") for line in lines)
 
@@ -75,18 +76,19 @@ class TestNafSimplification:
     def test_underivable_naf_removed(self):
         # r is never derivable, so `not r(X)` is true and vanishes.
         ground = ground_program(parse_program("""
-            q(X) :- p(X), not r(X).
+            q(X) :- p(X), not r(X), not s.
             p(a).
+            s v t.
         """))
-        assert "q(a) :- p(a)." in _rendered_rules(ground)
+        assert "q(a) :- not s." in _rendered_rules(ground)
 
     def test_derivable_naf_kept(self):
         ground = ground_program(parse_program("""
             q(X) :- p(X), not r(X).
-            r(a).
+            r(a) v s(a).
             p(a).
         """))
-        assert "q(a) :- p(a), not r(a)." in _rendered_rules(ground)
+        assert "q(a) :- not r(a)." in _rendered_rules(ground)
 
     def test_naf_head_interplay(self):
         # a rule body requiring both x and `not x` never fires
@@ -118,10 +120,10 @@ class TestDisjunctiveAndConstraints:
     def test_constraints_grounded(self):
         ground = ground_program(parse_program("""
             :- p(X), q(X).
-            p(a). q(a). q(b).
+            p(a). q(a) v r(a). q(b) v r(b).
         """))
-        assert ":- p(a), q(a)." in _rendered_rules(ground)
-        assert not any(":- p(b)" in line for line in _rendered_rules(ground))
+        assert ":- q(a)." in _rendered_rules(ground)
+        assert not any(":- q(b)" in line for line in _rendered_rules(ground))
 
     def test_classical_negation_complement_pairs(self):
         ground = ground_program(parse_program("""
@@ -153,6 +155,87 @@ class TestGroundingErrors:
         """)
         with pytest.raises(GroundingError):
             ground_program(program, max_atoms=10)
+
+
+class TestDeterministicSplit:
+    """The deterministic part of a program is evaluated while grounding."""
+
+    def test_deterministic_rule_becomes_fact(self):
+        ground = ground_program(parse_program("""
+            t(X, Y) :- e(X, Y).
+            t(X, Z) :- e(X, Y), t(Y, Z).
+            q(X) :- n(X), not t(X, X).
+            e(1, 2). e(2, 1). e(3, 1). n(1). n(3).
+        """))
+        assert all(rule.is_fact() for rule in ground.rules)
+        lines = _rendered_rules(ground)
+        assert "q(3)." in lines and "q(1)." not in lines
+        assert "t(3, 2)." in lines
+
+    def test_rule_blocked_by_true_naf_dropped(self):
+        # r(a) is a fact, so `not r(a)` is false and the q(a) instance
+        # never fires; q(b) stays, depending on the choice of s or t.
+        ground = ground_program(parse_program("""
+            q(X) :- p(X), not r(X), not s.
+            p(a). p(b). r(a).
+            s v t.
+        """))
+        lines = _rendered_rules(ground)
+        assert "q(b) :- not s." in lines
+        assert not any(line.startswith("q(a)") for line in lines)
+        assert "q(a)" not in {str(lit) for lit in ground.table.literals()}
+
+    def test_deterministic_positive_literal_dropped(self):
+        ground = ground_program(parse_program("""
+            q(X) :- p(X), s.
+            p(a).
+            s v t.
+        """))
+        assert "q(a) :- s." in _rendered_rules(ground)
+
+    def test_constraint_decided_while_grounding(self):
+        program = parse_program("p(a). q(b) :- p(a). :- q(b). :- p(c).")
+        ground = ground_program(program)
+        assert ":- ." in _rendered_rules(ground)
+        assert len(ground.rules) == 3
+        assert answer_sets(program) == []
+
+    def test_complement_from_a_disjunction_keeps_key_residual(self):
+        # -p branches, so p does too: q keeps its p(a) body literal.
+        ground = ground_program(parse_program("""
+            p(X) :- d(X).
+            q(X) :- p(X).
+            -p(X) v r(X) :- d(X).
+            d(a).
+        """))
+        lines = _rendered_rules(ground)
+        assert "q(a) :- p(a)." in lines
+        assert "d(a)." in lines
+
+    def test_same_predicate_disjunction_is_not_deterministic(self):
+        # `p(X) v p(Y)` adds no dependency edge; the multi-literal head
+        # alone must keep p and q out of the deterministic part.
+        program = parse_program("""
+            d(1). d(2).
+            p(X) v p(Y) :- d(X), d(Y), X != Y.
+            q(X) :- p(X).
+        """)
+        expected = [["d(1)", "d(2)", "p(1)", "q(1)"],
+                    ["d(1)", "d(2)", "p(2)", "q(2)"]]
+        for shift_hcf in (False, True):
+            models = answer_sets(program, shift_hcf=shift_hcf)
+            assert sorted(sorted(str(lit) for lit in model)
+                          for model in models) == expected
+        assert "q(1) :- p(1)." in _rendered_rules(ground_program(program))
+
+    def test_atom_budget_counts_deterministic_atoms(self):
+        program = parse_program("""
+            pair(X, Y) :- d(X), d(Y).
+            d(1). d(2). d(3). d(4). d(5). d(6).
+        """)
+        assert ground_program(program, max_atoms=42).atom_count == 42
+        with pytest.raises(GroundingError):
+            ground_program(program, max_atoms=41)
 
 
 class TestAtomTable:

@@ -1,102 +1,84 @@
 """Cross-check: relevant grounding preserves stable models.
 
-The grounder prunes irrelevant instantiations and simplifies NAF literals;
-these tests compare its output against *naive full instantiation* over the
-Herbrand universe — the semantics-defining baseline — on random non-ground
-programs.
+The grounder evaluates the deterministic part of a program exactly, prunes
+irrelevant instantiations and simplifies NAF literals; these tests compare
+its output against *naive full instantiation* over the Herbrand universe —
+the semantics-defining baseline — on random non-ground programs with
+disjunctive heads (two literals of one predicate included), classically
+negated literals, ``!=`` guards and denial constraints.
 """
 
-from itertools import product
-
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.datalog import (
     Program,
     Rule,
+    answer_sets,
     ground_program,
     stable_models,
 )
-from repro.datalog.grounding import AtomTable, GroundProgram, GroundRule
+from repro.datalog.graphs import is_stratified
+from repro.datalog.grounding import GroundRule
 from repro.datalog.terms import Atom, Comparison, Constant, Literal, \
     Variable
 
+from .naive import naive_ground
+
 CONSTANTS = [Constant("a"), Constant("b"), Constant("c")]
 X, Y = Variable("X"), Variable("Y")
+TERMS = [X, Y] + CONSTANTS
 PREDICATES = ["p", "q", "r"]
 
 
-def naive_ground(program: Program) -> GroundProgram:
-    """Full instantiation over the Herbrand universe, no simplification
-    beyond comparison evaluation and duplicate-head removal."""
-    table = AtomTable()
-    rules: dict[GroundRule, None] = {}
-    for rule in program:
-        variables = sorted(rule.variables(), key=lambda v: v.name)
-        for combo in product(CONSTANTS, repeat=len(variables)):
-            subst = dict(zip(variables, combo))
-
-            def ground_atom(atom: Atom) -> Atom:
-                return Atom(atom.predicate,
-                            [subst.get(t, t) for t in atom.args])
-
-            ok = True
-            for item in rule.body:
-                if isinstance(item, Comparison):
-                    left = subst.get(item.left, item.left)
-                    right = subst.get(item.right, item.right)
-                    if not Comparison(item.op, left, right).evaluate():
-                        ok = False
-                        break
-            if not ok:
-                continue
-            head = [table.add(Literal(ground_atom(lit.atom),
-                                      lit.positive))
-                    for lit in rule.head]
-            pos, naf = [], []
-            for item in rule.body:
-                if isinstance(item, Comparison):
-                    continue
-                assert isinstance(item, Literal)
-                ident = table.add(Literal(ground_atom(item.atom),
-                                          item.positive))
-                (naf if item.naf else pos).append(ident)
-            if set(head) & set(pos):
-                continue  # tautology, as the real grounder drops them
-            rules.setdefault(GroundRule(
-                tuple(dict.fromkeys(head)), tuple(sorted(set(pos))),
-                tuple(sorted(set(naf)))))
-    return GroundProgram(table, list(rules))
+def _names(literals, predicates):
+    return sorted(str(literal) for literal in literals
+                  if literal.predicate in predicates)
 
 
 def _models_as_names(ground, models, predicates):
-    return sorted(
-        sorted(str(ground.table.literal_for(i)) for i in m
-               if ground.table.literal_for(i).predicate in predicates)
-        for m in models)
+    return sorted(_names((ground.table.literal_for(i) for i in m),
+                         predicates)
+                  for m in models)
+
+
+@st.composite
+def objective_literals(draw, terms):
+    """``p(t)`` or, one time in three, its classical negation ``-p(t)``."""
+    atom = Atom(draw(st.sampled_from(PREDICATES)),
+                [draw(st.sampled_from(terms))])
+    return Literal(atom, positive=draw(st.sampled_from([True, True, False])))
 
 
 @st.composite
 def nonground_rules(draw):
     """Random rules over unary predicates p, q, r with variables/constants
-    and guaranteed safety (head/naf variables occur positively)."""
-    head_pred = draw(st.sampled_from(PREDICATES))
-    head_term = draw(st.sampled_from([X, Y] + CONSTANTS))
+    and guaranteed safety (head/naf variables occur positively): normal
+    rules, two-literal disjunctive heads and denial constraints."""
+    head = [draw(objective_literals(TERMS))
+            for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2])))]
+    if len(head) == 2 and draw(st.booleans()):
+        # one predicate on both sides: `p(X) v p(Y)` adds no graph edge
+        first = head[0]
+        head[1] = Literal(Atom(first.predicate,
+                               [draw(st.sampled_from(TERMS))]),
+                          first.positive)
     body: list = []
     pos_vars: set = set()
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        pred = draw(st.sampled_from(PREDICATES))
-        term = draw(st.sampled_from([X, Y] + CONSTANTS))
-        body.append(Literal(Atom(pred, [term])))
-        if isinstance(term, Variable):
-            pos_vars.add(term)
+    min_pos = 0 if head else 1  # a denial needs a body
+    for _ in range(draw(st.integers(min_value=min_pos, max_value=2))):
+        literal = draw(objective_literals(TERMS))
+        body.append(literal)
+        pos_vars |= literal.variables()
     for _ in range(draw(st.integers(min_value=0, max_value=1))):
-        pred = draw(st.sampled_from(PREDICATES))
         candidates = sorted(pos_vars, key=lambda v: v.name) + CONSTANTS
-        term = draw(st.sampled_from(candidates))
-        body.append(Literal(Atom(pred, [term]), naf=True))
-    if isinstance(head_term, Variable) and head_term not in pos_vars:
-        body.append(Literal(Atom("dom", [head_term])))
-    return Rule(head=[Atom(head_pred, [head_term])], body=body)
+        body.append(draw(objective_literals(candidates)).negated_naf())
+    head_vars = set().union(*(lit.variables() for lit in head))
+    for variable in sorted(head_vars - pos_vars, key=lambda v: v.name):
+        body.append(Literal(Atom("dom", [variable])))
+    # `p(X) v p(Y) :- ..., X != Y` is the shape that truly branches
+    if {X, Y} <= pos_vars | head_vars and draw(st.booleans()):
+        body.append(Comparison("!=", X, Y))
+    return Rule(head=head, body=body)
 
 
 @st.composite
@@ -110,22 +92,35 @@ def nonground_programs(draw):
     return Program(rules + facts)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(nonground_programs())
 def test_relevant_grounding_preserves_stable_models(program):
     relevant = ground_program(program)
     naive = naive_ground(program)
-    relevant_models = _models_as_names(relevant, stable_models(relevant),
-                                       PREDICATES)
-    naive_models = _models_as_names(naive, stable_models(naive),
-                                    PREDICATES)
-    assert relevant_models == naive_models
+    for shift_hcf in (True, False):
+        expected = _models_as_names(
+            naive, stable_models(naive, shift_hcf=shift_hcf), PREDICATES)
+        assert _models_as_names(
+            relevant, stable_models(relevant, shift_hcf=shift_hcf),
+            PREDICATES) == expected
+        assert sorted(_names(model, PREDICATES) for model in answer_sets(
+            program, shift_hcf=shift_hcf)) == expected
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(nonground_programs())
 def test_relevant_grounding_never_larger(program):
     relevant = ground_program(program)
     naive = naive_ground(program)
     assert len(relevant.rules) <= len(naive.rules)
     assert relevant.atom_count <= naive.atom_count
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(nonground_programs())
+def test_stratified_programs_ground_to_facts(program):
+    """With no disjunction and no recursion through negation every key
+    is deterministic: only facts and empty constraints are left."""
+    assume(is_stratified(program) and not program.has_disjunction())
+    for rule in ground_program(program).rules:
+        assert rule.is_fact() or rule == GroundRule((), (), ()), rule

@@ -77,6 +77,18 @@ class TestShiftProgram:
             [["a", "b"]]
         assert shifted_models == []
 
+    def test_coinciding_head_literals_not_shifted(self):
+        # Shifting `p(X) v p(Y)` would add `p(a) :- d(a), not p(a)` for
+        # X = Y = a; the solver shifts such rules after grounding instead,
+        # where the grounder has merged the coinciding literals.
+        for text in ("p(X) v p(X) :- d(X). d(a).",
+                     "p(X) v p(Y) :- d(X), d(Y). d(a)."):
+            program = parse_program(text)
+            assert not can_shift(program)
+            assert [sorted(str(l) for l in m)
+                    for m in answer_sets(program)] == [["d(a)", "p(a)"]]
+        assert can_shift(parse_program("p(X, a) v p(Y, b) :- d(X), d(Y)."))
+
     def test_no_disjunction_identity(self):
         program = parse_program("a :- b. b.")
         assert shift_program(program) is program

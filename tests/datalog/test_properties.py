@@ -26,6 +26,8 @@ from repro.datalog.hcf import shift_program
 from repro.datalog.stable import ground_tight, is_stable_model
 from repro.datalog.terms import Atom, Literal
 
+from .naive import naive_answer_sets
+
 ATOMS = [Atom(f"p{i}") for i in range(6)]
 #: objective literals: the atoms plus the classical negation of two of them
 OBJECTIVE = [Literal(a) for a in ATOMS] \
@@ -190,21 +192,56 @@ def test_positive_loop_stays_unfounded():
             for model in stable_models(ground)] == [["r"], ["s"]]
 
 
-def test_conflict_specification_shifts_to_a_tight_program():
-    """The program shape of the benchmark's ``asp_search`` (independent
-    same-trust EGD conflicts, 2^6 solutions) is tight once shifted, so
-    the solver skips the unfounded-set check on it."""
+def _conflict_specification():
+    """The program shape of the benchmark's ``asp_search``: six
+    independent same-trust EGD conflicts and 50 undisputed rows, 2^6
+    solutions."""
     from repro.core import GavSpecification
     from repro.core.trust import TrustLevel
     from repro.workloads import conflict_chain_system
     system = conflict_chain_system(6, n_clean=50)
     same = [e.constraint for e in system.trusted_decs_of("P1",
                                                          TrustLevel.SAME)]
-    spec = GavSpecification(system.global_instance(), same, {"R1", "R3"})
+    return GavSpecification(system.global_instance(), same, {"R1", "R3"})
+
+
+def test_conflict_specification_shifts_to_a_tight_program():
+    """The conflict program is tight once shifted, so the solver skips the
+    unfounded-set check on it."""
+    spec = _conflict_specification()
     ground = spec.engine.ground
     assert not ground.is_disjunctive()
     assert ground_tight(ground)
     assert len(spec.answer_sets()) == 64
+
+
+def test_conflict_specification_leaves_only_the_disputed_rules():
+    """Only the disputed keys stay undecided after grounding: the 12
+    shifted conflict rules and the 12 persistence rules of those keys.
+    Everything else — sources, and the persistence of the 50 undisputed
+    rows — comes out as facts."""
+    spec = _conflict_specification()
+    rules = spec.engine.ground.rules
+    assert sum(rule.is_fact() for rule in rules) == 112
+    assert sum(not rule.is_fact() for rule in rules) == 24
+    assert len(spec.answer_sets()) == 64
+
+
+def test_import_specification_grounds_to_facts():
+    """The ``asp_ground`` program shape (full inclusions from more-trusted
+    peers, no conflicts) is deterministic: every ground rule is a fact and
+    there is one model."""
+    from repro.core import GavSpecification
+    from repro.workloads import import_star_system
+    system = import_star_system(20, 3)
+    spec = GavSpecification(system.global_instance(),
+                            [e.constraint
+                             for e in system.trusted_decs_of("P0")],
+                            {"R0"})
+    ground = spec.engine.ground
+    assert all(rule.is_fact() for rule in ground.rules)
+    assert len(ground.rules) == ground.atom_count
+    assert len(spec.answer_sets()) == 1
 
 
 @st.composite
@@ -223,14 +260,14 @@ def stratified_programs(draw):
     return parse_program("\n".join(lines))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(stratified_programs())
 def test_stratified_fast_path_agrees_with_search(program):
+    """A stratified program grounds to facts; its one model must be the
+    one the solver finds on the naive, unsimplified grounding."""
     from repro.datalog import answer_sets
-    fast = answer_sets(program, use_stratified_fast_path=True)
-    slow = answer_sets(program, use_stratified_fast_path=False)
-    assert [sorted(str(l) for l in m) for m in fast] == \
-        [sorted(str(l) for l in m) for m in slow]
+    assert sorted(sorted(str(l) for l in m)
+                  for m in answer_sets(program)) == naive_answer_sets(program)
 
 
 @settings(max_examples=60, deadline=None)
