@@ -50,6 +50,7 @@ Quick start::
 """
 
 from .asp_gav import (
+    AspSolutions,
     GavSpecification,
     asp_peer_consistent_answers,
     asp_solutions_for_peer,
@@ -129,7 +130,7 @@ __all__ = [
     "AnswerExplanation", "explain_answer", "explain_query",
     # mechanisms
     "PeerQueryRewriter", "rewrite_peer_query", "answers_via_rewriting",
-    "GavSpecification", "asp_solutions_for_peer",
+    "GavSpecification", "AspSolutions", "asp_solutions_for_peer",
     "asp_peer_consistent_answers",
     "LavSpecification", "SourceLabel", "labels_for_peer",
     "TransitiveSpecification", "global_solutions",

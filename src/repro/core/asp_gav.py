@@ -14,26 +14,43 @@ of Section 3.1:
 * denial constraints for local ICs and for DECs that must remain
   satisfied.
 
-The peer's solutions are read off the stable models ("in one to one
-correspondence", Section 3.2); peer consistent answers are the skeptical
-answers of a query program over the primed relations.
+The peer's solutions correspond to the stable models ("in one to one
+correspondence", Section 3.2), and peer consistent answers are the
+skeptical answers of a query program over the primed relations.  Both are
+computed on the models as sets of atom ids:
 
-:func:`asp_solutions_for_peer` composes two such programs to implement the
-full two-stage semantics of Definition 4 (the paper's Section 3.1 example
-is single-stage — only a `less` neighbour).  Stable models of the repair
-program correspond to Δ-minimal repairs on the paper's DEC class (acyclic,
-witness-guarded); an optional minimality post-filter guarantees agreement
-with Definition 4 in all cases and is a no-op on that class (asserted in
-the cross-validation tests).
+* each model is projected onto the solution atoms (primed, or final-layer,
+  atoms of the replaced relations); equal projections are one solution;
+* the Δ-minimality post-filter compares those projections' symmetric
+  differences with the source rows' atoms — exactly ``delta`` of the
+  decoded instances — and guarantees agreement with Definition 4 in all
+  cases (on the paper's DEC class, acyclic and witness-guarded, it
+  discards nothing);
+* a conjunctive query's rule ``ans_query(x̄) :- body`` is grounded once,
+  against the specification's already grounded table, and a tuple is
+  certain when every minimal solution's model contains one of its ground
+  bodies (possible: some model).
+
+Instances are decoded only when asked for
+(:meth:`GavSpecification.solutions`).
+:class:`AspSolutions` composes two such programs to implement the full
+two-stage semantics of Definition 4 (the paper's Section 3.1 example is
+single-stage — only a `less` neighbour) and is what a session caches for
+``method="asp"``; :func:`asp_solutions_for_peer` lists its instances.
+Queries that are not conjunctive, and the case where several stage-1
+solutions feed `same` DECs, fall back to decoding and intersecting.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from itertools import count
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..datalog.engine import AnswerSetEngine
+from ..datalog.errors import SafetyError
+from ..datalog.grounding import ground_rule_over
 from ..datalog.program import Program, Rule
-from ..datalog.terms import Atom, Literal, Variable
+from ..datalog.terms import Atom, Comparison, Literal, Variable
 from ..relational.constraints import Constraint
 from ..relational.instance import DatabaseInstance, canonical_order
 from ..relational.query import (
@@ -47,7 +64,6 @@ from ..relational.query import (
 from .asp_common import (
     TranslationContext,
     dec_rules,
-    decode_model,
     hard_constraint_rules,
     instance_facts,
     local_ic_rules,
@@ -55,12 +71,12 @@ from .asp_common import (
 )
 from .errors import SystemError_
 from .naming import NameMap
-from .pca import PCAResult, pca_from_solutions
+from .pca import PCAResult, pca_from_solutions, possible_from_solutions
 from .solutions import SolutionSearch
 from .system import PeerSystem
 from .trust import TrustLevel
 
-__all__ = ["GavSpecification", "asp_solutions_for_peer",
+__all__ = ["GavSpecification", "AspSolutions", "asp_solutions_for_peer",
            "asp_peer_consistent_answers"]
 
 
@@ -136,8 +152,15 @@ class GavSpecification:
         self.name_map = NameMap(self.scope)
         self.context = TranslationContext(self.name_map, changeable,
                                           foreign_primed)
+        # the relations a solution replaces wholesale
+        self._replaced = frozenset(
+            relation for relation in (self.context.changeable
+                                      | self.context.foreign_primed)
+            if relation in instance.schema)
         self._program: Optional[Program] = None
         self._engine: Optional[AnswerSetEngine] = None
+        self._rows: Optional[dict[int, tuple[str, tuple]]] = None
+        self._solution_models: dict[bool, list[frozenset[int]]] = {}
 
     # ------------------------------------------------------------------
     # Program construction
@@ -317,49 +340,108 @@ class GavSpecification:
     def answer_sets(self):
         return self.engine.answer_sets()
 
+    def _solution_rows(self) -> dict[int, tuple[str, tuple]]:
+        """``atom id -> (relation, row)`` for every solution atom true in
+        some stable model: the primed atoms (final-layer atoms when
+        :attr:`uses_final_layer`) of the replaced relations.  Built once
+        per distinct atom."""
+        if self._rows is None:
+            relation_of = (self.name_map.relation_of_final
+                           if self.uses_final_layer
+                           else self.name_map.relation_of_primed)
+            table = self.engine.ground.table
+            rows = {}
+            for ident in frozenset().union(*self.engine.id_models()):
+                literal = table.literal_for(ident)
+                relation = relation_of(literal.predicate)
+                if literal.positive and relation in self._replaced:
+                    rows[ident] = (relation, literal.atom.value_tuple())
+            self._rows = rows
+        return self._rows
+
+    def solution_models(self, *, minimal_only: bool = True
+                        ) -> list[frozenset[int]]:
+        """One stable model (as atom ids) per distinct solution, memoised.
+
+        Models are told apart by their projection onto the solution
+        atoms.  ``minimal_only`` applies the Δ-minimality post-filter that
+        makes the solutions coincide with Definition 4's repairs in all
+        cases (it is a no-op on the paper's DEC class).  A solution's Δ to
+        the source, restricted to the replaced relations, is its
+        projection's symmetric difference with the atoms of the source
+        rows, plus the source rows no model contains; every Δ shares
+        those, so comparing the id sets decides ``<`` exactly.
+        """
+        cached = self._solution_models.get(minimal_only)
+        if cached is not None:
+            return cached
+        models = self.engine.id_models()
+        if len(models) < 2:
+            return models
+        rows = self._solution_rows()
+        ids = frozenset(rows)
+        distinct: dict[frozenset[int], frozenset[int]] = {}
+        for model in models:
+            distinct.setdefault(model & ids, model)
+        models = list(distinct.values())
+        if minimal_only and len(distinct) > 1:
+            source = frozenset(
+                ident for ident, (relation, row) in rows.items()
+                if row in self.instance.tuples(relation))
+            deltas = [projection ^ source for projection in distinct]
+            # only a strictly smaller Δ can be a strict subset
+            smallest = min(map(len, deltas))
+            models = [model for model, delta in zip(models, deltas)
+                      if len(delta) == smallest
+                      or not any(other < delta for other in deltas)]
+        self._solution_models[minimal_only] = models
+        return models
+
     def solutions(self, *, minimal_only: bool = True
                   ) -> list[DatabaseInstance]:
-        """Solution instances decoded from the answer sets.
+        """The solution instances of :meth:`solution_models`, decoded, in
+        canonical order."""
+        return canonical_order(
+            self._decode(model)
+            for model in self.solution_models(minimal_only=minimal_only))
 
-        ``minimal_only`` applies the Δ-minimality post-filter that makes
-        the output coincide with Definition 4's repairs in all cases (it
-        is a no-op on the paper's DEC class).
-        """
-        decoded: dict[DatabaseInstance, None] = {}
-        for model in self.answer_sets():
-            decoded.setdefault(self._decode(model))
-        instances = list(decoded)
-        if minimal_only and len(instances) > 1:
-            deltas = {inst: inst.delta(self.instance)
-                      for inst in instances}
-            instances = [inst for inst in instances
-                         if not any(deltas[other] < deltas[inst]
-                                    for other in instances
-                                    if other is not inst)]
-        return canonical_order(instances)
-
-    def _decode(self, model) -> DatabaseInstance:
-        """Read a solution instance off an answer set (final layer when
-        the layered local-IC construction is active)."""
-        if not self.uses_final_layer:
-            return decode_model(model, self.instance, self.context)
+    def _decode(self, model: frozenset[int]) -> DatabaseInstance:
+        """Read a solution instance off a stable model: the replaced
+        relations take the model's solution atoms, the others keep the
+        source rows."""
         replaced: dict[str, set[tuple]] = {
-            relation: set()
-            for relation in (self.context.changeable
-                             | self.context.foreign_primed)
-            if relation in self.instance.schema}
-        for literal in model:
-            if not literal.positive or literal.naf:
-                continue
-            relation = self.name_map.relation_of_final(literal.predicate)
-            if relation is None or relation not in replaced:
-                continue
-            replaced[relation].add(literal.atom.value_tuple())
+            relation: set() for relation in self._replaced}
+        rows = self._solution_rows()
+        for ident in model:
+            entry = rows.get(ident)
+            if entry is not None:
+                replaced[entry[0]].add(entry[1])
         return self.instance.replace_relations(replaced)
 
     # ------------------------------------------------------------------
     # Query programs (Section 3.2)
     # ------------------------------------------------------------------
+    def query_instances(self, query: Query) -> Iterator[tuple[tuple,
+                                                             tuple]]:
+        """The ground instances of the query program, each as its answer
+        tuple and the atom ids of its body.
+
+        The query program is the one rule ``ans_query(x̄) :- body`` over
+        the solution-level predicates, grounded against this
+        specification's table only (the specification is not ground
+        again).  Raises, before any iteration,
+        :class:`~repro.core.errors.SystemError_` for a query that is not
+        conjunctive and :class:`~repro.datalog.errors.SafetyError` for an
+        unsafe one.
+        """
+        query_context = _FinalContext(self) if self.uses_final_layer \
+            else self.context
+        rule = Rule(head=[Atom("ans_query", query.head)],
+                    body=_conjunctive_body(query.formula, query_context))
+        return ((tuple([term.value for term in head]), body)
+                for head, body in ground_rule_over(rule,
+                                                   self.engine.ground.table))
+
     def query_program_answers(self, query: Query,
                               *, skeptical: bool = True) -> set[tuple]:
         """Run a conjunctive query program over the virtual relations.
@@ -367,43 +449,80 @@ class GavSpecification:
         Implements "running the query, expressed as a query program in
         terms of the virtually repaired tables, in combination with
         program Π ... under the skeptical answer set semantics"
-        (Section 3.2).  Supports conjunctive queries (∧/∃/comparisons);
-        richer FO queries should be answered against
-        :meth:`solutions` instead.
+        (Section 3.2): the tuples whose query rule holds in every answer
+        set (in some, when not ``skeptical``), with no Δ-minimality
+        filter.  Supports conjunctive queries (∧/∃/comparisons); richer FO
+        queries should be answered against :meth:`solutions` instead.
         """
-        query_context = _FinalContext(self) if self.uses_final_layer \
-            else self.context
-        body = _conjunctive_body(query.formula, query_context)
-        ans_pred = "ans_query"
-        head = Atom(ans_pred, query.head)
-        program = self.program.extend([Rule(head=[head], body=body)])
-        engine = AnswerSetEngine(program)
-        query_atom = Atom(ans_pred, query.head)
-        if skeptical:
-            return engine.skeptical_answers(query_atom)
-        return engine.brave_answers(query_atom)
+        return _holding_answers(self.query_instances(query),
+                                self.engine.id_models(), skeptical)
+
+
+def _holding_answers(instances: Iterable[tuple[tuple, tuple]],
+                     models: Sequence[frozenset[int]],
+                     skeptical: bool) -> set[tuple]:
+    """The answer tuples of ``(answer, body ids)`` instances with a body
+    inside every model (``skeptical``) or inside some model; none without
+    models."""
+    if not models:
+        return set()
+    # a body inside every model settles its tuple at once; only the
+    # others are kept and checked model by model
+    common = frozenset.intersection(*models)
+    answers: set[tuple] = set()
+    pending: dict[tuple, list[tuple]] = {}
+    for answer, body in instances:
+        if answer in answers:
+            continue
+        if common.issuperset(body):
+            answers.add(answer)
+        else:
+            pending.setdefault(answer, []).append(body)
+    quantifier = all if skeptical else any
+    answers.update(
+        answer for answer, bodies in pending.items()
+        if answer not in answers
+        and quantifier(any(model.issuperset(body) for body in bodies)
+                       for model in models))
+    return answers
 
 
 def _conjunctive_body(formula: Formula,
                       context: TranslationContext) -> list:
     """Translate a conjunctive FO formula into a rule body over the
-    solution-level predicates."""
-    if isinstance(formula, RelAtom):
-        pred = context.solution_pred(formula.relation)
-        return [Literal(Atom(pred, formula.terms))]
-    if isinstance(formula, Cmp):
-        return [formula.comparison]
-    if isinstance(formula, And):
-        body: list = []
-        for part in formula.parts:
-            body.extend(_conjunctive_body(part, context))
-        return body
-    if isinstance(formula, Exists):
-        return _conjunctive_body(formula.sub, context)
-    raise SystemError_(
-        f"query programs support conjunctive queries; "
-        f"{type(formula).__name__} found — evaluate the FO query over the "
-        f"decoded solutions instead")
+    solution-level predicates.
+
+    Variables bound by ``exists`` are renamed apart (``Y`` becomes
+    ``Y#1``), so flattening the conjunction cannot merge two different
+    ``Y``s or capture an answer variable.
+    """
+    fresh = count(1)
+
+    def translate(part: Formula, names: dict) -> list:
+        if isinstance(part, RelAtom):
+            pred = context.solution_pred(part.relation)
+            return [Literal(Atom(pred, tuple(names.get(term, term)
+                                             for term in part.terms)))]
+        if isinstance(part, Cmp):
+            comparison = part.comparison
+            return [Comparison(comparison.op,
+                               names.get(comparison.left, comparison.left),
+                               names.get(comparison.right,
+                                         comparison.right))]
+        if isinstance(part, And):
+            return [item for sub in part.parts
+                    for item in translate(sub, names)]
+        if isinstance(part, Exists):
+            inner = dict(names)
+            for variable in part.variables:
+                inner[variable] = Variable(f"{variable.name}#{next(fresh)}")
+            return translate(part.sub, inner)
+        raise SystemError_(
+            f"query programs support conjunctive queries; "
+            f"{type(part).__name__} found — evaluate the FO query over "
+            f"the decoded solutions instead")
+
+    return translate(formula, {})
 
 
 # ---------------------------------------------------------------------------
@@ -426,55 +545,136 @@ def _stage_specs(system: PeerSystem, peer: str, *,
     return less, same, local, own, stage2_changeable, search
 
 
+class AspSolutions:
+    """The solutions for one peer on the ASP route, kept solved.
+
+    Holds the final-stage :class:`GavSpecification` (stage 2 when the peer
+    has `same` DECs, stage 1 otherwise).  A conjunctive query is answered
+    off its stable models' atom ids: the query rule is grounded against
+    the specification's table (:meth:`GavSpecification.query_instances`) and
+    each ground body is tested against one model per minimal solution.
+    Iterating decodes the solution instances, in canonical order, on
+    first use only.
+
+    Without a specification to answer from — no DECs and no local ICs, or
+    several stage-1 solutions feeding `same` DECs, whose cross-branch
+    dedup needs decoded content — it holds the decoded instances, and
+    queries are evaluated on each, as they are for a query that is not
+    conjunctive or not safe.
+    """
+
+    def __init__(self, system: PeerSystem, peer: str, *,
+                 spec: Optional[GavSpecification] = None,
+                 instances: Optional[list[DatabaseInstance]] = None,
+                 minimal_only: bool = True) -> None:
+        self.system = system
+        self.peer = peer
+        self.spec = spec
+        self._instances = instances
+        self._minimal_only = minimal_only
+
+    @classmethod
+    def for_peer(cls, system: PeerSystem, peer: str, *,
+                 include_local_ics: bool = True,
+                 minimal_only: bool = True) -> "AspSolutions":
+        """Build (and, where stage 2 depends on it, solve) the staged
+        specifications of Definition 4 for ``peer``.
+
+        Stage 1 (`less` DECs, own relations changeable) and stage 2
+        (`same` DECs with the `less` DECs enforced) each run as a Section
+        3.1 program; the composition implements Definition 4 exactly
+        (validated against the model-theoretic
+        :func:`repro.core.solutions.solutions_for_peer`).
+        """
+        less, same, local, own, stage2_changeable, _search = _stage_specs(
+            system, peer, include_local_ics=include_local_ics)
+        global_instance = system.global_instance()
+
+        # the specification program embeds the neighbours' data as facts
+        # — record those data requests on the exchange log (Example 2's
+        # narrative, here for the ASP mechanism)
+        own_set = set(own)
+        foreign = set()
+        for constraint in (*less, *same):
+            foreign |= constraint.relations() - own_set
+        for relation in sorted(foreign):
+            system.fetch_relation(peer, relation,
+                                  purpose="asp specification")
+
+        def result(**kwargs) -> "AspSolutions":
+            return cls(system, peer, minimal_only=minimal_only, **kwargs)
+
+        stage1_base = global_instance
+        if less or local:
+            # local ICs are applied at stage 1 even without `less` DECs so
+            # that footnote-1 systems (locally inconsistent instances) get
+            # repaired on the ASP route too
+            stage1 = GavSpecification(global_instance, less, own,
+                                      local_ics=local)
+            if not same:
+                return result(spec=stage1)
+            if len(stage1.solution_models(minimal_only=minimal_only)) != 1:
+                final: dict[DatabaseInstance, None] = {}
+                for base in stage1.solutions(minimal_only=minimal_only):
+                    stage2 = GavSpecification(base, same, stage2_changeable,
+                                              enforce=less, local_ics=local)
+                    for solution in stage2.solutions(
+                            minimal_only=minimal_only):
+                        final.setdefault(solution)
+                return result(instances=canonical_order(final))
+            stage1_base, = stage1.solutions(minimal_only=minimal_only)
+        elif not same:
+            return result(instances=[global_instance])
+        return result(spec=GavSpecification(
+            stage1_base, same, stage2_changeable, enforce=less,
+            local_ics=local))
+
+    def __iter__(self) -> Iterator[DatabaseInstance]:
+        return iter(self.instances())
+
+    def instances(self) -> list[DatabaseInstance]:
+        """The solution instances, decoded once, in canonical order."""
+        if self._instances is None:
+            assert self.spec is not None
+            self._instances = self.spec.solutions(
+                minimal_only=self._minimal_only)
+        return self._instances
+
+    def certain_answers(self, query: Query) -> PCAResult:
+        """Peer consistent answers (Definition 5)."""
+        return self._answers(query, skeptical=True)
+
+    def possible_answers(self, query: Query) -> PCAResult:
+        """The brave dual: tuples true in *some* solution restriction."""
+        return self._answers(query, skeptical=False)
+
+    def _answers(self, query: Query, skeptical: bool) -> PCAResult:
+        self.system.validate_query_scope(self.peer, query)
+        if self.spec is not None:
+            try:
+                instances = self.spec.query_instances(query)
+            except (SystemError_, SafetyError):
+                pass  # not a conjunctive, safe query: evaluate per instance
+            else:
+                models = self.spec.solution_models(
+                    minimal_only=self._minimal_only)
+                return PCAResult(
+                    _holding_answers(instances, models, skeptical),
+                    len(models))
+        combine = pca_from_solutions if skeptical \
+            else possible_from_solutions
+        return combine(self.system, self.peer, query, self.instances())
+
+
 def asp_solutions_for_peer(system: PeerSystem, peer: str, *,
                            include_local_ics: bool = True,
                            minimal_only: bool = True
                            ) -> list[DatabaseInstance]:
-    """The solutions for ``peer`` computed through the ASP specification.
-
-    Stage 1 (`less` DECs, own relations changeable) and stage 2 (`same`
-    DECs with the `less` DECs enforced) each run as a Section 3.1 program;
-    the composition implements Definition 4 exactly (validated against the
-    model-theoretic :func:`repro.core.solutions.solutions_for_peer`).
-    """
-    less, same, local, own, stage2_changeable, _search = _stage_specs(
-        system, peer, include_local_ics=include_local_ics)
-    global_instance = system.global_instance()
-
-    # the specification program embeds the neighbours' data as facts —
-    # record those data requests on the exchange log (Example 2's
-    # narrative, here for the ASP mechanism)
-    own_set = set(own)
-    foreign = set()
-    for constraint in (*less, *same):
-        foreign |= constraint.relations() - own_set
-    for relation in sorted(foreign):
-        system.fetch_relation(peer, relation, purpose="asp specification")
-
-    if less or local:
-        # local ICs are applied at stage 1 even without `less` DECs so
-        # that footnote-1 systems (locally inconsistent instances) get
-        # repaired on the ASP route too
-        stage1_spec = GavSpecification(global_instance, less, own,
-                                       local_ics=local)
-        stage1_results = stage1_spec.solutions(minimal_only=minimal_only)
-    else:
-        stage1_results = [global_instance]
-
-    # each specification's solutions come distinct and in canonical order,
-    # so only a merge of several stage-2 lists needs ordering again
-    if not same:
-        return stage1_results
-
-    final: dict[DatabaseInstance, None] = {}
-    for stage1 in stage1_results:
-        stage2_spec = GavSpecification(stage1, same, stage2_changeable,
-                                       enforce=less, local_ics=local)
-        for solution in stage2_spec.solutions(minimal_only=minimal_only):
-            final.setdefault(solution)
-    if len(stage1_results) == 1:
-        return list(final)
-    return canonical_order(final)
+    """The solutions for ``peer`` computed through the ASP specification
+    (:meth:`AspSolutions.for_peer`), decoded, in canonical order."""
+    return AspSolutions.for_peer(
+        system, peer, include_local_ics=include_local_ics,
+        minimal_only=minimal_only).instances()
 
 
 def asp_peer_consistent_answers(system: PeerSystem, peer: str,
@@ -482,6 +682,6 @@ def asp_peer_consistent_answers(system: PeerSystem, peer: str,
                                 include_local_ics: bool = True
                                 ) -> PCAResult:
     """Peer consistent answers via the ASP route (Definition 5)."""
-    solutions = asp_solutions_for_peer(
-        system, peer, include_local_ics=include_local_ics)
-    return pca_from_solutions(system, peer, query, solutions)
+    return AspSolutions.for_peer(
+        system, peer, include_local_ics=include_local_ics
+    ).certain_answers(query)

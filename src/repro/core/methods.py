@@ -24,7 +24,7 @@ session handed to every call.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..relational.instance import DatabaseInstance
 from ..relational.query import Query
@@ -34,6 +34,7 @@ from .system import PeerSystem
 from .trust import TrustLevel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .asp_gav import AspSolutions
     from .session import PeerQuerySession
 
 __all__ = [
@@ -76,8 +77,9 @@ class AnswerMethod(ABC):
         return True
 
     def solutions(self, session: "PeerQuerySession", peer: str
-                  ) -> list[DatabaseInstance]:
-        """The solutions for ``peer`` as computed by this mechanism."""
+                  ) -> Iterable[DatabaseInstance]:
+        """The solutions for ``peer`` as computed by this mechanism (any
+        iterable; the session caches it and lists it on request)."""
         raise P2PError(
             f"method {self.name!r} does not enumerate solutions")
 
@@ -189,11 +191,23 @@ class AspMethod(AnswerMethod):
     name = "asp"
 
     def solutions(self, session: "PeerQuerySession", peer: str
-                  ) -> list[DatabaseInstance]:
-        from .asp_gav import asp_solutions_for_peer
-        return asp_solutions_for_peer(
+                  ) -> "AspSolutions":
+        from .asp_gav import AspSolutions
+        return AspSolutions.for_peer(
             session.system, peer,
             include_local_ics=session.include_local_ics)
+
+    def certain_answers(self, session: "PeerQuerySession", peer: str,
+                        query: Query) -> PCAResult:
+        # conjunctive queries are answered off the stable models; nothing
+        # is decoded unless the query needs the instances
+        return session.cached_solutions(
+            peer, method=self.name).certain_answers(query)
+
+    def possible_answers(self, session: "PeerQuerySession", peer: str,
+                         query: Query) -> PCAResult:
+        return session.cached_solutions(
+            peer, method=self.name).possible_answers(query)
 
 
 @register_method

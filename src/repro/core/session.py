@@ -73,7 +73,7 @@ class PeerQuerySession:
         self.system = system
         self.default_method = default_method
         self.include_local_ics = include_local_ics
-        self._solutions: dict[tuple, list[DatabaseInstance]] = {}
+        self._solutions: dict[tuple, Iterable[DatabaseInstance]] = {}
         self._hits = 0
         self._misses = 0
 
@@ -88,8 +88,19 @@ class PeerQuerySession:
         (``auto``) and methods that do not enumerate solutions
         (``rewrite``) are normalised to ASP — the general enumerating
         mechanism — so they share one cache entry instead of crashing or
-        duplicating work.
+        duplicating work.  The list is a copy: caller mutation must not
+        corrupt the cache.
         """
+        return list(self.cached_solutions(peer, method=method))
+
+    def cached_solutions(self, peer: str, *, method: Optional[str] = None
+                         ) -> Iterable[DatabaseInstance]:
+        """The cache entry behind :meth:`solutions`, itself: whatever the
+        method's :meth:`~repro.core.methods.AnswerMethod.solutions`
+        returned.  For ``asp`` that is an
+        :class:`~repro.core.asp_gav.AspSolutions`, which answers
+        conjunctive queries off the stable models and decodes instances
+        only when iterated."""
         name = method or self.default_method
         resolved = get_method(name)
         if not resolved.enumerates_solutions or resolved.is_planner:
@@ -99,11 +110,11 @@ class PeerQuerySession:
         cached = self._solutions.get(key)
         if cached is not None:
             self._hits += 1
-            return list(cached)  # copy: caller mutation must not corrupt
+            return cached
         self._misses += 1
         computed = get_method(name).solutions(self, peer)
         self._solutions[key] = computed
-        return list(computed)
+        return computed
 
     def invalidate(self) -> None:
         """Drop every cached entry (counters survive)."""

@@ -10,10 +10,16 @@ This is the façade the rest of the library uses.  The pipeline is::
       └─ solve:
            facts only -> the one model, read off the rules
            otherwise  -> branch & bound                 [stable.py]
+      └─ models as sets of atom ids                     id_models()
+      └─ rendered and sorted only on request            answer_sets()
 
 Skeptical (cautious) and brave query answering follow the paper's usage:
 peer consistent answers are obtained by running a query program "under the
-skeptical answer set semantics" (Section 3.2).
+skeptical answer set semantics" (Section 3.2).  Callers that answer many
+queries over one program ground just the query rule against the already
+grounded table (:func:`~repro.datalog.grounding.ground_rule_over`) and
+test its ground bodies against :meth:`AnswerSetEngine.id_models`; no
+model is ever rendered as literals on that route.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ class AnswerSetEngine:
         prepared.check_safety()
         self.prepared_program = prepared
         self._ground: Optional[GroundProgram] = None
+        self._id_models: Optional[list[frozenset[int]]] = None
         self._models: Optional[list[frozenset[Literal]]] = None
 
     # ------------------------------------------------------------------
@@ -63,8 +70,20 @@ class AnswerSetEngine:
             self._ground = ground_program(self.prepared_program)
         return self._ground
 
+    def id_models(self) -> list[frozenset[int]]:
+        """All answer sets, as frozensets of ids of :attr:`ground`'s atom
+        table, in the solver's order (memoised).
+
+        The order depends on grounding order, so it is only fit for
+        order-free consumers (intersections, unions, counts).
+        """
+        if self._id_models is None:
+            self._id_models = self._solve_ids(self.ground)
+        return self._id_models
+
     def answer_sets(self) -> list[frozenset[Literal]]:
-        """All answer sets, as frozensets of objective literals.
+        """All answer sets, as frozensets of objective literals: the
+        rendered view of :meth:`id_models`.
 
         Deterministic order, independent of hash seeds: models compare by
         their sorted rendered literals.  Each atom occurring in some model
@@ -74,9 +93,8 @@ class AnswerSetEngine:
         """
         if self._models is not None:
             return self._models
-        ground = self.ground
-        table = ground.table
-        id_models = self._solve_ids(ground)
+        table = self.ground.table
+        id_models = self.id_models()
         if len(id_models) > 1:
             text = {atom: str(table.literal_for(atom))
                     for atom in frozenset().union(*id_models)}

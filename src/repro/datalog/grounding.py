@@ -34,6 +34,11 @@ empty constraint when one of its constraints is violated.
 Choice goals must be unfolded (see :mod:`repro.datalog.choice`) before
 grounding; the grounder refuses programs that still contain them.
 
+After solving, :func:`ground_rule_over` instantiates one more positive
+rule — a query program's ``ans_query`` rule — over the atoms of a ground
+program's table with the same join machinery, so answering a query never
+grounds the program again.
+
 Both fixpoint loops are semi-naive: each round only re-evaluates rule
 bodies in ways that touch at least one atom discovered in the previous
 round.
@@ -62,7 +67,8 @@ from .terms import (
 )
 from .unify import Substitution
 
-__all__ = ["AtomTable", "GroundRule", "GroundProgram", "ground_program"]
+__all__ = ["AtomTable", "GroundRule", "GroundProgram", "ground_program",
+           "ground_rule_over"]
 
 
 class AtomTable:
@@ -368,21 +374,41 @@ class _RuleGrounder:
                 return None
         return extended if extended is not None else dict(subst)
 
-    def _comparisons_hold(self, subst: Substitution) -> bool:
-        for comparison in self.residual_comparisons:
-            left = comparison.left
-            right = comparison.right
-            if isinstance(left, Variable):
-                left = subst.get(left, left)
-            if isinstance(right, Variable):
-                right = subst.get(right, right)
-            grounded = Comparison(comparison.op, left, right)
-            if not grounded.is_ground():
+    def _comparisons_hold(self, subst: dict[Variable, Constant]) -> bool:
+        """Evaluate the residual comparisons under ``subst``.
+
+        An equality with one side still unbound binds that variable in
+        ``subst`` instead (``X = Y`` with ``Y`` bound makes ``X`` safe, as
+        :meth:`~repro.datalog.program.Rule.safe_variables` says), and the
+        comparisons it unblocks are evaluated on the next round.
+        """
+        pending = self.residual_comparisons
+        while pending:
+            deferred = []
+            for comparison in pending:
+                left = _resolve(comparison.left, subst)
+                right = _resolve(comparison.right, subst)
+                left_free = isinstance(left, Variable)
+                right_free = isinstance(right, Variable)
+                if left_free or right_free:
+                    if left_free and right_free or comparison.op != "=":
+                        deferred.append(comparison)
+                    elif left_free:
+                        subst[left] = right
+                    else:
+                        subst[right] = left
+                elif not Comparison(comparison.op, left, right).evaluate():
+                    return False
+            if len(deferred) == len(pending):
                 raise GroundingError(
-                    f"comparison {comparison} not bound in rule {self.rule}")
-            if not grounded.evaluate():
-                return False
+                    f"comparison {deferred[0]} not bound in rule "
+                    f"{self.rule}")
+            pending = deferred
         return True
+
+
+def _resolve(term: Term, subst: Substitution) -> Term:
+    return subst.get(term, term) if isinstance(term, Variable) else term
 
 
 def _instantiate(term_args: tuple[Term, ...],
@@ -572,3 +598,47 @@ def ground_program(program: Program, *,
                                      tuple(sorted(naf_ids)))
             rules.setdefault(ground_rule)
     return GroundProgram(table, list(rules))
+
+
+def ground_rule_over(rule: Rule, table: AtomTable
+                     ) -> Iterator[tuple[tuple[Constant, ...],
+                                         tuple[int, ...]]]:
+    """Instances of one positive rule over an already grounded table.
+
+    The body is matched against the literals interned in ``table`` (every
+    literal true in some answer set of the grounded program is there), so
+    the program the table came from is not ground again.  Returns an
+    iterator over the substitutions satisfying the body's comparisons,
+    each as the instantiated head arguments and the ids of the ground
+    positive body literals.  Raises, before any iteration,
+    :class:`~repro.datalog.errors.SafetyError` for an unsafe rule and
+    :class:`GroundingError` for a rule with NAF or a disjunctive head.
+    """
+    if len(rule.head) != 1 or rule.naf_body():
+        raise GroundingError(
+            f"only positive single-head rules ground over a table: {rule}")
+    rule.check_safety()
+    # each body literal gets one more argument, bound to the id of the
+    # table literal it matches, so no ground literal is looked up again
+    body = rule.positive_body()
+    slots = [Variable(f"#{position}") for position in range(len(body))]
+    tagged = [Literal(Atom(literal.predicate, (*literal.atom.args, slot)),
+                      literal.positive)
+              for literal, slot in zip(body, slots)]
+    grounder = _RuleGrounder(Rule(head=rule.head,
+                                  body=[*tagged, *rule.comparisons()]))
+    rows: dict[str, list[tuple]] = {objective_key(literal): []
+                                    for literal in body}
+    predicates = {literal.predicate for literal in body}
+    for ident, literal in enumerate(table.literals()):
+        atom = literal.atom
+        if atom.predicate in predicates:
+            found = rows.get(objective_key(literal))
+            if found is not None:
+                found.append((*atom.args, ident))
+    possible = _PossibleSet()
+    for key, found in rows.items():
+        possible.relations[key] = TupleIndex(found)
+    head = rule.head[0].atom.args
+    return ((_instantiate(head, subst), tuple([subst[slot] for slot in slots]))
+            for subst in grounder.substitutions(possible))

@@ -69,7 +69,7 @@ class Constant(Term):
     deterministically.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_hash")
 
     def __init__(self, value: object) -> None:
         if isinstance(value, Constant):  # tolerate accidental re-wrapping
@@ -78,6 +78,7 @@ class Constant(Term):
             raise TypeError(
                 f"constants must be str or int, got {type(value).__name__}")
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_hash", hash(("const", value)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Constant is immutable")
@@ -89,7 +90,7 @@ class Constant(Term):
         return isinstance(other, Constant) and self.value == other.value
 
     def __hash__(self) -> int:
-        return hash(("const", self.value))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Constant({self.value!r})"
@@ -107,12 +108,13 @@ class Constant(Term):
 class Variable(Term):
     """A logical variable.  Named with a leading uppercase letter or ``_``."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
 
     def __init__(self, name: str) -> None:
         if not name:
             raise ValueError("variable name must be non-empty")
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash(("var", name)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Variable is immutable")
@@ -124,7 +126,7 @@ class Variable(Term):
         return isinstance(other, Variable) and self.name == other.name
 
     def __hash__(self) -> int:
-        return hash(("var", self.name))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"

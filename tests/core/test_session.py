@@ -154,6 +154,71 @@ class TestCaching:
         assert again.answers == first.answers
 
 
+class TestAspAnswerRoute:
+    """The `asp` cache entry answers conjunctive queries off the stable
+    models' atom ids and decodes instances only when they are asked
+    for."""
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_answer_decodes_no_instance(self, monkeypatch):
+        from bench.workloads import seeded_conflict_system
+        from repro.core import asp_common
+        from repro.relational import DatabaseInstance
+        decoded = self.count_calls(monkeypatch, asp_common, "decode_model")
+        replaced = self.count_calls(monkeypatch, DatabaseInstance,
+                                    "replace_relations")
+        session = PeerQuerySession(seeded_conflict_system(0, 3, 4))
+        certain = session.answer("P1", "q(X, Y) := R1(X, Y)", method="asp")
+        possible = session.answer("P1", "q(X) := exists Y R1(X, Y)",
+                                  method="asp", semantics="possible")
+        assert len(certain.answers) == 4 and certain.solution_count == 8
+        assert len(possible.answers) == 7
+        assert decoded == [] and replaced == []
+
+    def test_second_query_neither_misses_nor_regrounds(self, monkeypatch):
+        from bench.workloads import seeded_conflict_system
+        from repro.datalog import engine
+        grounded = self.count_calls(monkeypatch, engine, "ground_program")
+        session = PeerQuerySession(seeded_conflict_system(1, 3, 4))
+        first = session.answer("P1", "q(X, Y) := R1(X, Y)", method="asp")
+        second = session.answer("P1", "q(Y, X) := R1(X, Y)", method="asp")
+        third = session.answer("P1", "q(X) := exists Y R1(X, Y)",
+                               method="asp", semantics="possible")
+        assert not first.from_cache
+        assert second.from_cache and third.from_cache
+        assert len(grounded) == 1
+        info = session.cache_info()
+        assert (info.hits, info.misses, info.entries) == (2, 1, 1)
+
+    def test_solutions_decoded_once_in_canonical_order(self):
+        from bench.workloads import seeded_conflict_system
+        from repro.core import solutions_for_peer
+        system = seeded_conflict_system(2, 3, 4)
+        session = PeerQuerySession(system, default_method="asp")
+        session.answer("P1", "q(X, Y) := R1(X, Y)")
+        listed = session.solutions("P1")
+        assert listed == solutions_for_peer(system, "P1")
+        assert len(listed) == 8
+        listed.clear()
+        again = session.solutions("P1")
+        assert again == solutions_for_peer(system, "P1")
+        entry = session.cached_solutions("P1", method="asp")
+        assert entry.instances() is entry.instances()  # decoded once
+        result = session.answer("P1", "q(X, Y) := R1(X, Y)")
+        assert result.from_cache and result.solution_count == 8
+
+
 class TestAnswerMany:
     def test_batch_results_in_order(self):
         session = PeerQuerySession(example1_system(),

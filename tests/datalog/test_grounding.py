@@ -9,6 +9,7 @@ from repro.datalog import (
     ground_program,
     parse_program,
 )
+from repro.datalog.grounding import ground_rule_over
 from repro.datalog.parser import parse_rule
 from repro.datalog.terms import Atom, Literal
 
@@ -70,6 +71,39 @@ class TestBasicGrounding:
     def test_equality_seed_binding(self):
         ground = ground_program(parse_program("q(X) :- X = a."))
         assert "q(a)." in _rendered_rules(ground)
+
+    def test_equality_to_a_bound_variable_binds(self):
+        """``Y = X`` makes ``Y`` safe (Rule.safe_variables); the grounder
+        binds it instead of raising on an unbound comparison."""
+        ground = ground_program(parse_program("""
+            q(X, Z) :- p(X), Y = X, Z = Y, Z != b.
+            p(a). p(b).
+        """))
+        lines = _rendered_rules(ground)
+        assert "q(a, a)." in lines
+        assert not any(line.startswith("q(b") for line in lines)
+
+
+class TestGroundRuleOver:
+    def test_instances_over_the_table_only(self):
+        ground = ground_program(parse_program("""
+            e(a, b). e(b, c). f(X) v g(X) :- e(X, Y).
+        """))
+        rule = parse_rule("ans(X, Z) :- e(X, Y), f(Y), Z = Y.")
+        table = ground.table
+        found = {tuple(term.value for term in head):
+                 {str(table.literal_for(ident)) for ident in body}
+                 for head, body in ground_rule_over(rule, table)}
+        # f(c) is not in the table: nothing can derive it
+        assert found == {("a", "b"): {"e(a, b)", "f(b)"}}
+
+    def test_rejects_naf_and_unsafe_rules(self):
+        table = ground_program(parse_program("p(a).")).table
+        with pytest.raises(GroundingError):
+            list(ground_rule_over(parse_rule("q(X) :- p(X), not r(X)."),
+                                  table))
+        with pytest.raises(SafetyError):
+            list(ground_rule_over(parse_rule("q(X, Y) :- p(X)."), table))
 
 
 class TestNafSimplification:
