@@ -235,8 +235,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.json:
         print(json_.dumps(status, indent=2, sort_keys=True))
         return 0
-    print(f"unit {status.get('unit', '?')} (peer "
-          f"{status.get('peer', '?')}) at "
+    print(f"peer {status.get('peer', '?')} at "
           f"{status.get('address', args.address)}:")
     metrics = status.get("metrics", {})
     counters = metrics.get("counters", {})
@@ -278,10 +277,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .core import load_system
     from .wire import PeerServer
     system = load_system(args.system)
-    shard_map = None
-    if args.shard_map:
-        from .shard import ShardMap
-        shard_map = ShardMap.from_json(args.shard_map)
     server = PeerServer(
         system, args.peer, host=args.host, port=args.port,
         addresses=_parse_peer_addresses(args.peers),
@@ -291,14 +286,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         snapshot_every=args.snapshot_every,
         workers=args.workers, pending_limit=args.pending_limit,
         idle_timeout=args.idle_timeout,
-        shard_map=shard_map, shard_index=args.shard,
-        replica_index=args.replica,
         routing=args.routing, tracing=args.tracing)
     # SIGTERM (the supervisor's stop signal) must run the same cleanup
     # as Ctrl-C: a durable node flushes its caches only on a clean
     # shutdown, which is what makes the next start a warm restart
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
-    print(f"READY {server.unit} {server.address}", flush=True)
+    print(f"READY {server.peer} {server.address}", flush=True)
     try:
         server.serve_forever()
     except (KeyboardInterrupt, SystemExit):
@@ -474,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="scrape a running peer server's live metrics over the "
              "wire (GetStatus)")
     metrics.add_argument("address", metavar="ADDR",
-                         help="the unit's host:port (any unit can be "
-                              "probed by address alone)")
+                         help="the server's host:port (any server can "
+                              "be probed by address alone)")
     metrics.add_argument("--timeout", type=float, default=5.0,
                          metavar="S", help="probe timeout in seconds")
     metrics.add_argument("--json", action="store_true",
@@ -523,14 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="S",
                        help="reclaim a connection with no traffic and "
                             "nothing in flight for this many seconds")
-    serve.add_argument("--shard-map", default="", metavar="JSON",
-                       help="serialized ShardMap; this process hosts "
-                            "one shard slice and routes through the "
-                            "sharded topology in --peers")
-    serve.add_argument("--shard", type=int, default=0, metavar="S",
-                       help="which shard of PEER this process hosts")
-    serve.add_argument("--replica", type=int, default=0, metavar="R",
-                       help="which replica of the shard this is")
     serve.add_argument("--routing", default=False,
                        action=argparse.BooleanOptionalAction,
                        help="maintain a routing index on this node and "

@@ -454,9 +454,9 @@ class PeerNode:
                         payload={"irrelevant": True,
                                  "stats": payload["stats"]},
                         aggregate_token=aggregate_token)
-            version = self._subsystem_version()
-            if version and message.digest_version != version:
-                digests = self._subsystem_digests()
+            version = self.store.version()
+            if message.digest_version != version:
+                digests = self._own_digests()
                 if digests is not None and digests.version != version:
                     digests = None  # raced a concurrent sync
             token = subsystem_fingerprint(payload)
@@ -684,8 +684,7 @@ class PeerNode:
         traffic (merged away below), accepted to keep branches fully
         concurrent with no cross-branch coordination; stacked diamonds
         amplify it, so very dense graphs should prefer a wider
-        ``hop_budget``-bounded topology or a routing layer (see the
-        ROADMAP's sharding note).
+        ``hop_budget``-bounded topology or a routing layer.
 
         With :attr:`routing` enabled, the gather consults the learned
         :class:`~repro.routing.index.RoutingIndex` to elide provably
@@ -736,7 +735,7 @@ class PeerNode:
         if not pending:
             if index is not None:
                 payload["aggregate"] = build_subtree(
-                    self.name, self._aggregate_own_digests(), (),
+                    self.name, self._own_digests(), (),
                     safe_root=self._prune_safe_own(),
                     version=version_at_start)
             return payload
@@ -1013,7 +1012,7 @@ class PeerNode:
                     child_aggs[neighbour] = singleton
                     index.observe_aggregate(neighbour, singleton)
             payload["aggregate"] = build_subtree(
-                self.name, self._aggregate_own_digests(),
+                self.name, self._own_digests(),
                 [child_aggs.get(neighbour) for neighbour in pending],
                 safe_root=self._prune_safe_own(),
                 version=version_at_start)
@@ -1112,45 +1111,6 @@ class PeerNode:
             return digests
         return None
 
-    def _subsystem_digests(self) -> Optional[NeighbourDigests]:
-        """Digests to piggyback on subsystem replies.  The sharded node
-        overrides this to ``None``: its store holds only a slice, and a
-        slice digest (e.g. ``row_count == 0`` with rows on sibling
-        shards) would misdescribe the logical peer — slice digests
-        travel on fetch replies instead, composed by the
-        :class:`~repro.shard.router.ShardRouter`."""
-        return self._own_digests()
-
-    def _subsystem_version(self) -> str:
-        """The store version stamped on subsystem replies (the token
-        requesters confirm fetch elisions against).  The sharded node
-        overrides this to ``""`` — its slice version never describes
-        the logical peer, so requesters must always fetch."""
-        return self.store.version()
-
-    def _aggregate_own_digests(self) -> Optional[NeighbourDigests]:
-        """The per-relation digests subtree aggregates union for this
-        node's own data.  A plain node's store holds the whole peer, so
-        its own digests serve directly; the sharded node overrides this
-        with the router-composed *logical* bundle captured during its
-        last self-merge — or ``None``, which degrades the whole subtree
-        (no aggregate rather than a slice digest misdescribing the
-        peer)."""
-        return self._own_digests()
-
-    def _complete_own_instance(self) -> tuple[DatabaseInstance,
-                                              ExchangeStats]:
-        """The node's own contribution to its view, plus its cost.
-
-        A plain node holds its entire peer's data locally, so the view
-        uses the store's instance for free.  The sharded node
-        (:class:`~repro.shard.node.ShardedPeerNode`) overrides this to
-        reassemble the *logical* instance from every sibling shard
-        before answering — answer sets are not unions across data
-        partitions, so the view must see the whole peer.
-        """
-        return self.instance, ExchangeStats()
-
     # ------------------------------------------------------------------
     # The local view and the answering surface
     # ------------------------------------------------------------------
@@ -1183,9 +1143,7 @@ class PeerNode:
                 else:
                     payload = self._gather(hop_budget, (), key)
                 payload.pop("aggregate", None)
-                own_instance, own_cost = self._complete_own_instance()
-                payload["instances"][self.name] = own_instance
-                payload["stats"] = payload["stats"] + own_cost
+                payload["instances"][self.name] = self.instance
                 peers = payload["peers"]
                 # branches that race to the same peer through a diamond
                 # may relay its DECs twice; the merge dedups by content

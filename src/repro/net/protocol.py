@@ -252,7 +252,7 @@ class GetStatus(Message):
     Served by :class:`~repro.wire.server.PeerServer` directly (metrics
     are properties of the serving process — its event loop, transport
     pools, and routing caches — not of the peer's data), replying with
-    an :class:`Answer` whose payload is ``{"status": {...}}``: the unit
+    an :class:`Answer` whose payload is ``{"status": {...}}``: the peer
     name and a merged :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`.
     In-process transports route it to :meth:`PeerNode.handle`, which
     answers ``unsupported-message`` — status is a wire-runtime concept.

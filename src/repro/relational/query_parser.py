@@ -172,17 +172,20 @@ class _Parser:
                                 or inner.text[0] == "_") \
                         or inner.text in _KEYWORDS:
                     break
-                # After the first variable, an IDENT followed by '(' is a
-                # relation atom opening the quantifier body (e.g.
-                # `exists Z2 R2(X, Z2)`), not another quantified variable.
-                # The first IDENT is always a variable, so
-                # `forall Z1 (...)` still works.
+                # After the first variable, an IDENT *directly* followed
+                # by '(' is a relation atom opening the quantifier body
+                # (e.g. `exists Z2 R2(X, Z2)`), not another quantified
+                # variable; `exists Y Z (...)` quantifies Z.  The first
+                # IDENT is always a variable, so `forall Z1 (...)` still
+                # works.
                 if variables:
                     following = (self._tokens[self._index + 1]
                                  if self._index + 1 < len(self._tokens)
                                  else None)
                     if following is not None \
-                            and following.kind == "LPAREN":
+                            and following.kind == "LPAREN" \
+                            and following.position == (
+                                inner.position + len(inner.text)):
                         break
                 variables.append(Variable(self._next().text))
             if not variables:

@@ -42,7 +42,6 @@ from .digest import (
     RelationDigest,
     adaptive_nbits,
     digest_bytes,
-    merge_neighbour_digests,
 )
 from .index import RoutingIndex, subsystem_fingerprint
 from .stats import TrafficStats
@@ -58,7 +57,6 @@ __all__ = [
     "aggregate_bytes",
     "build_subtree",
     "digest_bytes",
-    "merge_neighbour_digests",
     "subtree_token",
     "RoutingIndex",
     "subsystem_fingerprint",

@@ -33,8 +33,7 @@ answer tuple-identical.  Anything richer — EGDs, typed TGCs, ``same``
 trust, local ICs — flips ``safe`` off for every ancestor aggregate, and
 the gather degrades to PR 8 behaviour (which degrades to flooding).
 Missing, stale, or width-incompatible pieces degrade the same way: the
-builders return ``None`` rather than guess (all-or-nothing, as the
-shard router composes flat digests).
+builders return ``None`` rather than guess (all-or-nothing).
 """
 
 from __future__ import annotations
@@ -145,8 +144,8 @@ def build_subtree(root: str, own: Optional[NeighbourDigests],
                   version: str) -> Optional[SubtreeDigest]:
     """Union a node's own digests with its children's aggregates.
 
-    All-or-nothing: if the node's own digests are unavailable (sharded
-    slice without a composed logical bundle, store race) or *any* child
+    All-or-nothing: if the node's own digests are unavailable (a store
+    race kept the consistent read failing) or *any* child
     aggregate is missing, the whole subtree has no aggregate — a partial
     union could prove a false absence, which the no-false-negatives
     contract forbids.  ``version`` is stamped only when every child

@@ -43,7 +43,6 @@ __all__ = [
     "NeighbourDigests",
     "adaptive_nbits",
     "digest_bytes",
-    "merge_neighbour_digests",
 ]
 
 #: minimum bit-array width; 128 bits keeps a digest smaller than two
@@ -158,10 +157,9 @@ class RelationDigest:
             k=self.k)
 
     def merge(self, other: "RelationDigest") -> "RelationDigest":
-        """Union of two disjoint slices of the same relation (the shard
-        router and subtree aggregation compose digests this way): bits
-        OR together, row counts add exactly, fingerprints compose
-        positionally.
+        """Union of two disjoint slices of the same relation (subtree
+        aggregation composes digests this way): bits OR together, row
+        counts add exactly, fingerprints compose positionally.
 
         Widths may differ — adaptive sizing makes that the common case —
         as long as one divides the other by a power of two: the wider
@@ -209,9 +207,8 @@ class NeighbourDigests:
     """Every relation digest of one peer, under one store version.
 
     ``version`` is the provider's
-    :meth:`~repro.storage.base.FactStore.version` at digest time (or a
-    composed ``shards(...)`` token when the shard router merged slice
-    digests).  Consumers must confirm the provider is still *at* this
+    :meth:`~repro.storage.base.FactStore.version` at digest time.
+    Consumers must confirm the provider is still *at* this
     version in the same gather before acting on any digest — a stale
     digest is only ever a reason to contact, never to skip.
     """
@@ -245,28 +242,6 @@ class NeighbourDigests:
         return cls(peer=data["peer"], version=data["version"],
                    relations=tuple(RelationDigest.from_dict(entry)
                                    for entry in data["relations"]))
-
-
-def merge_neighbour_digests(peer: str, version: str,
-                            parts: Iterable[NeighbourDigests]
-                            ) -> NeighbourDigests:
-    """Compose per-shard digest bundles into one logical-peer bundle.
-
-    Each shard digests its disjoint slice of the same schema; merging
-    ORs the bits and sums the row counts per relation, stamped with the
-    composed ``shards(...)`` version token the caller derived from the
-    slice replies.  Relations appearing in only some slices are kept
-    as-is (an absent slice relation holds no rows).
-    """
-    merged: dict[str, RelationDigest] = {}
-    for part in parts:
-        for digest in part.relations:
-            held = merged.get(digest.relation)
-            merged[digest.relation] = (digest if held is None
-                                       else held.merge(digest))
-    return NeighbourDigests(
-        peer=peer, version=version,
-        relations=tuple(merged[name] for name in sorted(merged)))
 
 
 def digest_bytes(digests: Optional[NeighbourDigests]) -> int:

@@ -111,12 +111,9 @@ class ClusterSupervisor:
                  workers: int = 8,
                  pending_limit: int = 64,
                  idle_timeout: float = 60.0,
-                 shard_map=None, replicas: int = 1,
                  routing: bool = False,
                  tracing: bool = False) -> None:
         self.host = host
-        self.shard_map = shard_map
-        self.replicas = replicas
         self.routing = routing
         self.tracing = tracing
         self.data_dir = Path(data_dir) if data_dir is not None else None
@@ -148,41 +145,28 @@ class ClusterSupervisor:
             self.system_path = Path(system)
             self.peers = tuple(sorted(
                 load_system(str(self.system_path)).peers))
-        from ..shard.shardmap import cluster_units
-        #: the physical process names — replica names (``P#s@r``) for
-        #: covered peers, plain peer names otherwise
-        self.units = cluster_units(shard_map, self.peers, replicas)
         self.processes: dict[str, subprocess.Popen] = {}
         self._addresses: dict[str, str] = {}
         self._commands: dict[str, list[str]] = {}
 
     # ------------------------------------------------------------------
     def start(self) -> dict[str, str]:
-        """Spawn every server process; return ``{unit: "host:port"}``.
+        """Spawn every server process; return ``{peer: "host:port"}``.
 
-        One process per *unit*: plain peers get one, sharded peers get
-        ``shards × replicas`` (the unit names — ``P#s@r`` — are the
-        address keys, which is exactly the layout a
-        :class:`~repro.shard.router.ShardRouter` consumes).  Blocks
-        until all servers print ``READY``; on any startup failure the
-        whole cluster is torn down and a typed :class:`ClusterError`
-        names the unit that never came up.
+        Blocks until all servers print ``READY``; on any startup failure
+        the whole cluster is torn down and a typed :class:`ClusterError`
+        names the peer that never came up.
         """
         if self.processes:
             raise ClusterError("cluster already started")
-        from ..shard.shardmap import parse_replica_name
-        addresses = {unit: f"{self.host}:{free_port(self.host)}"
-                     for unit in self.units}
-        peers_spec = ",".join(f"{unit}={address}"
-                              for unit, address in addresses.items())
-        shard_json = (self.shard_map.to_json()
-                      if self.shard_map is not None else None)
+        addresses = {peer: f"{self.host}:{free_port(self.host)}"
+                     for peer in self.peers}
+        peers_spec = ",".join(f"{peer}={address}"
+                              for peer, address in addresses.items())
         watchers = []
         try:
-            for unit in self.units:
-                parsed = parse_replica_name(unit)
-                peer = parsed[0] if parsed else unit
-                port = addresses[unit].rpartition(":")[2]
+            for peer in self.peers:
+                port = addresses[peer].rpartition(":")[2]
                 command = [self.python, "-m", "repro", "serve",
                            str(self.system_path), peer,
                            "--host", self.host, "--port", port,
@@ -197,19 +181,14 @@ class ClusterSupervisor:
                     command += ["--routing"]
                 if self.tracing:
                     command += ["--tracing"]
-                if shard_json is not None:
-                    command += ["--shard-map", shard_json]
-                    if parsed is not None:
-                        command += ["--shard", str(parsed[1]),
-                                    "--replica", str(parsed[2])]
                 if self.hop_budget is not None:
                     command += ["--hops", str(self.hop_budget)]
                 if self.timeout is not None:
                     command += ["--timeout", str(self.timeout)]
                 if self.data_dir is not None:
                     command += ["--data-dir", str(self.data_dir)]
-                self._commands[unit] = command
-                watchers.append(self._spawn(unit))
+                self._commands[peer] = command
+                watchers.append(self._spawn(peer))
             deadline = time.monotonic() + self.startup_timeout
             for watcher in watchers:
                 remaining = deadline - time.monotonic()
@@ -230,13 +209,13 @@ class ClusterSupervisor:
         self._addresses = addresses
         return dict(addresses)
 
-    def _spawn(self, unit: str) -> _ReadyWatcher:
-        """Launch (or relaunch) one unit's stored command."""
+    def _spawn(self, peer: str) -> _ReadyWatcher:
+        """Launch (or relaunch) one peer's stored command."""
         process = subprocess.Popen(
-            self._commands[unit], env=self._spawn_env(),
+            self._commands[peer], env=self._spawn_env(),
             stdout=subprocess.PIPE, text=True)
-        self.processes[unit] = process
-        return _ReadyWatcher(unit, process)
+        self.processes[peer] = process
+        return _ReadyWatcher(peer, process)
 
     @staticmethod
     def _spawn_env() -> dict[str, str]:
@@ -252,83 +231,75 @@ class ClusterSupervisor:
         return dict(self._addresses)
 
     def metrics(self, *, timeout: float = 5.0) -> dict:
-        """Ask every live unit what it is doing (``GetStatus`` scrape).
+        """Ask every live server what it is doing (``GetStatus`` scrape).
 
-        Returns ``{"units": {unit: status-or-error},
+        Returns ``{"units": {peer: status-or-error},
         "cluster": merged}`` where ``merged`` folds every reachable
-        unit's registries together (counters/gauges add, histograms
+        server's registries together (counters/gauges add, histograms
         merge bucket-wise, percentile summaries recomputed) — the
         cluster-wide view of queue depths, sheds, retries, and
-        latencies.  Unreachable units degrade to an ``{"error": ...}``
+        latencies.  Unreachable servers degrade to an ``{"error": ...}``
         entry instead of failing the scrape.
         """
         statuses: dict[str, dict] = {}
-        for unit, address in self.addresses().items():
+        for peer, address in self.addresses().items():
             try:
-                statuses[unit] = fetch_status(address, timeout=timeout)
+                statuses[peer] = fetch_status(address, timeout=timeout)
             except NetworkError as exc:
-                statuses[unit] = {"unit": unit, "error": str(exc)}
+                statuses[peer] = {"unit": peer, "error": str(exc)}
         merged = merge_snapshots(
             status.get("metrics", {}) for status in statuses.values()
             if "error" not in status)
         return {"units": statuses, "cluster": merged}
 
-    def shard_units(self, peer: str) -> tuple[str, ...]:
-        """The unit names serving ``peer`` (itself, when unsharded)."""
-        from ..shard.shardmap import parse_replica_name
-        return tuple(
-            unit for unit in self.units
-            if unit == peer
-            or (parsed := parse_replica_name(unit)) is not None
-            and parsed[0] == peer)
-
     # ------------------------------------------------------------------
-    def alive(self, unit: str) -> bool:
-        process = self._process(unit)
+    def alive(self, peer: str) -> bool:
+        process = self._process(peer)
         return process.poll() is None
 
-    def kill(self, unit: str) -> None:
+    def kill(self, peer: str) -> None:
         """Crash one server process hard (SIGKILL): no flush, no
         goodbye — the fault-drill primitive."""
-        process = self._process(unit)
+        process = self._process(peer)
         process.kill()
         process.wait(timeout=10)
         self._close_stdout(process)
 
-    def restart(self, unit: str) -> str:
-        """Re-spawn a dead unit on its old address and data directory.
+    def restart(self, peer: str) -> str:
+        """Re-spawn a dead peer server on its old address and data
+        directory.
 
         The recovery half of the fault drill: the relaunched process
         re-binds the same port (the server's bounded ``EADDRINUSE``
         retry rides out the old socket's lingering state), resumes any
-        durable store under the same ``data_dir/<unit>/``, and the rest
+        durable store under the same ``data_dir/<peer>/``, and the rest
         of the cluster needs no reconfiguration — its address for the
-        unit never changed.  Refuses (typed) while the process is still
+        peer never changed.  Refuses (typed) while the process is still
         running: ``kill()`` first.
         """
-        process = self._process(unit)
+        process = self._process(peer)
         if process.poll() is None:
             raise ClusterError(
-                f"unit {unit!r} is still running; kill() it before "
+                f"peer {peer!r} is still running; kill() it before "
                 f"restart()")
         self._close_stdout(process)
-        watcher = self._spawn(unit)
+        watcher = self._spawn(peer)
         if not watcher.ready.wait(self.startup_timeout):
             raise ClusterError(
-                f"restarted server {unit!r} did not report READY "
+                f"restarted server {peer!r} did not report READY "
                 f"within {self.startup_timeout}s (exit code "
                 f"{watcher.process.poll()})")
         if watcher.address is None:
             raise ClusterError(
-                f"restarted server {unit!r} exited before reporting "
+                f"restarted server {peer!r} exited before reporting "
                 f"READY (exit code {watcher.process.wait()})")
-        return self._addresses[unit]
+        return self._addresses[peer]
 
-    def _process(self, unit: str) -> subprocess.Popen:
+    def _process(self, peer: str) -> subprocess.Popen:
         try:
-            return self.processes[unit]
+            return self.processes[peer]
         except KeyError:
-            raise ClusterError(f"no server process for unit {unit!r}"
+            raise ClusterError(f"no server process for peer {peer!r}"
                                ) from None
 
     def stop(self, grace: float = 10.0) -> None:
@@ -382,8 +353,8 @@ def fetch_status(address: str, *, timeout: float = 5.0) -> dict:
     """Scrape one running peer server's live status over the wire.
 
     Dials ``address`` directly (no identity expectation — the empty
-    expected name skips the handshake unit check, so any unit can be
-    probed by address alone), sends a
+    expected name skips the handshake identity check, so any server can
+    be probed by address alone), sends a
     :class:`~repro.net.protocol.GetStatus`, and returns the decoded
     status payload: unit/peer identity plus the merged metrics
     snapshot of every registry in that process.
@@ -404,7 +375,7 @@ def fetch_status(address: str, *, timeout: float = 5.0) -> dict:
         return dict(reply.payload["status"])
     detail = getattr(reply, "detail", type(reply).__name__)
     raise NetworkError(
-        f"unit at {address} did not answer the status probe: {detail}")
+        f"server at {address} did not answer the status probe: {detail}")
 
 
 def open_wire_session(system: Union[PeerSystem, str, Path], *,

@@ -47,9 +47,8 @@ A connection serves any number of interleaved requests; malformed
 frames are answered with a typed
 :class:`~repro.net.protocol.Failure` and the connection is closed, so
 a desynced stream can never smear into later replies.  The handshake
-advertises this process's **physical unit name** (``P#0@1`` for a
-shard replica) — two replicas of one peer are distinguishable on the
-wire, and clients verify they reached the unit they dialed.
+advertises this process's peer name, and clients verify they reached
+the peer they dialed.
 """
 
 from __future__ import annotations
@@ -92,7 +91,6 @@ def build_peer_node(system: PeerSystem, peer: str, *,
                     include_local_ics: bool = True,
                     data_dir: Optional[Union[str, Path]] = None,
                     snapshot_every: int = 64,
-                    shard_map=None, shard_index: int = 0,
                     routing: bool = False,
                     tracing: bool = False) -> PeerNode:
     """One peer's node, seeded with only its local slice of ``system``.
@@ -104,21 +102,7 @@ def build_peer_node(system: PeerSystem, peer: str, *,
     precisely what lets neighbours re-sync by delta instead of
     re-fetching full relations after a restart — and every node of the
     cluster stamps the same content-derived system version.
-
-    With a ``shard_map`` the node holds only shard ``shard_index`` of
-    its peer (see :func:`repro.shard.node.build_shard_node`, which this
-    delegates to).
     """
-    if shard_map is not None:
-        # lazy: repro.shard imports from repro.net only, but keeping
-        # the import out of module scope keeps wire↔shard cycle-free
-        from ..shard.node import build_shard_node
-        return build_shard_node(
-            system, peer, shard_map=shard_map, shard_index=shard_index,
-            default_method=default_method,
-            include_local_ics=include_local_ics,
-            data_dir=data_dir, snapshot_every=snapshot_every,
-            routing=routing, tracing=tracing)
     if peer not in system.peers:
         raise NetworkError(
             f"system has no peer {peer!r}; it has "
@@ -182,8 +166,6 @@ class PeerServer:
                  workers: int = 8,
                  pending_limit: int = 64,
                  idle_timeout: float = 60.0,
-                 shard_map=None, shard_index: int = 0,
-                 replica_index: int = 0,
                  bind_retries: int = 3,
                  routing: bool = False,
                  tracing: bool = False) -> None:
@@ -193,46 +175,22 @@ class PeerServer:
         if idle_timeout <= 0:
             raise NetworkError("idle_timeout must be > 0 seconds")
         self.peer = peer
-        if shard_map is not None and shard_map.covers(peer):
-            from ..shard.shardmap import replica_name
-            #: this process's physical name — what the supervisor
-            #: addresses, kills, and restarts, and what the wire
-            #: handshake advertises
-            self.unit = replica_name(peer, shard_index, replica_index)
-        else:
-            self.unit = peer
         self.node = build_peer_node(
             system, peer,
             default_method=default_method,
             include_local_ics=include_local_ics,
-            # the cluster-level directory, scoped per *unit* (two
-            # replicas of one peer must never share a store) exactly
-            # like PeerNetwork.from_system(data_dir=...) scopes nodes
-            data_dir=(Path(data_dir) / self.unit
+            # the cluster-level directory, scoped per peer exactly like
+            # PeerNetwork.from_system(data_dir=...) scopes nodes
+            data_dir=(Path(data_dir) / peer
                       if data_dir is not None else None),
             snapshot_every=snapshot_every,
-            shard_map=shard_map, shard_index=shard_index,
             routing=routing, tracing=tracing)
         remote = {name: value
                   for name, value in (addresses or {}).items()
-                  if name != self.unit}
-        inner = SocketTransport(
-            remote, local_name=self.unit, timeout=request_timeout,
+                  if name != peer}
+        self.transport = SocketTransport(
+            remote, local_name=peer, timeout=request_timeout,
             connect_timeout=connect_timeout)
-        if shard_map is not None:
-            # outbound requests must see the same logical surface a
-            # client does: fetches fan across shards, queries pick a
-            # replica, sibling-shard self-merge included — the local
-            # slice rides the inner transport's handler fallback (our
-            # own unit has no address entry)
-            from ..shard.router import ShardRouter
-            from ..shard.shardmap import replica_layout
-            layout = replica_layout(shard_map, dict.fromkeys(
-                [*((addresses or {}).keys()), self.unit]))
-            self.transport = ShardRouter(
-                shard_map, layout, inner, local_name=self.unit)
-        else:
-            self.transport = inner
         # a single-node network: the node cannot see the global
         # diameter, so the hop budget must cover the *whole* system
         self.network = PeerNetwork(
@@ -258,7 +216,7 @@ class PeerServer:
             tuple[_ServedConnection, bytes]] = collections.deque()
         self._executor = ThreadPoolExecutor(
             max_workers=workers,
-            thread_name_prefix=f"peer-worker-{self.unit}")
+            thread_name_prefix=f"peer-worker-{self.peer}")
         # the loop sleeps in select(); workers wake it through a
         # socketpair so a finished reply is flushed immediately
         self._waker_r, self._waker_w = socket.socketpair()
@@ -316,7 +274,7 @@ class PeerServer:
                                f"started")
         self._accept_thread = threading.Thread(
             target=self.serve_forever,
-            name=f"peer-server-{self.unit}", daemon=True)
+            name=f"peer-server-{self.peer}", daemon=True)
         self._accept_thread.start()
         return self
 
@@ -441,11 +399,9 @@ class PeerServer:
         if not connection.handshaken:
             # reply with our hello before judging theirs, so a client
             # from another protocol release sees *our* version in its
-            # own handshake check rather than a silent hangup; the
-            # hello names the *unit* (``P#0@1``), so two replicas of
-            # one peer are distinguishable on the wire
+            # own handshake check rather than a silent hangup
             self._enqueue(selector, connection,
-                          encode_frame(hello_frame(self.unit)))
+                          encode_frame(hello_frame(self.peer)))
             try:
                 check_hello(frame)
             except WireProtocolError as exc:
@@ -477,7 +433,7 @@ class PeerServer:
             # cheaper for everyone than an unbounded queue
             self._enqueue(selector, connection, encode_frame(
                 message_to_dict(Failure(
-                    sender=self.unit, target=message.sender,
+                    sender=self.peer, target=message.sender,
                     in_reply_to=message.correlation_id,
                     code="overloaded",
                     detail=(f"server has {backlog} request(s) pending "
@@ -507,7 +463,7 @@ class PeerServer:
                     # (sockets, pools, queue), so the server answers
                     # directly instead of the node
                     reply: Message = Answer(
-                        sender=self.unit, target=message.sender,
+                        sender=self.peer, target=message.sender,
                         in_reply_to=message.correlation_id,
                         payload={"status": self.status()})
                 else:
@@ -527,7 +483,7 @@ class PeerServer:
                 reply = dataclasses.replace(reply, spans=tuple(
                     reply.spans) + (Span(
                         message.trace_id, new_id(), message.span_id,
-                        "queue-wait", self.unit, admitted_at,
+                        "queue-wait", self.peer, admitted_at,
                         queue_wait),))
             try:
                 payload = encode_frame(message_to_dict(reply))
@@ -617,7 +573,7 @@ class PeerServer:
         """Queue a typed failure, then close once it is flushed."""
         try:
             payload = encode_frame(message_to_dict(Failure(
-                sender=self.unit, target="", in_reply_to=in_reply_to,
+                sender=self.peer, target="", in_reply_to=in_reply_to,
                 code=code, detail=detail)))
         except WireProtocolError:  # pragma: no cover - always encodable
             self._drop(selector, connection)
@@ -676,26 +632,18 @@ class PeerServer:
         with: identity plus one merged metrics snapshot covering every
         registry this process runs (server loop, outbound transport,
         network retry machinery, and — when enabled — the routing
-        index and shard router)."""
+        index)."""
         with self._lock:
             self.metrics.gauge("server.connections_open",
                                len(self._connections))
             self.metrics.gauge("server.pending_requests", self._pending)
-        snapshots = [self.metrics.snapshot()]
-        transport = self.transport
-        router_metrics = getattr(transport, "metrics", None)
-        inner = getattr(transport, "inner", None)
-        if inner is not None:  # a ShardRouter over a SocketTransport
-            if router_metrics is not None:
-                snapshots.append(router_metrics.snapshot())
-            transport = inner
-        if hasattr(transport, "metrics_snapshot"):
-            snapshots.append(transport.metrics_snapshot())
-        snapshots.append(self.network.metrics.snapshot())
+        snapshots = [self.metrics.snapshot(),
+                     self.transport.metrics_snapshot(),
+                     self.network.metrics.snapshot()]
         if self.node.routing is not None:
             snapshots.append(self.node.routing.metrics.snapshot())
         return {
-            "unit": self.unit,
+            "unit": self.peer,
             "peer": self.peer,
             "address": self.address,
             "shed_requests": self.shed_requests,
@@ -740,5 +688,5 @@ class PeerServer:
         self.shutdown()
 
     def __repr__(self) -> str:
-        return (f"PeerServer({self.unit!r} @ {self.address}, "
+        return (f"PeerServer({self.peer!r} @ {self.address}, "
                 f"neighbours={list(self.transport.addresses())})")

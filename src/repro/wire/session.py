@@ -12,8 +12,7 @@ transport, answers locally, and ships the whole result back.
 The session is constructed from peer **addresses**, not from a shared
 system object — the client needs to know where the peers listen,
 nothing about their data — which is exactly the deployment shape of the
-paper's autonomous sites (and the seam the ROADMAP's sharding item can
-interpose a router into).
+paper's autonomous sites.
 
 Fault behaviour matches the in-process session: transport losses are
 retried up to ``retries`` extra attempts and then surface as a typed
@@ -49,8 +48,7 @@ __all__ = ["RemoteNetworkSession"]
 class RemoteNetworkSession:
     """Query answering against live peer server processes."""
 
-    def __init__(self, addresses: Optional[Mapping[str, str]] = None, *,
-                 transport=None,
+    def __init__(self, addresses: Mapping[str, str], *,
                  default_method: str = "auto",
                  retries: int = 2,
                  timeout: Optional[float] = None,
@@ -62,23 +60,9 @@ class RemoteNetworkSession:
             raise NetworkError("retries must be >= 0")
         if timeout is not None and timeout <= 0:
             raise NetworkError("timeout must be > 0 seconds")
-        if transport is not None:
-            if addresses is not None:
-                raise NetworkError(
-                    "pass either addresses or a prebuilt transport, "
-                    "not both")
-            # a prebuilt client transport — e.g. a ShardRouter whose
-            # addresses() already speak logical peer names; the session
-            # owns it from here (close() closes it)
-            self.transport = transport
-        elif addresses is not None:
-            self.transport = SocketTransport(
-                dict(addresses), local_name="client",
-                timeout=request_timeout, connect_timeout=connect_timeout)
-        else:
-            raise NetworkError(
-                "RemoteNetworkSession needs peer addresses or a "
-                "transport")
+        self.transport = SocketTransport(
+            dict(addresses), local_name="client",
+            timeout=request_timeout, connect_timeout=connect_timeout)
         self.default_method = default_method
         self.retries = retries
         self.timeout = timeout

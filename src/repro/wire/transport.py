@@ -27,9 +27,9 @@ Behaviour contracts (mirroring the in-process transports):
   admission (``code="overloaded"`` Failure frames) surfaces as the
   retryable :class:`~repro.net.errors.ServerOverloaded`.
 * **identity-checked handshake** — the server's hello advertises the
-  *physical unit* serving the socket (``P#0@1`` for a shard replica);
-  dialing a name and reaching a different unit is a wiring error and
-  fails typed instead of silently querying the wrong process.
+  peer it serves; dialing a name and reaching a different peer is a
+  wiring error and fails typed instead of silently querying the wrong
+  process.
 * **exact traffic accounting** — every decoded :class:`Answer` is
   stamped with the byte length of its encoded reply frame, replacing
   the in-process size heuristic with the true wire cost (see
@@ -173,12 +173,11 @@ class _Connection:
             check_hello(reply)
             advertised = reply.get("sender", "")
             if expected and advertised and advertised != expected:
-                # two replicas of one peer are distinct processes with
-                # distinct stores; answering the wrong one must be a
-                # loud wiring error, not a silent wrong answer
+                # a stale or miswired address book must be a loud
+                # wiring error, not a silent wrong answer
                 raise WireProtocolError(
                     f"dialed {expected!r} at {format_address(address)} "
-                    f"but unit {advertised!r} answered the handshake")
+                    f"but peer {advertised!r} answered the handshake")
         except socket.timeout:
             # the dial succeeded, the *handshake read* stalled — name
             # the right phase and the right timeout (retryable: the
@@ -390,8 +389,7 @@ class SocketTransport(Transport):
 
     def resolve(self, target: str) -> Optional[Address]:
         """The socket address serving ``target``, or None (handler /
-        unknown).  The seam a shard router rides on: physical unit
-        names resolve here while logical peer names stay unknown."""
+        unknown)."""
         return self._addresses.get(target)
 
     def addresses(self) -> dict[str, str]:

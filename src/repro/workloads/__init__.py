@@ -23,7 +23,6 @@ from .synthetic import (
     import_star_system,
     peer_chain_system,
     referential_system,
-    sharded_topology_system,
     topology_system,
 )
 
@@ -33,5 +32,4 @@ __all__ = [
     "appendix_instance", "example4_system",
     "conflict_chain_system", "import_star_system", "referential_system",
     "peer_chain_system", "topology_system",
-    "sharded_topology_system",
 ]

@@ -42,7 +42,6 @@ __all__ = [
     "referential_system",
     "peer_chain_system",
     "topology_system",
-    "sharded_topology_system",
 ]
 
 _X, _Y, _Z, _W = (Variable("X"), Variable("Y"), Variable("Z"),
@@ -257,27 +256,6 @@ def topology_system(n_peers: int, *, topology: str = "star",
         builder.exchange("P0", "PC", egd)
         builder.trust("P0", "same", "PC")
     return builder.build()
-
-
-def sharded_topology_system(n_peers: int, *, shards: int = 2,
-                            topology: str = "star",
-                            n_tuples: int = 6, conflicts: int = 0,
-                            extra_edges: int = 0, branching: int = 2,
-                            seed: int = 0):
-    """A :func:`topology_system` plus a uniform shard map for it.
-
-    Returns ``(system, shard_map)`` — the pair every sharded
-    differential case needs: the same seeded system families the
-    :mod:`repro.net` suite sweeps, deployed as ``shards`` slices per
-    peer.  The map import is lazy so the workload package stays free of
-    a hard :mod:`repro.shard` dependency.
-    """
-    from ..shard import ShardMap
-    system = topology_system(n_peers, topology=topology,
-                             n_tuples=n_tuples, conflicts=conflicts,
-                             extra_edges=extra_edges,
-                             branching=branching, seed=seed)
-    return system, ShardMap.uniform(system.peers, shards)
 
 
 def peer_chain_system(length: int, n_tuples: int = 2) -> PeerSystem:

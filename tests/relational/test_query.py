@@ -254,6 +254,21 @@ class TestParser:
         assert isinstance(f, Exists)
         assert f.variables == (Variable("Z2"),)
 
+    def test_parse_spaced_paren_after_variables_opens_the_body(self):
+        # `Z (` is a variable then a parenthesised body: a relation name
+        # is directly followed by `(`
+        q = parse_query("q(X) := exists Y Z (R(X, Y) & S(X, Z))")
+        assert isinstance(q.formula, Exists)
+        assert q.formula.variables == (Variable("Y"), Variable("Z"))
+        assert isinstance(q.formula.sub, And)
+        # an adjacent `(` still makes the IDENT the body's relation atom
+        f = parse_formula("exists Y Z(X, Y)")
+        assert f.variables == (Variable("Y"),)
+        assert isinstance(f.sub, RelAtom) and f.sub.relation == "Z"
+        f = parse_formula("forall Z1 (R(Z1) -> S(Z1))")
+        assert isinstance(f, Forall)
+        assert f.variables == (Variable("Z1"),)
+
     def test_parse_example2_rewriting(self):
         text = ("(R1(X, Y) & forall Z1 ((R3(X, Z1) & "
                 "~exists Z2 R2(X, Z2)) -> Z1 = Y)) | R2(X, Y)")

@@ -2,8 +2,8 @@
 
 The aggregate layer inherits the digest layer's load-bearing guarantee
 — **no false negatives** — and adds three obligations of its own: the
-union across a whole subtree (mixed adaptive widths, shard slices,
-arbitrary nesting) must keep it; the content token must be a pure
+union across a whole subtree (mixed adaptive widths, arbitrary
+nesting) must keep it; the content token must be a pure
 function of the aggregate's parts (scope-independent, so any gather
 rebuilds the same stamp); and every degradation (missing piece, width
 mismatch, version tear, unsafe constraint) must surface as ``None`` /
@@ -93,10 +93,11 @@ class TestNoFalseNegatives:
             assert not (set(probes) & set(stored))
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
-    def test_mixed_width_shard_slices_keep_the_guarantee(self, seed):
-        """A big slice (wide adaptive digest) and a tiny slice (narrow)
-        of the same relation union without losing any stored key — the
-        cross-width fold-merge the shard router relies on."""
+    def test_mixed_width_slice_merges_keep_the_guarantee(self, seed):
+        """A parent with a big relation (wide adaptive digest) and a
+        child with a tiny one (narrow) union without losing any stored
+        key — the cross-width fold-merge subtree aggregation relies
+        on."""
         rng = random.Random(seed)
         big = [(f"b{i}", i) for i in range(rng.randint(30, 120))]
         small = [(f"s{i}", i) for i in range(rng.randint(1, 4))]

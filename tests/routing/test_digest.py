@@ -6,7 +6,7 @@ The routing layer's load-bearing guarantee is **no false negatives**:
 ``disjoint_from`` proving disjointness means the relation cannot
 contribute a matching tuple.  The suite pins that direction over seeded
 random relations (unicode constants, mixed types, empty relations),
-plus the shard-merge algebra and the wire dict round-trip.
+plus the merge algebra and the wire dict round-trip.
 """
 
 import random
@@ -20,7 +20,6 @@ from repro.routing.digest import (
     RelationDigest,
     adaptive_nbits,
     digest_bytes,
-    merge_neighbour_digests,
 )
 
 SEEDS = range(20)
@@ -136,19 +135,6 @@ class TestMerge:
             assert merged.row_count == 42
             for key in ["a", "b"] + [f"w{i}" for i in range(40)]:
                 assert merged.may_contain(key), key
-
-    def test_merge_neighbour_digests_unions_relations(self):
-        left = NeighbourDigests.from_tables(
-            "P", "v1", {"R": [("a", 1)], "S": [("s", 1)]})
-        right = NeighbourDigests.from_tables("P", "v2", {"R": [("b", 2)]})
-        merged = merge_neighbour_digests("P", "shards(v1,v2)",
-                                         [left, right])
-        assert merged.version == "shards(v1,v2)"
-        combined = merged.digest_for("R")
-        assert combined.row_count == 2
-        assert combined.may_contain("a") and combined.may_contain("b")
-        # a relation present in only one slice is kept as-is
-        assert merged.digest_for("S").row_count == 1
 
 
 class TestAdaptiveSizing:

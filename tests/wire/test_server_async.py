@@ -1,5 +1,5 @@
 """The event-loop server: multiplexing, admission control, idle
-deadlines, and the unit-name handshake.
+deadlines, and the peer-name handshake.
 
 These are the regression tests for the serving-model rewrite: one
 selector loop owns every connection (no thread per client), a bounded
@@ -16,12 +16,10 @@ import pytest
 
 from repro.net import ServerOverloaded
 from repro.net.protocol import Answer, Failure, FetchRelation
-from repro.shard import ShardMap
 from repro.wire import (
     PeerServer,
     RemoteNetworkSession,
     SocketTransport,
-    free_port,
 )
 from repro.wire.codec import (
     WireProtocolError,
@@ -51,7 +49,7 @@ def _wait_until(predicate, timeout=5.0, interval=0.02):
 
 
 # ---------------------------------------------------------------------------
-# Satellite 1: the handshake advertises the physical unit name
+# Satellite 1: the handshake advertises the peer name
 # ---------------------------------------------------------------------------
 
 def test_hello_advertises_plain_peer_name():
@@ -68,39 +66,8 @@ def test_hello_advertises_plain_peer_name():
         server.shutdown()
 
 
-def test_sharded_replica_advertises_unit_name():
-    """A replica process must introduce itself by its *physical* name
-    (``P2#1@1``), not the logical peer — two replicas of one peer are
-    distinct processes with distinct stores, and a client that dialed
-    one must be able to tell it reached the right one."""
-    from repro.workloads import example1_system
-    from repro.shard.shardmap import replica_name
-    system = example1_system()
-    shard_map = ShardMap({"P2": 2})
-    port = free_port()
-    # the peers map carries the full physical layout; only this unit
-    # actually runs — the handshake never routes anywhere
-    addresses = {replica_name("P2", s, r): f"127.0.0.1:{free_port()}"
-                 for s in range(2) for r in range(2)}
-    unit = replica_name("P2", 1, 1)
-    addresses[unit] = f"127.0.0.1:{port}"
-    server = PeerServer(system, "P2", port=port, addresses=addresses,
-                        shard_map=shard_map, shard_index=1,
-                        replica_index=1).start()
-    try:
-        assert server.unit == unit
-        sock, _stream, hello = _handshake(port)
-        try:
-            assert hello is not None
-            assert hello["sender"] == unit
-        finally:
-            sock.close()
-    finally:
-        server.shutdown()
-
-
 def test_client_rejects_wrong_unit_behind_address():
-    """Dialing an address that a *different* unit answers is a wiring
+    """Dialing an address that a *different* peer answers is a wiring
     error and must fail loudly, not answer from the wrong store."""
     from repro.workloads import example1_system
     server = PeerServer(example1_system(), "P2").start()

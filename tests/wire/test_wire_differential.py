@@ -124,6 +124,8 @@ class TestNonRootPeers:
         system = example1_system()
         local = PeerQuerySession(system)
         with open_wire_session(system) as session:
+            # the session reaches every peer under its own name
+            assert session.peers() == ("P1", "P2", "P3")
             for peer, relation in (("P1", "R1"), ("P2", "R2"),
                                    ("P3", "R3")):
                 query = f"q(X, Y) := {relation}(X, Y)"
