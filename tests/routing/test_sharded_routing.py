@@ -1,22 +1,17 @@
-"""Routing through the shard layer: identical answers, sound digests.
+"""Routed answers over a concurrent transport: identical to local.
 
-A sharded peer's slice data must never be mistaken for the logical
-peer: the sharded node advertises no subsystem version or digests (a
-routed requester then always falls back to flooded-equivalent fetches),
-while slice digests that ride fetch replies are composed all-or-nothing
-by the :class:`~repro.shard.router.ShardRouter` under the
-``shards(...)`` version token.
+This module once checked routing through the shard layer.  With every
+peer one node, the check that stays is the differential: a routed
+session whose nodes answer concurrently must match the local session
+on a cold round and on a warm round that uses the learned routing
+state.
 """
 
 import pytest
 
 from repro.core import PeerQuerySession
-from repro.net.protocol import Answer
-from repro.routing.digest import NeighbourDigests
-from repro.shard import ShardedNetwork
-from repro.shard.node import build_shard_node
-from repro.shard.router import ShardRouter
-from repro.workloads import sharded_topology_system
+from repro.net import NetworkSession, ThreadedTransport
+from repro.workloads import topology_system
 
 QUERY = "q(X, Y) := R0(X, Y)"
 
@@ -24,58 +19,14 @@ QUERY = "q(X, Y) := R0(X, Y)"
 class TestShardedDifferential:
     @pytest.mark.parametrize("seed", range(3))
     def test_routed_sharded_answers_match_local(self, seed):
-        system, shard_map = sharded_topology_system(
-            4, topology="random", n_tuples=4, seed=seed)
+        system = topology_system(4, topology="random", n_tuples=4,
+                                 seed=seed)
         expected = PeerQuerySession(system).answer("P0", QUERY)
-        with ShardedNetwork(system, shards=2, replicas=2,
-                            shard_map=shard_map, routing=True) as net:
+        with NetworkSession(system, transport=ThreadedTransport(),
+                            routing=True) as session:
             for _repeat in range(2):  # warm round uses learned state
-                actual = net.answer("P0", QUERY)
+                actual = session.answer("P0", QUERY)
                 assert actual.ok, actual.error
                 assert actual.answers == expected.answers
                 assert actual.solution_count == expected.solution_count
                 assert actual.method_used == expected.method_used
-
-    def test_sharded_node_advertises_no_subsystem_state(self):
-        system, shard_map = sharded_topology_system(
-            3, topology="chain", n_tuples=3, seed=1)
-        node = build_shard_node(system, "P0", shard_map=shard_map,
-                                shard_index=0, routing=True)
-        assert node.routing is not None  # the index itself is active
-        assert node._subsystem_version() == ""
-        assert node._subsystem_digests() is None
-
-
-class TestComposedDigests:
-    @staticmethod
-    def reply(version, tables):
-        digests = (None if tables is None else
-                   NeighbourDigests.from_tables("P", version, tables))
-        return Answer(sender="P#0", target="req", in_reply_to=1,
-                      payload=(), version=version, digests=digests)
-
-    def test_slices_union_under_the_shards_token(self):
-        replies = [self.reply("v0", {"R": [("a", 1)]}),
-                   self.reply("v1", {"R": [("b", 2)]})]
-        merged = ShardRouter._compose_digests("P", ["P#0", "P#1"],
-                                              replies)
-        assert merged is not None
-        assert merged.version.startswith("shards(")
-        digest = merged.digest_for("R")
-        assert digest.row_count == 2
-        assert digest.may_contain("a") and digest.may_contain("b")
-
-    def test_one_missing_slice_digest_drops_the_whole_bundle(self):
-        replies = [self.reply("v0", {"R": [("a", 1)]}),
-                   self.reply("v1", None)]
-        assert ShardRouter._compose_digests("P", ["P#0", "P#1"],
-                                            replies) is None
-
-    def test_version_race_drops_the_whole_bundle(self):
-        stale = Answer(sender="P#1", target="req", in_reply_to=2,
-                       payload=(), version="v2",
-                       digests=NeighbourDigests.from_tables(
-                           "P", "v1", {"R": []}))
-        replies = [self.reply("v0", {"R": [("a", 1)]}), stale]
-        assert ShardRouter._compose_digests("P", ["P#0", "P#1"],
-                                            replies) is None

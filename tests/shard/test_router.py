@@ -1,242 +1,41 @@
-"""ShardRouter unit tests over scripted loopback handlers.
+"""Version tokens on a plain peer's fetch path.
 
-The router's contracts, checked without any real nodes: fetch fan-out
-and merge (full, delta, mixed), composed version tokens, single-shard
-query routing, replica failover with health benching, typed
-last-replica errors, and pass-through for uncovered peers.
+This module once checked how the shard router merged slice fetches
+under composed ``shards(...)`` version tokens.  A peer now answers a
+fetch from its own store, and two of those contracts stay: a requester
+holding the peer's current token gets a delta (empty when nothing
+changed) stamped at that same version, and a token the peer never
+issued — such as a composed token from a sharded deployment — gets the
+full relation, never a delta against a base the peer does not have.
 """
 
-import pytest
-
-from repro.net.errors import PeerDown
-from repro.net.protocol import Answer, AnswerQuery, Failure, FetchRelation
-from repro.net.transport import LoopbackTransport
-from repro.shard import ReplicaSet, ShardError, ShardMap, ShardRouter
+from repro.net import NetworkSession
+from repro.net.protocol import Answer, FetchRelation
+from repro.workloads import example1_system
 
 
-def make_router(replicas=1, *, cooldown=0.2, counts=None):
-    shard_map = ShardMap(counts or {"P": 2})
-    transport = LoopbackTransport()
-    layout = {
-        shard: [f"{shard}@{r}" for r in range(replicas)]
-        for peer in shard_map.counts
-        for shard in shard_map.shard_names(peer)
-    }
-    router = ShardRouter(shard_map, layout, transport,
-                         local_name="client", cooldown=cooldown)
-    return router, transport, layout
-
-
-def fetch_handler(rows, version, *, delta_to=None, calls=None):
-    """A scripted shard server for one relation.
-
-    With ``delta_to`` set, a request already knowing ``version`` gets
-    an (empty or given) delta stamped at the same version; anything
-    else gets the full rows.
-    """
-    def handle(message):
-        if calls is not None:
-            calls.append(message)
-        if delta_to is not None and message.known_version == version:
-            return Answer(sender=message.target, target=message.sender,
-                          in_reply_to=message.correlation_id,
-                          payload=delta_to, version=version, delta=True)
-        return Answer(sender=message.target, target=message.sender,
-                      in_reply_to=message.correlation_id,
-                      payload=tuple(rows), version=version)
-    return handle
+def p2_node():
+    return NetworkSession(example1_system()).network.node("P2")
 
 
 class TestFetchMerge:
-    def test_full_fetch_unions_shards_and_composes_version(self):
-        router, transport, _ = make_router()
-        transport.register("P#0@0", fetch_handler([("a", 1)], "v0"))
-        transport.register("P#1@0", fetch_handler([("b", 2)], "v1"))
-        message = FetchRelation(sender="client", target="P",
-                                relation="R")
-        reply = router.request(message)
-        assert isinstance(reply, Answer)
-        assert frozenset(reply.payload) == {("a", 1), ("b", 2)}
-        assert reply.version == "shards(P#0=v0,P#1=v1)"
-        assert reply.in_reply_to == message.correlation_id
-        assert not reply.delta
-
     def test_known_composed_token_fetches_deltas(self):
-        calls0, calls1 = [], []
-        router, transport, _ = make_router()
-        transport.register("P#0@0", fetch_handler(
-            [("a", 1)], "v0",
-            delta_to={"insert": (("c", 3),), "delete": ()},
-            calls=calls0))
-        transport.register("P#1@0", fetch_handler(
-            [("b", 2)], "v1", delta_to={"insert": (), "delete": ()},
-            calls=calls1))
-        reply = router.request(FetchRelation(
-            sender="client", target="P", relation="R",
-            known_version="shards(P#0=v0,P#1=v1)"))
-        assert reply.delta
-        assert frozenset(reply.payload["insert"]) == {("c", 3)}
-        assert reply.payload["delete"] == ()
-        assert reply.version == "shards(P#0=v0,P#1=v1)"
-        # each shard saw its own slice of the composed token
-        assert calls0[0].known_version == "v0"
-        assert calls1[0].known_version == "v1"
+        node = p2_node()
+        full = node.handle(FetchRelation(sender="P1", target="P2",
+                                         relation="R2"))
+        assert isinstance(full, Answer) and not full.delta
+        reply = node.handle(FetchRelation(sender="P1", target="P2",
+                                          relation="R2",
+                                          known_version=full.version))
+        assert isinstance(reply, Answer) and reply.delta
+        assert reply.payload == {"insert": (), "delete": ()}
+        assert reply.version == full.version == node.store.version()
 
     def test_pre_split_token_falls_back_to_full_fetch(self):
-        calls = []
-        router, transport, _ = make_router()
-        transport.register("P#0@0", fetch_handler(
-            [("a", 1)], "v0", delta_to={"insert": (), "delete": ()},
-            calls=calls))
-        transport.register("P#1@0", fetch_handler([("b", 2)], "v1"))
-        reply = router.request(FetchRelation(
-            sender="client", target="P", relation="R",
-            known_version="shards(P#0=old0)"))  # one-shard-era token
-        assert not reply.delta
-        assert frozenset(reply.payload) == {("a", 1), ("b", 2)}
-        assert calls[0].known_version == ""
-
-    def test_mixed_replies_refetch_delta_shards_in_full(self):
-        # shard 0 honours the known version (delta), shard 1 moved on
-        # (full): the merged reply must be full and coherent
-        router, transport, _ = make_router()
-        transport.register("P#0@0", fetch_handler(
-            [("a", 1)], "v0", delta_to={"insert": (), "delete": ()}))
-        transport.register("P#1@0", fetch_handler([("b", 2)], "v9"))
-        reply = router.request(FetchRelation(
-            sender="client", target="P", relation="R",
-            known_version="shards(P#0=v0,P#1=v1)"))
-        assert not reply.delta
-        assert frozenset(reply.payload) == {("a", 1), ("b", 2)}
-        assert reply.version == "shards(P#0=v0,P#1=v9)"
-
-    def test_failure_reply_passes_through(self):
-        router, transport, _ = make_router()
-        transport.register("P#0@0", fetch_handler([("a", 1)], "v0"))
-
-        def failing(message):
-            return Failure(sender=message.target, target=message.sender,
-                           in_reply_to=message.correlation_id,
-                           code="internal", detail="boom")
-        transport.register("P#1@0", failing)
-        reply = router.request(FetchRelation(
-            sender="client", target="P", relation="R"))
-        assert isinstance(reply, Failure)
-        assert reply.code == "internal"
-
-
-class TestQueryRouting:
-    def test_query_goes_to_exactly_one_shard(self):
-        served = []
-
-        def answering(message):
-            served.append(message.target)
-            return Answer(sender=message.target, target=message.sender,
-                          in_reply_to=message.correlation_id,
-                          payload="result")
-        router, transport, _ = make_router()
-        transport.register("P#0@0", answering)
-        transport.register("P#1@0", answering)
-        reply = router.request(AnswerQuery(
-            sender="client", target="P", query="q(X) := R(X)"))
-        assert reply.payload == "result"
-        assert len(served) == 1, "answers must never union across shards"
-
-    def test_uncovered_peer_passes_through(self):
-        router, transport, _ = make_router()
-        transport.register("plain", fetch_handler([("z", 0)], "vz"))
-        reply = router.request(FetchRelation(
-            sender="client", target="plain", relation="R"))
-        assert frozenset(reply.payload) == {("z", 0)}
-        assert reply.version == "vz", "no composed token for plain peers"
-
-
-class TestFailover:
-    def test_replica_failover_and_benching(self):
-        router, transport, _ = make_router(replicas=2, cooldown=30.0)
-        transport.register("P#0@0", fetch_handler([("a", 1)], "v0"))
-        transport.register("P#0@1", fetch_handler([("a", 1)], "v0"))
-        transport.register("P#1@0", fetch_handler([("b", 2)], "v1"))
-        transport.register("P#1@1", fetch_handler([("b", 2)], "v1"))
-        replica_set = router.replica_sets("P")["P#0"]
-        primary = replica_set.primary()
-        transport.set_down(primary)
-        message = FetchRelation(sender="client", target="P",
-                                relation="R")
-        reply = router.request(message)
-        assert frozenset(reply.payload) == {("a", 1), ("b", 2)}
-        assert replica_set.status()[primary] == "down"
-        # the benched replica is skipped without another attempt
-        assert replica_set.primary() != primary
-        router.reset_health()
-        assert replica_set.status()[primary] == "up"
-
-    def test_last_replica_loss_is_typed(self):
-        router, transport, _ = make_router(replicas=2)
-        transport.register("P#0@0", fetch_handler([("a", 1)], "v0"))
-        transport.register("P#0@1", fetch_handler([("a", 1)], "v0"))
-        transport.register("P#1@0", fetch_handler([("b", 2)], "v1"))
-        transport.register("P#1@1", fetch_handler([("b", 2)], "v1"))
-        transport.set_down("P#1@0")
-        transport.set_down("P#1@1")
-        with pytest.raises(PeerDown) as excinfo:
-            router.request(FetchRelation(sender="client", target="P",
-                                         relation="R"))
-        assert "last replica" in str(excinfo.value)
-
-    def test_query_tries_other_shards_before_giving_up(self):
-        router, transport, _ = make_router()
-        transport.register("P#0@0", fetch_handler([("a", 1)], "v0"))
-
-        def answering(message):
-            return Answer(sender=message.target, target=message.sender,
-                          in_reply_to=message.correlation_id,
-                          payload="from-shard-1")
-        transport.register("P#1@0", answering)
-        transport.set_down("P#0@0")
-        reply = router.request(AnswerQuery(
-            sender="client", target="P", query="q(X) := R(X)"))
-        assert reply.payload == "from-shard-1"
-        transport.set_down("P#1@0")
-        with pytest.raises(PeerDown) as excinfo:
-            router.request(AnswerQuery(sender="client", target="P",
-                                       query="q(X) := R(X)"))
-        assert "no shard has a reachable replica" in str(excinfo.value)
-
-
-class TestReplicaSet:
-    def test_rotation_is_deterministic_per_seed(self):
-        replicas = ["s@0", "s@1", "s@2"]
-        a = ReplicaSet("s", replicas, offset=1)
-        assert a.candidates() == ["s@1", "s@2", "s@0"]
-        b = ReplicaSet("s", replicas, offset=1)
-        assert a.candidates() == b.candidates()
-
-    def test_empty_replica_set_rejected(self):
-        with pytest.raises(ShardError):
-            ReplicaSet("s", [])
-
-
-class TestLayoutValidation:
-    def test_partial_deployment_rejected(self):
-        shard_map = ShardMap({"P": 2})
-        with pytest.raises(ShardError) as excinfo:
-            ShardRouter(shard_map, {"P#0": ["P#0@0"]},
-                        LoopbackTransport())
-        assert "partially deployed" in str(excinfo.value)
-
-    def test_undeployed_covered_peer_passes_through(self):
-        # covered by the map but absent from this router's layout:
-        # requests go to the inner transport under the logical name
-        shard_map = ShardMap({"P": 2, "Q": 2})
-        transport = LoopbackTransport()
-        transport.register("Q", fetch_handler([("q", 1)], "vq"))
-        router = ShardRouter(
-            shard_map, {"P#0": ["P#0@0"], "P#1": ["P#1@0"]}, transport)
-        reply = router.request(FetchRelation(
-            sender="client", target="Q", relation="R"))
-        assert frozenset(reply.payload) == {("q", 1)}
-
-    def test_addresses_show_logical_surface(self):
-        router, _transport, _ = make_router(replicas=2)
-        assert router.addresses() == {"P": "sharded:2x2"}
+        node = p2_node()
+        reply = node.handle(FetchRelation(
+            sender="P1", target="P2", relation="R2",
+            known_version="shards(P2#0=old0)"))
+        assert isinstance(reply, Answer) and not reply.delta
+        assert set(reply.payload) == {("c", "d"), ("a", "e")}
+        assert reply.version == node.store.version()

@@ -1,20 +1,16 @@
-"""The sharded differential harness: shard/replica clusters ≡ local.
+"""The deployment differential: a routed, concurrent network ≡ local.
 
-The correctness contract of the shard layer: partitioning a peer's
-facts across N shards × R replicas — behind the unchanged logical
-surface — changes the *deployment*, never the *answers*.  Every paper
-workload and ≥20 seeded synthetic systems must come back
-tuple-for-tuple identical to
-:class:`~repro.core.session.PeerQuerySession`, including through an
-N→2N shard split and through the loss of one replica per shard; only a
-shard losing its *last* replica may fail, and then as a typed error in
-bounded time, never a hang.
-
-All in-process (:class:`~repro.shard.runtime.ShardedNetwork` over a
-shared loopback): the same router/node machinery the wire deployment
-uses, without process spawns — which is what makes sweeping the full
-seeded family affordable.  ``test_sharded_cluster.py`` re-checks the
-contract's edges against real server processes.
+This module once swept shard/replica layouts.  With the shard layer
+gone every peer is one node, and what its contract keeps is the
+invariance itself: how the peers are deployed changes the *execution*,
+never the *answers*.  Each case here runs the deployment furthest from
+a plain loopback — nodes answering concurrently over the threaded
+transport, with the query-driven routing index on — for a cold and a
+warm round, and must come back tuple-for-tuple identical to
+:class:`~repro.core.session.PeerQuerySession` on the same paper
+workloads, methods and seeded synthetic family the shard sweep used.
+A peer that is down when it must be gathered fails the query as a
+typed error in bounded time, and is answered again once it is back.
 """
 
 import itertools
@@ -23,7 +19,7 @@ import time
 import pytest
 
 from repro.core import PeerQuerySession
-from repro.shard import ShardedNetwork, ShardMap
+from repro.net import NetworkSession, ThreadedTransport
 from repro.workloads import (
     conflict_chain_system,
     example1_system,
@@ -31,7 +27,7 @@ from repro.workloads import (
     peer_chain_system,
     referential_system,
     section31_system,
-    sharded_topology_system,
+    topology_system,
 )
 
 #: 3 topologies x 7 seeds = 21 seeded synthetic systems (>= 20)
@@ -40,184 +36,118 @@ TOPOLOGIES = ("chain", "star", "random")
 SYNTHETIC_CASES = list(itertools.product(TOPOLOGIES, SEEDS))
 
 
-def assert_sharded_equivalent(system, peer, queries, *,
-                              shards=2, replicas=1, shard_map=None,
-                              methods=("auto",), semantics=("certain",)):
+def routed_session(system, *, retries=2, timeout=1.0):
+    return NetworkSession(system, transport=ThreadedTransport(
+        timeout=timeout), retries=retries, routing=True)
+
+
+def assert_deployment_equivalent(system, peer, queries, *,
+                                 methods=("auto",),
+                                 semantics=("certain",)):
     local = PeerQuerySession(system)
-    with ShardedNetwork(system, shards=shards, replicas=replicas,
-                        shard_map=shard_map) as net:
-        for query, method, kind in itertools.product(
-                queries, methods, semantics):
-            expected = local.answer(peer, query, method=method,
-                                    semantics=kind)
-            actual = net.answer(peer, query, method=method,
-                                semantics=kind)
-            assert actual.ok, (query, method, kind, actual.error)
-            assert actual.answers == expected.answers, \
-                (query, method, kind)
-            assert actual.solution_count == expected.solution_count, \
-                (query, method, kind)
-            assert actual.method_used == expected.method_used, \
-                (query, method, kind)
+    with routed_session(system) as session:
+        for phase in ("cold", "warm"):
+            for query, method, kind in itertools.product(
+                    queries, methods, semantics):
+                expected = local.answer(peer, query, method=method,
+                                        semantics=kind)
+                actual = session.answer(peer, query, method=method,
+                                        semantics=kind)
+                case = (phase, query, method, kind)
+                assert actual.ok, (case, actual.error)
+                assert actual.answers == expected.answers, case
+                assert (actual.solution_count
+                        == expected.solution_count), case
+                assert actual.method_used == expected.method_used, case
 
 
 class TestPaperWorkloads:
     def test_example1(self):
-        assert_sharded_equivalent(
+        assert_deployment_equivalent(
             example1_system(), "P1",
             ["q(X, Y) := R1(X, Y)", "q(X) := exists Y R1(X, Y)"],
-            shards=2, replicas=2,
             methods=("auto", "asp", "model", "rewrite"),
         )
 
     def test_example1_possible_semantics(self):
-        assert_sharded_equivalent(
+        assert_deployment_equivalent(
             example1_system(), "P1", ["q(X, Y) := R1(X, Y)"],
-            shards=3,
             methods=("asp", "model"),
             semantics=("certain", "possible"),
         )
 
     def test_section31(self):
-        assert_sharded_equivalent(
+        assert_deployment_equivalent(
             section31_system(), "P",
             ["q(X, Y) := R2(X, Y)", "q(X, Y) := R1(X, Y)"],
-            shards=2,
             methods=("auto", "asp", "lav"),
         )
 
     def test_example4_direct_and_transitive(self):
-        assert_sharded_equivalent(
+        assert_deployment_equivalent(
             example4_system(), "P", ["q(X, Y) := R2(X, Y)"],
-            shards=2, replicas=2,
             methods=("auto", "asp", "transitive"),
         )
 
     def test_conflict_chain(self):
-        assert_sharded_equivalent(
+        assert_deployment_equivalent(
             conflict_chain_system(3, n_clean=2), "P1",
             ["q(X, Y) := R1(X, Y)"],
-            shards=2,
             methods=("auto", "asp"),
             semantics=("certain", "possible"),
         )
 
     def test_referential(self):
-        assert_sharded_equivalent(
+        assert_deployment_equivalent(
             referential_system(2, n_witnesses=2, n_satisfied=1), "P",
             ["q(X, Y) := R2(X, Y)"],
-            shards=3,
         )
 
     def test_peer_chain_transitive(self):
-        assert_sharded_equivalent(
+        assert_deployment_equivalent(
             peer_chain_system(3, n_tuples=2), "P0",
             ["q(X, Y) := T0(X, Y)"],
-            shards=2,
             methods=("auto", "transitive"),
-        )
-
-    def test_partial_coverage(self):
-        # only some peers sharded: the rest run as plain single nodes
-        system = example1_system()
-        assert_sharded_equivalent(
-            system, "P1", ["q(X, Y) := R1(X, Y)"],
-            shard_map=ShardMap({"P2": 2}),
         )
 
 
 class TestSeededSynthetic:
     @pytest.mark.parametrize("topology,seed", SYNTHETIC_CASES)
     def test_seeded_system(self, topology, seed):
-        system, shard_map = sharded_topology_system(
-            3, shards=2 + seed % 2, topology=topology, n_tuples=3,
-            conflicts=(seed % 2), extra_edges=1, seed=seed)
-        assert_sharded_equivalent(
+        system = topology_system(3, topology=topology, n_tuples=3,
+                                 conflicts=(seed % 2), extra_edges=1,
+                                 seed=seed)
+        assert_deployment_equivalent(
             system, "P0",
             ["q(X, Y) := R0(X, Y)", "q(X) := exists Y R0(X, Y)"],
-            shard_map=shard_map, replicas=1 + seed % 2,
         )
 
 
-class TestShardSplit:
-    """N→2N resharding: same answers before, across, and after."""
-
-    @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_split_preserves_answers(self, topology):
-        system, shard_map = sharded_topology_system(
-            3, shards=2, topology=topology, n_tuples=4, conflicts=1,
-            seed=42)
-        queries = ["q(X, Y) := R0(X, Y)", "q(X) := exists Y R0(X, Y)"]
-        local = PeerQuerySession(system)
-        expected = {q: local.answer("P0", q) for q in queries}
-        for deployed in (shard_map, shard_map.split()):
-            with ShardedNetwork(system, shard_map=deployed) as net:
-                for query in queries:
-                    actual = net.answer("P0", query)
-                    assert actual.ok, (deployed, query, actual.error)
-                    assert actual.answers == expected[query].answers
-                    assert (actual.solution_count
-                            == expected[query].solution_count)
-
-    def test_split_one_peer_only(self):
-        system = example1_system()
-        shard_map = ShardMap.uniform(system.peers, 2).split("P2")
-        assert shard_map.n_shards("P2") == 4
-        assert_sharded_equivalent(
-            system, "P1", ["q(X, Y) := R1(X, Y)"],
-            shard_map=shard_map)
-
-
 class TestReplicaLoss:
-    def test_one_replica_per_shard_lost_still_answers(self):
-        system, shard_map = sharded_topology_system(
-            3, shards=2, topology="star", n_tuples=4, conflicts=1,
-            seed=9)
-        query = "q(X, Y) := R0(X, Y)"
-        expected = PeerQuerySession(system).answer("P0", query)
-        with ShardedNetwork(system, shard_map=shard_map, replicas=2,
-                            cooldown=0.2) as net:
-            before = net.answer("P0", query)
-            assert before.ok and before.answers == expected.answers
-            # kill the currently-preferred replica of *every* shard of
-            # every peer: the drill the acceptance criteria name
-            for peer in net.peers():
-                for unit in net.client.primaries(peer).values():
-                    net.kill(unit)
-            after = net.answer("P0", query)
-            assert after.ok, after.error
-            assert after.answers == expected.answers
-            assert after.solution_count == expected.solution_count
+    """A peer is its only copy: losing it is typed, reviving it heals."""
 
     def test_last_replica_loss_is_typed_and_bounded(self):
-        system, shard_map = sharded_topology_system(
-            3, shards=2, topology="star", n_tuples=3, seed=2)
-        with ShardedNetwork(system, shard_map=shard_map, replicas=1,
-                            retries=1) as net:
-            for unit in net.units():
-                if unit.startswith("P1#"):
-                    net.kill(unit)
+        system = topology_system(3, topology="star", n_tuples=3, seed=2)
+        query = "q(X, Y) := R0(X, Y)"
+        with routed_session(system, retries=1) as session:
+            session.network.transport.set_down("P1")
             start = time.perf_counter()
-            result = net.answer("P1", "q(X, Y) := R1(X, Y)")
+            result = session.answer("P0", query)
             wall = time.perf_counter() - start
             assert result.failed
             assert result.error.code == "peer-unreachable"
             assert wall < 60.0  # typed failure, not a hang
 
     def test_revived_replica_is_rediscovered(self):
-        system, shard_map = sharded_topology_system(
-            2, shards=2, topology="chain", n_tuples=3, seed=6)
+        system = topology_system(2, topology="chain", n_tuples=3, seed=6)
         query = "q(X, Y) := R0(X, Y)"
         expected = PeerQuerySession(system).answer("P0", query)
-        with ShardedNetwork(system, shard_map=shard_map, replicas=1,
-                            cooldown=0.05) as net:
-            victim = next(unit for unit in net.units()
-                          if unit.startswith("P1#"))
-            net.kill(victim)
-            lost = net.answer("P0", query)
+        with routed_session(system, retries=1) as session:
+            session.network.transport.set_down("P1")
+            lost = session.answer("P0", query)
             assert lost.failed
-            net.revive(victim)
-            net.reset_health()
-            back = net.answer("P0", query)
+            session.network.transport.set_up("P1")
+            back = session.answer("P0", query)
             assert back.ok, back.error
             assert back.answers == expected.answers
+            assert back.solution_count == expected.solution_count

@@ -66,6 +66,26 @@ def test_hello_advertises_plain_peer_name():
         server.shutdown()
 
 
+def test_sharded_replica_advertises_unit_name():
+    """A server process is exactly one peer: the unit name its status
+    reports, its peer name and its hello sender are one and the same."""
+    from repro.wire.cluster import fetch_status
+    from repro.workloads import example1_system
+    server = PeerServer(example1_system(), "P3").start()
+    try:
+        status = fetch_status(server.address)
+        assert status["unit"] == status["peer"] == "P3"
+        assert status["address"] == server.address
+        sock, _stream, hello = _handshake(server.port)
+        try:
+            assert hello is not None
+            assert hello["sender"] == status["unit"]
+        finally:
+            sock.close()
+    finally:
+        server.shutdown()
+
+
 def test_client_rejects_wrong_unit_behind_address():
     """Dialing an address that a *different* peer answers is a wiring
     error and must fail loudly, not answer from the wrong store."""
