@@ -1,8 +1,19 @@
-"""Shared machinery for the ASP specifications (GAV, LAV, transitive).
+"""The specification core shared by ``asp``, ``lav`` and ``transitive``.
 
-Translates relational-layer objects (instances, FO atoms, constraints)
-into Datalog-layer objects (facts, rules) under a :class:`NameMap`,
-implementing the rule shapes of Section 3.1:
+A peer's solutions are the stable models of a specification program: the
+GAV program of Section 3.1, the LAV three-layer program of Section 4.2 and
+the Appendix, and the combined program of Section 4.3.  Peer consistent
+answers are the skeptical answers of a query program over those models
+(Section 3.2).  :class:`Specification` owns the steps the three share —
+build the program from the subclass's rules plus the source and domain
+facts, ground and solve it, map solution atoms to (relation, row), and
+answer a conjunctive query off the models' atom ids — so each subclass
+keeps only its rule builder and two hooks: which atom is a solution atom,
+and the shape of a query atom.
+
+The rest of the module translates relational-layer objects (instances, FO
+atoms, constraints) into Datalog-layer objects (facts, rules) under a
+:class:`NameMap`, implementing the rule shapes of Section 3.1:
 
 * persistence defaults (4)–(5),
 * deletion exceptions with ``aux1``/``aux2`` (6)–(8),
@@ -14,14 +25,16 @@ implementing the rule shapes of Section 3.1:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from itertools import count
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from ..datalog.program import Rule
+from ..datalog.engine import AnswerSetEngine
+from ..datalog.grounding import ground_rule_over
+from ..datalog.program import Program, Rule
 from ..datalog.terms import (
     Atom,
     ChoiceGoal,
     Comparison,
-    Constant,
     Literal,
     Variable,
 )
@@ -31,14 +44,14 @@ from ..relational.constraints import (
     EqualityGeneratingConstraint,
     TupleGeneratingConstraint,
 )
-from ..relational.instance import DatabaseInstance
-from ..relational.query import Cmp, RelAtom
+from ..relational.instance import DatabaseInstance, canonical_order
+from ..relational.query import And, Cmp, Exists, Formula, Query, RelAtom
 from .errors import SystemError_
 from .naming import NameMap
 
-__all__ = ["TranslationContext", "instance_facts", "translate_atom",
-           "translate_cmp", "dec_rules", "hard_constraint_rules",
-           "local_ic_rules", "decode_model"]
+__all__ = ["Specification", "TranslationContext", "instance_facts",
+           "translate_atom", "translate_cmp", "dec_rules",
+           "hard_constraint_rules", "local_ic_rules", "persistence_rules"]
 
 
 class TranslationContext:
@@ -53,8 +66,7 @@ class TranslationContext:
     """
 
     def __init__(self, name_map: NameMap, changeable: Iterable[str],
-                 foreign_primed: Iterable[str] = (),
-                 domain_pred: str = "dom") -> None:
+                 foreign_primed: Iterable[str] = ()) -> None:
         self.name_map = name_map
         self.changeable = frozenset(changeable)
         self.foreign_primed = frozenset(foreign_primed)
@@ -63,12 +75,6 @@ class TranslationContext:
             raise SystemError_(
                 f"relations {sorted(overlap)} cannot be both locally "
                 f"changeable and foreign-primed")
-        # Existential witnesses with no fixed guard atom (the same-trust
-        # variant of Section 3.1, where S1, S2 get virtual versions too)
-        # range over an explicit active-domain predicate; `domain_used`
-        # tells the program builder to emit its facts.
-        self.domain_pred = domain_pred
-        self.domain_used = False
 
     # -- predicate selection -------------------------------------------
     def body_pred(self, relation: str) -> str:
@@ -120,7 +126,12 @@ class _AuxNames:
         self._reserved = set(reserved)
         self._counter = 0
 
-    def fresh(self, base: str) -> str:
+    def fresh(self, base: str, *, bare: bool = False) -> str:
+        """``base`` itself when ``bare`` and still free, else ``base``
+        followed by the next free counter value."""
+        if bare and base not in self._reserved:
+            self._reserved.add(base)
+            return base
         while True:
             self._counter += 1
             candidate = f"{base}{self._counter}"
@@ -243,9 +254,10 @@ def _tgd_rules(constraint: TupleGeneratingConstraint,
     body = trigger + [aux1_literal] + witness_atoms
     body.extend(translate_cmp(c) for c in constraint.cons_conditions)
     if exist_vars and not fixed_consequent:
-        # unguarded witnesses range over the active domain
-        context.domain_used = True
-        body.extend(Literal(Atom(context.domain_pred, (v,)))
+        # unguarded witnesses (the same-trust variant of Section 3.1, where
+        # S1, S2 get virtual versions too) range over the active domain;
+        # the specification emits its facts when a rule reads it
+        body.extend(Literal(Atom(context.name_map.domain, (v,)))
                     for v in exist_vars)
     if exist_vars:
         body.append(ChoiceGoal(choice_domain, exist_vars))
@@ -348,28 +360,289 @@ def local_ic_rules(constraints: Iterable[Constraint],
     return rules
 
 
-def decode_model(model: Iterable[Literal], base: DatabaseInstance,
-                 context: TranslationContext) -> DatabaseInstance:
-    """Read a solution instance off an answer set.
-
-    Changeable (and foreign-primed) relations take their primed contents;
-    all other relations keep their source tuples from ``base``.
-    """
-    replaced: dict[str, set[tuple]] = {
-        relation: set()
-        for relation in context.changeable | context.foreign_primed
-        if relation in base.schema}
-    for literal in model:
-        if not literal.positive or literal.naf:
-            continue
-        relation = context.name_map.relation_of_primed(literal.predicate)
-        if relation is None or relation not in replaced:
-            continue
-        replaced[relation].add(literal.atom.value_tuple())
-    return base.replace_relations(replaced)
-
-
 def make_aux_names(name_map: NameMap,
                    extra_reserved: Iterable[str] = ()) -> _AuxNames:
     """Aux-name factory avoiding the relation predicates."""
     return _AuxNames(name_map.reserved_predicates() | set(extra_reserved))
+
+
+def persistence_rules(relations: Iterable[str], rules: Sequence[Rule],
+                      instance: DatabaseInstance,
+                      source: Callable[[str], str],
+                      target: Callable[[str], str]) -> list[Rule]:
+    """Rules (4)-(5): copy each relation's ``source`` predicate into its
+    ``target`` one, with the `not -target` exception exactly for the
+    relations some head of ``rules`` deletes from (the primed layer from
+    the sources; the final layer from the primed one)."""
+    deleted = {literal.predicate for rule in rules for literal in rule.head
+               if not literal.positive}
+    copies = []
+    for relation in sorted(relations):
+        arity = instance.schema.arity(relation)
+        variables = tuple(Variable(f"X{i}") for i in range(arity))
+        copy = Atom(target(relation), variables)
+        body: list = [Literal(Atom(source(relation), variables))]
+        if copy.predicate in deleted:
+            body.append(Literal(copy, positive=False, naf=True))
+        copies.append(Rule(head=[copy], body=body))
+    return copies
+
+
+class Specification:
+    """A specification program whose stable models are solutions.
+
+    Subclasses pass the instance, the name map, the relations to emit
+    source facts for and the relations a solution replaces, and provide
+    :meth:`build_rules`; :meth:`_solution_row` and :meth:`_query_atom` are
+    the two hooks where the programs differ.  Everything else — the
+    memoised program and engine, the atom-id -> (relation, row) map, the
+    solution models, their decoding and the query program — lives here.
+    """
+
+    #: whether :meth:`solution_models` may apply the Δ-minimality filter of
+    #: Definition 4; only the GAV repair semantics has one
+    delta_minimal = False
+
+    def __init__(self, instance: DatabaseInstance, name_map: NameMap,
+                 fact_relations: Iterable[str],
+                 replaced: Iterable[str]) -> None:
+        self.instance = instance
+        self.name_map = name_map
+        self._fact_relations = frozenset(fact_relations)
+        # the relations a solution replaces wholesale
+        self._replaced = frozenset(relation for relation in replaced
+                                   if relation in instance.schema)
+        self._program: Optional[Program] = None
+        self._engine: Optional[AnswerSetEngine] = None
+        self._rows: Optional[dict[int, tuple[str, tuple]]] = None
+        self._solution_models: dict[bool, list[frozenset[int]]] = {}
+
+    # ------------------------------------------------------------------
+    # What the subclasses provide
+    # ------------------------------------------------------------------
+    def build_rules(self) -> list[Rule]:
+        """All rules except facts."""
+        raise NotImplementedError
+
+    def _solution_row(self, atom: Atom) -> Optional[tuple[str, tuple]]:
+        """The (relation, row) a true atom puts into a solution, if any;
+        by default the primed atoms."""
+        relation = self.name_map.relation_of_primed(atom.predicate)
+        return None if relation is None else (relation, atom.value_tuple())
+
+    def _query_atom(self, relation: str, terms: tuple) -> Atom:
+        """A query atom over ``relation``'s solution-level contents: the
+        primed predicate for a replaced relation, the source otherwise.
+        The name map raises :class:`~repro.core.errors.SystemError_` for a
+        relation the program does not hold."""
+        if relation in self._replaced:
+            return Atom(self.name_map.primed(relation), terms)
+        return Atom(self.name_map.source(relation), terms)
+
+    # ------------------------------------------------------------------
+    # Program and solving
+    # ------------------------------------------------------------------
+    @property
+    def program(self) -> Program:
+        if self._program is None:
+            rules = self.build_rules()
+            facts = instance_facts(self.instance, self._fact_relations,
+                                   self.name_map)
+            domain = self.name_map.domain
+            if any(domain in rule.body_predicates() for rule in rules):
+                for value in sorted(self.instance.active_domain(),
+                                    key=lambda v: (isinstance(v, str),
+                                                   str(v))):
+                    facts.append(Rule(head=[Atom(domain, (value,))]))
+            self._program = Program(rules + facts)
+        return self._program
+
+    @property
+    def engine(self) -> AnswerSetEngine:
+        if self._engine is None:
+            self._engine = AnswerSetEngine(self.program)
+        return self._engine
+
+    def answer_sets(self):
+        return self.engine.answer_sets()
+
+    def _solution_rows(self) -> dict[int, tuple[str, tuple]]:
+        """``atom id -> (relation, row)`` for every solution atom of a
+        replaced relation true in some stable model.  Built once per
+        distinct atom."""
+        if self._rows is None:
+            literal_for = self.engine.ground.table.literal_for
+            row_of = self._solution_row
+            rows = {}
+            for ident in frozenset().union(*self.engine.id_models()):
+                literal = literal_for(ident)
+                entry = literal.positive and row_of(literal.atom)
+                if entry and entry[0] in self._replaced:
+                    rows[ident] = entry
+            self._rows = rows
+        return self._rows
+
+    def solution_models(self, *, minimal_only: bool = True
+                        ) -> list[frozenset[int]]:
+        """One stable model (as atom ids) per distinct solution, memoised.
+
+        Models are told apart by their projection onto the solution
+        atoms.  ``minimal_only`` applies the Δ-minimality post-filter that
+        makes the GAV solutions coincide with Definition 4's repairs in
+        all cases (it is a no-op on the paper's DEC class, and on
+        specifications without :attr:`delta_minimal`).  A solution's Δ to
+        the source, restricted to the replaced relations, is its
+        projection's symmetric difference with the atoms of the source
+        rows, plus the source rows no model contains; every Δ shares
+        those, so comparing the id sets decides ``<`` exactly.
+        """
+        minimal_only = minimal_only and self.delta_minimal
+        cached = self._solution_models.get(minimal_only)
+        if cached is not None:
+            return cached
+        models = self.engine.id_models()
+        if len(models) < 2:
+            return models
+        rows = self._solution_rows()
+        ids = frozenset(rows)
+        distinct: dict[frozenset[int], frozenset[int]] = {}
+        for model in models:
+            distinct.setdefault(model & ids, model)
+        models = list(distinct.values())
+        if minimal_only and len(distinct) > 1:
+            source = frozenset(
+                ident for ident, (relation, row) in rows.items()
+                if row in self.instance.tuples(relation))
+            deltas = [projection ^ source for projection in distinct]
+            # only a strictly smaller Δ can be a strict subset
+            smallest = min(map(len, deltas))
+            models = [model for model, delta in zip(models, deltas)
+                      if len(delta) == smallest
+                      or not any(other < delta for other in deltas)]
+        self._solution_models[minimal_only] = models
+        return models
+
+    def solutions(self, *, minimal_only: bool = True
+                  ) -> list[DatabaseInstance]:
+        """The solution instances of :meth:`solution_models`, decoded, in
+        canonical order."""
+        return canonical_order(
+            self._decode(model)
+            for model in self.solution_models(minimal_only=minimal_only))
+
+    def _decode(self, model: frozenset[int]) -> DatabaseInstance:
+        """Read a solution instance off a stable model: the replaced
+        relations take the model's solution atoms, the others keep the
+        source rows."""
+        replaced: dict[str, set[tuple]] = {
+            relation: set() for relation in self._replaced}
+        rows = self._solution_rows()
+        for ident in model:
+            entry = rows.get(ident)
+            if entry is not None:
+                replaced[entry[0]].add(entry[1])
+        return self.instance.replace_relations(replaced)
+
+    # ------------------------------------------------------------------
+    # Query programs (Section 3.2)
+    # ------------------------------------------------------------------
+    def query_instances(self, query: Query) -> Iterator[tuple[tuple,
+                                                             tuple]]:
+        """The ground instances of the query program, each as its answer
+        tuple and the atom ids of its body.
+
+        The query program is the one rule ``ans_query(x̄) :- body`` over
+        the solution-level atoms (:meth:`_query_atom`), grounded against
+        this specification's table only (the specification is not ground
+        again).  Raises, before any iteration,
+        :class:`~repro.core.errors.SystemError_` for a query that is not
+        conjunctive or reads a relation the program does not hold, and
+        :class:`~repro.datalog.errors.SafetyError` for an unsafe one.
+        """
+        rule = Rule(head=[Atom("ans_query", query.head)],
+                    body=_conjunctive_body(query.formula, self._query_atom))
+        return ((tuple([term.value for term in head]), body)
+                for head, body in ground_rule_over(rule,
+                                                   self.engine.ground.table))
+
+    def query_program_answers(self, query: Query,
+                              *, skeptical: bool = True) -> set[tuple]:
+        """Run a conjunctive query program over the virtual relations.
+
+        Implements "running the query, expressed as a query program in
+        terms of the virtually repaired tables, in combination with
+        program Π ... under the skeptical answer set semantics"
+        (Section 3.2): the tuples whose query rule holds in every answer
+        set (in some, when not ``skeptical``), with no Δ-minimality
+        filter.  Supports conjunctive queries (∧/∃/comparisons); richer FO
+        queries should be answered against :meth:`solutions` instead.
+        """
+        return _holding_answers(self.query_instances(query),
+                                self.engine.id_models(), skeptical)
+
+
+def _holding_answers(instances: Iterable[tuple[tuple, tuple]],
+                     models: Sequence[frozenset[int]],
+                     skeptical: bool) -> set[tuple]:
+    """The answer tuples of ``(answer, body ids)`` instances with a body
+    inside every model (``skeptical``) or inside some model; none without
+    models."""
+    if not models:
+        return set()
+    # a body inside every model settles its tuple at once; only the
+    # others are kept and checked model by model
+    common = frozenset.intersection(*models)
+    answers: set[tuple] = set()
+    pending: dict[tuple, list[tuple]] = {}
+    for answer, body in instances:
+        if answer in answers:
+            continue
+        if common.issuperset(body):
+            answers.add(answer)
+        else:
+            pending.setdefault(answer, []).append(body)
+    quantifier = all if skeptical else any
+    answers.update(
+        answer for answer, bodies in pending.items()
+        if answer not in answers
+        and quantifier(any(model.issuperset(body) for body in bodies)
+                       for model in models))
+    return answers
+
+
+def _conjunctive_body(formula: Formula,
+                      atom_for: Callable[[str, tuple], Atom]) -> list:
+    """Translate a conjunctive FO formula into a rule body, each relation
+    atom shaped by ``atom_for(relation, terms)``.
+
+    Variables bound by ``exists`` are renamed apart (``Y`` becomes
+    ``Y#1``), so flattening the conjunction cannot merge two different
+    ``Y``s or capture an answer variable.
+    """
+    fresh = count(1)
+
+    def translate(part: Formula, names: dict) -> list:
+        if isinstance(part, RelAtom):
+            return [Literal(atom_for(part.relation,
+                                     tuple(names.get(term, term)
+                                           for term in part.terms)))]
+        if isinstance(part, Cmp):
+            comparison = part.comparison
+            return [Comparison(comparison.op,
+                               names.get(comparison.left, comparison.left),
+                               names.get(comparison.right,
+                                         comparison.right))]
+        if isinstance(part, And):
+            return [item for sub in part.parts
+                    for item in translate(sub, names)]
+        if isinstance(part, Exists):
+            inner = dict(names)
+            for variable in part.variables:
+                inner[variable] = Variable(f"{variable.name}#{next(fresh)}")
+            return translate(part.sub, inner)
+        raise SystemError_(
+            f"query programs support conjunctive queries; "
+            f"{type(part).__name__} found — evaluate the FO query over "
+            f"the decoded solutions instead")
+
+    return translate(formula, {})

@@ -16,63 +16,56 @@ of Section 3.1:
 
 The peer's solutions correspond to the stable models ("in one to one
 correspondence", Section 3.2), and peer consistent answers are the
-skeptical answers of a query program over the primed relations.  Both are
-computed on the models as sets of atom ids:
+skeptical answers of a query program over the primed relations.
+:class:`GavSpecification` is a :class:`~repro.core.asp_common.Specification`:
+the shared core projects each model onto the solution atoms, answers a
+conjunctive query off the models' atom ids and decodes instances only when
+asked for.  What is GAV's own are the rules above, the solution atoms
+(primed, or final-layer, atoms of the replaced relations) and, through
+:attr:`delta_minimal`, the Δ-minimality post-filter: it compares those
+projections' symmetric differences with the source rows' atoms — exactly
+``delta`` of the decoded instances — and guarantees agreement with
+Definition 4 in all cases (on the paper's DEC class, acyclic and
+witness-guarded, it discards nothing).
 
-* each model is projected onto the solution atoms (primed, or final-layer,
-  atoms of the replaced relations); equal projections are one solution;
-* the Δ-minimality post-filter compares those projections' symmetric
-  differences with the source rows' atoms — exactly ``delta`` of the
-  decoded instances — and guarantees agreement with Definition 4 in all
-  cases (on the paper's DEC class, acyclic and witness-guarded, it
-  discards nothing);
-* a conjunctive query's rule ``ans_query(x̄) :- body`` is grounded once,
-  against the specification's already grounded table, and a tuple is
-  certain when every minimal solution's model contains one of its ground
-  bodies (possible: some model).
-
-Instances are decoded only when asked for
-(:meth:`GavSpecification.solutions`).
 :class:`AspSolutions` composes two such programs to implement the full
 two-stage semantics of Definition 4 (the paper's Section 3.1 example is
 single-stage — only a `less` neighbour) and is what a session caches for
-``method="asp"``; :func:`asp_solutions_for_peer` lists its instances.
+``method="asp"`` (and, around their one program, for ``lav`` and
+``transitive``); :func:`asp_solutions_for_peer` lists its instances.
 Queries that are not conjunctive, and the case where several stage-1
 solutions feed `same` DECs, fall back to decoding and intersecting.
 """
 
 from __future__ import annotations
 
-from itertools import count
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ..datalog.engine import AnswerSetEngine
 from ..datalog.errors import SafetyError
-from ..datalog.grounding import ground_rule_over
-from ..datalog.program import Program, Rule
-from ..datalog.terms import Atom, Comparison, Literal, Variable
-from ..relational.constraints import Constraint
-from ..relational.instance import DatabaseInstance, canonical_order
-from ..relational.query import (
-    And,
-    Cmp,
-    Exists,
-    Formula,
-    Query,
-    RelAtom,
+from ..datalog.program import Rule
+from ..datalog.terms import Atom, Comparison, Literal
+from ..relational.constraints import (
+    Constraint,
+    DenialConstraint,
+    EqualityGeneratingConstraint,
+    TupleGeneratingConstraint,
 )
+from ..relational.instance import DatabaseInstance, canonical_order
+from ..relational.query import Query
 from .asp_common import (
+    Specification,
     TranslationContext,
+    _holding_answers,
     dec_rules,
     hard_constraint_rules,
-    instance_facts,
     local_ic_rules,
     make_aux_names,
+    persistence_rules,
 )
 from .errors import SystemError_
 from .naming import NameMap
 from .pca import PCAResult, pca_from_solutions, possible_from_solutions
-from .solutions import SolutionSearch
 from .system import PeerSystem
 from .trust import TrustLevel
 
@@ -80,25 +73,7 @@ __all__ = ["GavSpecification", "AspSolutions", "asp_solutions_for_peer",
            "asp_peer_consistent_answers"]
 
 
-class _FinalContext:
-    """Adapter: `solution_pred` resolves to the final-layer predicates.
-
-    Used to re-enforce DECs over the IC-repaired state; only the methods
-    :func:`repro.core.asp_common.hard_constraint_rules` touches are
-    provided.
-    """
-
-    def __init__(self, spec: "GavSpecification") -> None:
-        self._spec = spec
-        self.name_map = spec.name_map
-        self.changeable = spec.context.changeable
-        self.foreign_primed = spec.context.foreign_primed
-
-    def solution_pred(self, relation: str) -> str:
-        return self._spec._final_pred(relation)
-
-
-class GavSpecification:
+class GavSpecification(Specification):
     """The Section 3.1 program for one repair stage.
 
     Parameters:
@@ -118,7 +93,13 @@ class GavSpecification:
             repairing them (the paper's "simple way").
         relations_in_scope: relations to emit facts for (default: all
             relations mentioned anywhere plus changeable ones).
+
+    The solutions are the Δ-minimal projections of the stable models onto
+    the primed (or, with the final layer, final) atoms of the changeable
+    and foreign-primed relations.
     """
+
+    delta_minimal = True
 
     def __init__(self, instance: DatabaseInstance,
                  repair_decs: Sequence[Constraint],
@@ -133,7 +114,6 @@ class GavSpecification:
                 f"unknown local_ic_mode {local_ic_mode!r}; use 'layered' "
                 f"or 'denial'")
         self.local_ic_mode = local_ic_mode
-        self.instance = instance
         self.repair_decs = tuple(repair_decs)
         self.enforce = tuple(enforce)
         self.local_ics = tuple(local_ics)
@@ -149,18 +129,12 @@ class GavSpecification:
                 f"constraints mention relations {sorted(unknown)} missing "
                 f"from the instance")
         self.scope = frozenset(scope)
-        self.name_map = NameMap(self.scope)
-        self.context = TranslationContext(self.name_map, changeable,
+        name_map = NameMap(self.scope)
+        self.context = TranslationContext(name_map, changeable,
                                           foreign_primed)
-        # the relations a solution replaces wholesale
-        self._replaced = frozenset(
-            relation for relation in (self.context.changeable
-                                      | self.context.foreign_primed)
-            if relation in instance.schema)
-        self._program: Optional[Program] = None
-        self._engine: Optional[AnswerSetEngine] = None
-        self._rows: Optional[dict[int, tuple[str, tuple]]] = None
-        self._solution_models: dict[bool, list[frozenset[int]]] = {}
+        super().__init__(instance, name_map, self.scope,
+                         self.context.changeable
+                         | self.context.foreign_primed)
 
     # ------------------------------------------------------------------
     # Program construction
@@ -187,7 +161,6 @@ class GavSpecification:
         insertable: set[str] = set()
         triggers: set[str] = set()
         for constraint in self.repair_decs:
-            from ..relational.constraints import TupleGeneratingConstraint
             if isinstance(constraint, TupleGeneratingConstraint):
                 insertable |= {a.relation for a in constraint.consequent
                                if a.relation in self.context.changeable}
@@ -211,7 +184,9 @@ class GavSpecification:
         if self.local_ics and not self.uses_final_layer:
             rules.extend(local_ic_rules(self.local_ics, self.context,
                                         aux))
-        rules.extend(self._persistence_rules(rules))
+        rules.extend(persistence_rules(self.context.changeable, rules,
+                                       self.instance, self.name_map.source,
+                                       self.name_map.primed))
         if self.uses_final_layer:
             rules.extend(self._final_layer_rules(aux))
         return rules
@@ -219,18 +194,14 @@ class GavSpecification:
     # -- the second layer of Section 3.2's flexible alternative ----------
     def _final_pred(self, relation: str) -> str:
         """Solution-level predicate of the *final* (IC-repaired) state."""
-        if relation in self.context.changeable \
-                or relation in self.context.foreign_primed:
+        if relation in self._replaced:
             return self.name_map.final(relation)
         return self.name_map.source(relation)
 
     def _final_layer_rules(self, aux) -> list[Rule]:
-        from ..relational.constraints import (DenialConstraint,
-                                              EqualityGeneratingConstraint)
-        from ..datalog.terms import Comparison
-        rules: list[Rule] = []
-        ic_deletion_heads: dict[Constraint, list] = {}
-        deletable: set[str] = set()
+        # local-IC repair rules: trigger on the layer-A state, delete in
+        # the final layer
+        repairs: list[Rule] = []
         for constraint in self.local_ics:
             if not isinstance(constraint, (DenialConstraint,
                                            EqualityGeneratingConstraint)):
@@ -238,321 +209,65 @@ class GavSpecification:
                     f"the layered local-IC construction supports denial "
                     f"and equality-generating ICs; {constraint.name} is "
                     f"{type(constraint).__name__}")
-            heads = []
-            for atom in constraint.antecedent:
-                if atom.relation in self.context.changeable:
-                    heads.append(Literal(
-                        Atom(self.name_map.final(atom.relation),
-                             atom.terms), positive=False))
-                    deletable.add(atom.relation)
-            ic_deletion_heads[constraint] = heads
+            heads = [Literal(Atom(self.name_map.final(atom.relation),
+                                  atom.terms), positive=False)
+                     for atom in constraint.antecedent
+                     if atom.relation in self.context.changeable]
+            trigger: list = [
+                Literal(Atom(self.context.solution_pred(atom.relation),
+                             atom.terms))
+                for atom in constraint.antecedent]
+            trigger.extend(c.comparison for c in constraint.conditions)
+            if isinstance(constraint, EqualityGeneratingConstraint):
+                repairs.extend(
+                    Rule(head=heads,
+                         body=trigger + [Comparison("!=", left, right)])
+                    for left, right in constraint.equalities)
+            else:
+                repairs.append(Rule(head=heads, body=trigger))
 
         # copy layer-A output into the final layer
-        changed = sorted(self.context.changeable
-                         | self.context.foreign_primed)
-        for relation in changed:
-            arity = self.instance.schema.arity(relation)
-            variables = tuple(Variable(f"X{i}") for i in range(arity))
-            primed_atom = Atom(self.name_map.primed(relation), variables)
-            final_atom = Atom(self.name_map.final(relation), variables)
-            body: list = [Literal(primed_atom)]
-            if relation in deletable:
-                body.append(Literal(final_atom, positive=False, naf=True))
-            rules.append(Rule(head=[final_atom], body=body))
-
-        # local-IC repair rules: trigger on the layer-A state, delete in
-        # the final layer
-        for constraint in self.local_ics:
-            trigger: list = []
-            for atom in constraint.antecedent:
-                pred = self.name_map.primed(atom.relation) \
-                    if atom.relation in self.context.changeable \
-                    or atom.relation in self.context.foreign_primed \
-                    else self.name_map.source(atom.relation)
-                trigger.append(Literal(Atom(pred, atom.terms)))
-            trigger.extend(c.comparison for c in constraint.conditions)
-            heads = ic_deletion_heads[constraint]
-            if isinstance(constraint, EqualityGeneratingConstraint):
-                for left, right in constraint.equalities:
-                    rules.append(Rule(
-                        head=heads,
-                        body=trigger + [Comparison("!=", left, right)]))
-            else:
-                rules.append(Rule(head=heads, body=trigger))
-
+        rules = persistence_rules(self._replaced, repairs, self.instance,
+                                  self.name_map.primed,
+                                  self.name_map.final)
+        rules.extend(repairs)
         # the DECs (and stage-2 enforcements) must still hold of the
         # final state: the IC layer may only delete what the DECs do not
         # pin down
-        final_context = _FinalContext(self)
+        final_context = SimpleNamespace(solution_pred=self._final_pred)
         for constraint in (*self.repair_decs, *self.enforce):
             rules.extend(hard_constraint_rules(constraint, final_context,
                                                aux))
         return rules
 
-    def _persistence_rules(self, dec_rules_built: Sequence[Rule]
-                           ) -> list[Rule]:
-        """Rules (4)-(5): copy sources into the primed relations, with the
-        `not -R'` exception exactly for relations that can lose tuples."""
-        deletable: set[str] = set()
-        for rule in dec_rules_built:
-            for literal in rule.head:
-                if not literal.positive:
-                    relation = self.name_map.relation_of_primed(
-                        literal.predicate)
-                    if relation is not None:
-                        deletable.add(relation)
-        rules = []
-        for relation in sorted(self.context.changeable):
-            arity = self.instance.schema.arity(relation)
-            variables = tuple(Variable(f"X{i}") for i in range(arity))
-            source_atom = Atom(self.name_map.source(relation), variables)
-            primed_atom = Atom(self.name_map.primed(relation), variables)
-            body: list = [Literal(source_atom)]
-            if relation in deletable:
-                body.append(Literal(primed_atom, positive=False, naf=True))
-            rules.append(Rule(head=[primed_atom], body=body))
-        return rules
-
-    @property
-    def program(self) -> Program:
-        if self._program is None:
-            rules = self.build_rules()
-            facts = instance_facts(self.instance, self.scope,
-                                   self.name_map)
-            if self.context.domain_used:
-                for value in sorted(self.instance.active_domain(),
-                                    key=lambda v: (isinstance(v, str),
-                                                   str(v))):
-                    facts.append(Rule(head=[
-                        Atom(self.context.domain_pred, (value,))]))
-            self._program = Program(rules + facts)
-        return self._program
-
     # ------------------------------------------------------------------
-    # Solving
+    # The solution-atom and query-atom hooks
     # ------------------------------------------------------------------
-    @property
-    def engine(self) -> AnswerSetEngine:
-        if self._engine is None:
-            self._engine = AnswerSetEngine(self.program)
-        return self._engine
+    def _solution_row(self, atom: Atom) -> Optional[tuple[str, tuple]]:
+        relation = (self.name_map.relation_of_final if self.uses_final_layer
+                    else self.name_map.relation_of_primed)(atom.predicate)
+        return None if relation is None else (relation, atom.value_tuple())
 
-    def answer_sets(self):
-        return self.engine.answer_sets()
-
-    def _solution_rows(self) -> dict[int, tuple[str, tuple]]:
-        """``atom id -> (relation, row)`` for every solution atom true in
-        some stable model: the primed atoms (final-layer atoms when
-        :attr:`uses_final_layer`) of the replaced relations.  Built once
-        per distinct atom."""
-        if self._rows is None:
-            relation_of = (self.name_map.relation_of_final
-                           if self.uses_final_layer
-                           else self.name_map.relation_of_primed)
-            table = self.engine.ground.table
-            rows = {}
-            for ident in frozenset().union(*self.engine.id_models()):
-                literal = table.literal_for(ident)
-                relation = relation_of(literal.predicate)
-                if literal.positive and relation in self._replaced:
-                    rows[ident] = (relation, literal.atom.value_tuple())
-            self._rows = rows
-        return self._rows
-
-    def solution_models(self, *, minimal_only: bool = True
-                        ) -> list[frozenset[int]]:
-        """One stable model (as atom ids) per distinct solution, memoised.
-
-        Models are told apart by their projection onto the solution
-        atoms.  ``minimal_only`` applies the Δ-minimality post-filter that
-        makes the solutions coincide with Definition 4's repairs in all
-        cases (it is a no-op on the paper's DEC class).  A solution's Δ to
-        the source, restricted to the replaced relations, is its
-        projection's symmetric difference with the atoms of the source
-        rows, plus the source rows no model contains; every Δ shares
-        those, so comparing the id sets decides ``<`` exactly.
-        """
-        cached = self._solution_models.get(minimal_only)
-        if cached is not None:
-            return cached
-        models = self.engine.id_models()
-        if len(models) < 2:
-            return models
-        rows = self._solution_rows()
-        ids = frozenset(rows)
-        distinct: dict[frozenset[int], frozenset[int]] = {}
-        for model in models:
-            distinct.setdefault(model & ids, model)
-        models = list(distinct.values())
-        if minimal_only and len(distinct) > 1:
-            source = frozenset(
-                ident for ident, (relation, row) in rows.items()
-                if row in self.instance.tuples(relation))
-            deltas = [projection ^ source for projection in distinct]
-            # only a strictly smaller Δ can be a strict subset
-            smallest = min(map(len, deltas))
-            models = [model for model, delta in zip(models, deltas)
-                      if len(delta) == smallest
-                      or not any(other < delta for other in deltas)]
-        self._solution_models[minimal_only] = models
-        return models
-
-    def solutions(self, *, minimal_only: bool = True
-                  ) -> list[DatabaseInstance]:
-        """The solution instances of :meth:`solution_models`, decoded, in
-        canonical order."""
-        return canonical_order(
-            self._decode(model)
-            for model in self.solution_models(minimal_only=minimal_only))
-
-    def _decode(self, model: frozenset[int]) -> DatabaseInstance:
-        """Read a solution instance off a stable model: the replaced
-        relations take the model's solution atoms, the others keep the
-        source rows."""
-        replaced: dict[str, set[tuple]] = {
-            relation: set() for relation in self._replaced}
-        rows = self._solution_rows()
-        for ident in model:
-            entry = rows.get(ident)
-            if entry is not None:
-                replaced[entry[0]].add(entry[1])
-        return self.instance.replace_relations(replaced)
-
-    # ------------------------------------------------------------------
-    # Query programs (Section 3.2)
-    # ------------------------------------------------------------------
-    def query_instances(self, query: Query) -> Iterator[tuple[tuple,
-                                                             tuple]]:
-        """The ground instances of the query program, each as its answer
-        tuple and the atom ids of its body.
-
-        The query program is the one rule ``ans_query(x̄) :- body`` over
-        the solution-level predicates, grounded against this
-        specification's table only (the specification is not ground
-        again).  Raises, before any iteration,
-        :class:`~repro.core.errors.SystemError_` for a query that is not
-        conjunctive and :class:`~repro.datalog.errors.SafetyError` for an
-        unsafe one.
-        """
-        query_context = _FinalContext(self) if self.uses_final_layer \
-            else self.context
-        rule = Rule(head=[Atom("ans_query", query.head)],
-                    body=_conjunctive_body(query.formula, query_context))
-        return ((tuple([term.value for term in head]), body)
-                for head, body in ground_rule_over(rule,
-                                                   self.engine.ground.table))
-
-    def query_program_answers(self, query: Query,
-                              *, skeptical: bool = True) -> set[tuple]:
-        """Run a conjunctive query program over the virtual relations.
-
-        Implements "running the query, expressed as a query program in
-        terms of the virtually repaired tables, in combination with
-        program Π ... under the skeptical answer set semantics"
-        (Section 3.2): the tuples whose query rule holds in every answer
-        set (in some, when not ``skeptical``), with no Δ-minimality
-        filter.  Supports conjunctive queries (∧/∃/comparisons); richer FO
-        queries should be answered against :meth:`solutions` instead.
-        """
-        return _holding_answers(self.query_instances(query),
-                                self.engine.id_models(), skeptical)
-
-
-def _holding_answers(instances: Iterable[tuple[tuple, tuple]],
-                     models: Sequence[frozenset[int]],
-                     skeptical: bool) -> set[tuple]:
-    """The answer tuples of ``(answer, body ids)`` instances with a body
-    inside every model (``skeptical``) or inside some model; none without
-    models."""
-    if not models:
-        return set()
-    # a body inside every model settles its tuple at once; only the
-    # others are kept and checked model by model
-    common = frozenset.intersection(*models)
-    answers: set[tuple] = set()
-    pending: dict[tuple, list[tuple]] = {}
-    for answer, body in instances:
-        if answer in answers:
-            continue
-        if common.issuperset(body):
-            answers.add(answer)
-        else:
-            pending.setdefault(answer, []).append(body)
-    quantifier = all if skeptical else any
-    answers.update(
-        answer for answer, bodies in pending.items()
-        if answer not in answers
-        and quantifier(any(model.issuperset(body) for body in bodies)
-                       for model in models))
-    return answers
-
-
-def _conjunctive_body(formula: Formula,
-                      context: TranslationContext) -> list:
-    """Translate a conjunctive FO formula into a rule body over the
-    solution-level predicates.
-
-    Variables bound by ``exists`` are renamed apart (``Y`` becomes
-    ``Y#1``), so flattening the conjunction cannot merge two different
-    ``Y``s or capture an answer variable.
-    """
-    fresh = count(1)
-
-    def translate(part: Formula, names: dict) -> list:
-        if isinstance(part, RelAtom):
-            pred = context.solution_pred(part.relation)
-            return [Literal(Atom(pred, tuple(names.get(term, term)
-                                             for term in part.terms)))]
-        if isinstance(part, Cmp):
-            comparison = part.comparison
-            return [Comparison(comparison.op,
-                               names.get(comparison.left, comparison.left),
-                               names.get(comparison.right,
-                                         comparison.right))]
-        if isinstance(part, And):
-            return [item for sub in part.parts
-                    for item in translate(sub, names)]
-        if isinstance(part, Exists):
-            inner = dict(names)
-            for variable in part.variables:
-                inner[variable] = Variable(f"{variable.name}#{next(fresh)}")
-            return translate(part.sub, inner)
-        raise SystemError_(
-            f"query programs support conjunctive queries; "
-            f"{type(part).__name__} found — evaluate the FO query over "
-            f"the decoded solutions instead")
-
-    return translate(formula, {})
+    def _query_atom(self, relation: str, terms: tuple) -> Atom:
+        if not self.uses_final_layer:
+            return super()._query_atom(relation, terms)
+        return Atom(self._final_pred(relation), terms)
 
 
 # ---------------------------------------------------------------------------
 # Peer-level composition (Definition 4 via ASP)
 # ---------------------------------------------------------------------------
 
-def _stage_specs(system: PeerSystem, peer: str, *,
-                 include_local_ics: bool) -> tuple:
-    search = SolutionSearch(system, peer,
-                            include_local_ics=include_local_ics)
-    less = [e.constraint for e in
-            system.trusted_decs_of(peer, TrustLevel.LESS)]
-    same_decs = system.trusted_decs_of(peer, TrustLevel.SAME)
-    same = [e.constraint for e in same_decs]
-    local = list(system.peer(peer).local_ics) if include_local_ics else []
-    own = set(system.peer(peer).schema.names)
-    stage2_changeable = set(own)
-    for exchange in same_decs:
-        stage2_changeable |= set(system.peer(exchange.other).schema.names)
-    return less, same, local, own, stage2_changeable, search
-
-
 class AspSolutions:
-    """The solutions for one peer on the ASP route, kept solved.
+    """The solutions for one peer on an ASP route, kept solved.
 
-    Holds the final-stage :class:`GavSpecification` (stage 2 when the peer
-    has `same` DECs, stage 1 otherwise).  A conjunctive query is answered
-    off its stable models' atom ids: the query rule is grounded against
-    the specification's table (:meth:`GavSpecification.query_instances`) and
-    each ground body is tested against one model per minimal solution.
+    Holds a :class:`~repro.core.asp_common.Specification`: for ``asp`` the
+    final-stage :class:`GavSpecification` (stage 2 when the peer has
+    `same` DECs, stage 1 otherwise), for ``lav`` and ``transitive`` their
+    one program.  A conjunctive query is answered off its stable models'
+    atom ids: the query rule is grounded against the specification's
+    table (:meth:`~repro.core.asp_common.Specification.query_instances`)
+    and each ground body is tested against one model per solution.
     Iterating decodes the solution instances, in canonical order, on
     first use only.
 
@@ -560,11 +275,12 @@ class AspSolutions:
     several stage-1 solutions feeding `same` DECs, whose cross-branch
     dedup needs decoded content — it holds the decoded instances, and
     queries are evaluated on each, as they are for a query that is not
-    conjunctive or not safe.
+    conjunctive or not safe, or that reads a relation the program does
+    not hold.
     """
 
     def __init__(self, system: PeerSystem, peer: str, *,
-                 spec: Optional[GavSpecification] = None,
+                 spec: Optional[Specification] = None,
                  instances: Optional[list[DatabaseInstance]] = None,
                  minimal_only: bool = True) -> None:
         self.system = system
@@ -586,17 +302,25 @@ class AspSolutions:
         (validated against the model-theoretic
         :func:`repro.core.solutions.solutions_for_peer`).
         """
-        less, same, local, own, stage2_changeable, _search = _stage_specs(
-            system, peer, include_local_ics=include_local_ics)
+        less = [e.constraint for e in
+                system.trusted_decs_of(peer, TrustLevel.LESS)]
+        same_decs = system.trusted_decs_of(peer, TrustLevel.SAME)
+        same = [e.constraint for e in same_decs]
+        local = list(system.peer(peer).local_ics) \
+            if include_local_ics else []
+        own = set(system.peer(peer).schema.names)
+        stage2_changeable = set(own)
+        for exchange in same_decs:
+            stage2_changeable |= set(
+                system.peer(exchange.other).schema.names)
         global_instance = system.global_instance()
 
         # the specification program embeds the neighbours' data as facts
         # — record those data requests on the exchange log (Example 2's
         # narrative, here for the ASP mechanism)
-        own_set = set(own)
         foreign = set()
         for constraint in (*less, *same):
-            foreign |= constraint.relations() - own_set
+            foreign |= constraint.relations() - own
         for relation in sorted(foreign):
             system.fetch_relation(peer, relation,
                                   purpose="asp specification")

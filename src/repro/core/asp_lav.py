@@ -24,15 +24,20 @@ constants* in the last argument position ([3]):
    the chosen legal instances will consider only tuple deletions
    (insertions) for ... closed (resp. open) sources" is realised.
 
-Solutions are the ``tss``-annotated atoms of each stable model.
+Solutions are the ``tss``-annotated atoms of each stable model, and a
+query atom over a labelled relation reads them (``R'(x̄, tss)``).
+:class:`LavSpecification` is a :class:`~repro.core.asp_common.Specification`
+that provides the three layers' rules and these two hooks; building,
+solving and answering off the models' atom ids are the shared core's.  The
+program holds facts for the labelled relations only, so a query over any
+other relation is answered on the decoded solutions instead.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..datalog.engine import AnswerSetEngine
-from ..datalog.program import Program, Rule
+from ..datalog.program import Rule
 from ..datalog.terms import (
     Atom,
     ChoiceGoal,
@@ -46,13 +51,15 @@ from ..relational.constraints import (
     EqualityGeneratingConstraint,
     TupleGeneratingConstraint,
 )
-from ..relational.instance import DatabaseInstance, canonical_order
+from ..relational.instance import DatabaseInstance
+from .asp_common import Specification, _universal_args, make_aux_names
 from .errors import SystemError_
 from .naming import NameMap
 from .system import PeerSystem
 from .trust import TrustLevel
 
-__all__ = ["SourceLabel", "LavSpecification", "labels_for_peer"]
+__all__ = ["SourceLabel", "LavSpecification", "labels_for_peer",
+           "lav_specification_for_peer"]
 
 TD = Constant("td")
 TA = Constant("ta")
@@ -85,26 +92,20 @@ def labels_for_peer(system: PeerSystem, peer: str) -> dict[str, str]:
                 f"LAV labelling expects referential (tuple-generating) "
                 f"DECs; {constraint.name} is "
                 f"{type(constraint).__name__}")
-        for atom in constraint.antecedent:
-            relation = atom.relation
-            if relation in own:
-                if labels.get(relation) == SourceLabel.OPEN:
+        for atoms, label, other in (
+                (constraint.antecedent, SourceLabel.CLOSED, SourceLabel.OPEN),
+                (constraint.consequent, SourceLabel.OPEN,
+                 SourceLabel.CLOSED)):
+            for atom in atoms:
+                relation = atom.relation
+                if relation not in own:
+                    labels[relation] = SourceLabel.CLOPEN
+                elif labels.get(relation) == other:
                     raise SystemError_(
                         f"relation {relation!r} appears on both sides of "
                         f"the DECs; outside the LAV class")
-                labels[relation] = SourceLabel.CLOSED
-            else:
-                labels[relation] = SourceLabel.CLOPEN
-        for atom in constraint.consequent:
-            relation = atom.relation
-            if relation in own:
-                if labels.get(relation) == SourceLabel.CLOSED:
-                    raise SystemError_(
-                        f"relation {relation!r} appears on both sides of "
-                        f"the DECs; outside the LAV class")
-                labels[relation] = SourceLabel.OPEN
-            else:
-                labels[relation] = SourceLabel.CLOPEN
+                else:
+                    labels[relation] = label
     if system.trusted_decs_of(peer, TrustLevel.SAME):
         raise SystemError_(
             "the LAV construction of Section 4.2 covers `less`-trusted "
@@ -112,7 +113,7 @@ def labels_for_peer(system: PeerSystem, peer: str) -> dict[str, str]:
     return labels
 
 
-class LavSpecification:
+class LavSpecification(Specification):
     """The three-layer program for one peer's solutions."""
 
     def __init__(self, instance: DatabaseInstance,
@@ -132,9 +133,8 @@ class LavSpecification:
             raise SystemError_(
                 f"labels for relations {sorted(unknown)} missing from the "
                 f"instance")
-        self.name_map = NameMap(self.labels)
-        self._program: Optional[Program] = None
-        self._engine: Optional[AnswerSetEngine] = None
+        super().__init__(instance, NameMap(self.labels), self.labels,
+                         self.labels)
 
     # ------------------------------------------------------------------
     def _annotated(self, relation: str, terms: Sequence, annotation:
@@ -177,11 +177,15 @@ class LavSpecification:
 
     def _dec_repair_rules(self) -> list[Rule]:
         rules: list[Rule] = []
+        # the Appendix's aux1, aux2, ... unless a relation predicate has
+        # the name already
+        aux = make_aux_names(self.name_map)
         counter = 0
         for constraint in self.decs:
             counter += 1
             if isinstance(constraint, TupleGeneratingConstraint):
-                rules.extend(self._tgd_repair_rules(constraint, counter))
+                rules.extend(self._tgd_repair_rules(constraint, counter,
+                                                    aux))
             elif isinstance(constraint, EqualityGeneratingConstraint):
                 rules.extend(self._egd_repair_rules(constraint))
             else:
@@ -191,7 +195,7 @@ class LavSpecification:
         return rules
 
     def _tgd_repair_rules(self, constraint: TupleGeneratingConstraint,
-                          index: int) -> list[Rule]:
+                          index: int, aux) -> list[Rule]:
         closed_ant = [a for a in constraint.antecedent
                       if self.labels[a.relation] == SourceLabel.CLOSED]
         open_cons = [a for a in constraint.consequent
@@ -211,24 +215,23 @@ class LavSpecification:
             Literal(self._annotated(a.relation, a.terms, FA))
             for a in closed_ant]
 
-        uvars_consequent = tuple(sorted(
-            {v for a in constraint.consequent
-             for v in a.free_variables() & constraint.universal_vars},
-            key=lambda v: v.name))
-        aux1 = Atom(f"aux{2 * index - 1}", uvars_consequent)
+        uvars_consequent = _universal_args(
+            v for a in constraint.consequent
+            for v in a.free_variables() & constraint.universal_vars)
+        aux1 = Atom(aux.fresh(f"aux{2 * index - 1}", bare=True),
+                    uvars_consequent)
         aux1_body = [Literal(self._annotated(a.relation, a.terms, TD))
                      for a in constraint.consequent]
         rules = [Rule(head=[aux1], body=aux1_body)]
         not_aux1 = Literal(aux1, naf=True)
 
-        exist_vars = tuple(sorted(constraint.existential_vars,
-                                  key=lambda v: v.name))
+        exist_vars = _universal_args(constraint.existential_vars)
         if exist_vars and clopen_cons:
-            uvars_clopen = tuple(sorted(
-                {v for a in clopen_cons
-                 for v in a.free_variables() & constraint.universal_vars},
-                key=lambda v: v.name))
-            aux2 = Atom(f"aux{2 * index}", uvars_clopen)
+            uvars_clopen = _universal_args(
+                v for a in clopen_cons
+                for v in a.free_variables() & constraint.universal_vars)
+            aux2 = Atom(aux.fresh(f"aux{2 * index}", bare=True),
+                        uvars_clopen)
             rules.append(Rule(
                 head=[aux2],
                 body=[Literal(self._annotated(a.relation, a.terms, TD))
@@ -248,12 +251,8 @@ class LavSpecification:
                 Literal(self._annotated(a.relation, a.terms, TA))
                 for a in open_cons]
             body = trigger + [not_aux1] + witness_atoms
-            choice_domain = tuple(sorted(
-                {v for a in constraint.consequent
-                 for v in a.free_variables() & constraint.universal_vars},
-                key=lambda v: v.name))
             if exist_vars:
-                body.append(ChoiceGoal(choice_domain, exist_vars))
+                body.append(ChoiceGoal(uvars_consequent, exist_vars))
             if len(insert_heads) > 1:
                 raise SystemError_(
                     "LAV repair layer supports single-atom open "
@@ -279,48 +278,36 @@ class LavSpecification:
                               + [Comparison("!=", left, right)]))
         return rules
 
-    # ------------------------------------------------------------------
-    @property
-    def program(self) -> Program:
-        if self._program is None:
-            rules = (self._layer1_rules() + self._layer2_scaffold()
-                     + self._dec_repair_rules())
-            facts = []
-            for relation in sorted(self.labels):
-                pred = self.name_map.source(relation)
-                for values in sorted(
-                        self.instance.tuples(relation),
-                        key=lambda row: tuple((isinstance(v, str), str(v))
-                                              for v in row)):
-                    facts.append(Rule(head=[Atom(pred, values)]))
-            self._program = Program(rules + facts)
-        return self._program
+    def build_rules(self) -> list[Rule]:
+        return (self._layer1_rules() + self._layer2_scaffold()
+                + self._dec_repair_rules())
 
-    @property
-    def engine(self) -> AnswerSetEngine:
-        if self._engine is None:
-            self._engine = AnswerSetEngine(self.program)
-        return self._engine
+    def _solution_row(self, atom: Atom) -> Optional[tuple[str, tuple]]:
+        relation = self.name_map.relation_of_primed(atom.predicate)
+        values = atom.value_tuple()
+        if relation is None or values[-1:] != ("tss",):
+            return None
+        return relation, values[:-1]
 
-    def answer_sets(self):
-        return self.engine.answer_sets()
+    def _query_atom(self, relation: str, terms: tuple) -> Atom:
+        # the name map raises for an unlabelled relation
+        return self._annotated(relation, terms, TSS)
 
-    def solutions(self) -> list[DatabaseInstance]:
-        """The tss-projection of each stable model, as instances."""
-        decoded: dict[DatabaseInstance, None] = {}
-        for model in self.answer_sets():
-            contents: dict[str, set[tuple]] = {r: set()
-                                               for r in self.labels}
-            for literal in model:
-                if not literal.positive or literal.naf:
-                    continue
-                relation = self.name_map.relation_of_primed(
-                    literal.predicate)
-                if relation is None:
-                    continue
-                values = literal.atom.value_tuple()
-                if values and values[-1] == "tss":
-                    contents[relation].add(values[:-1])
-            decoded.setdefault(
-                self.instance.replace_relations(contents))
-        return canonical_order(decoded)
+
+def lav_specification_for_peer(system: PeerSystem, peer: str, *,
+                               include_local_ics: bool = True
+                               ) -> LavSpecification:
+    """The LAV program for ``peer``'s `less`-trusted DECs.
+
+    The three layers have no place for local ICs, so a peer with local ICs
+    raises :class:`~repro.core.errors.SystemError_` unless
+    ``include_local_ics`` is off — as :func:`labels_for_peer` raises for
+    `same` DECs — instead of returning solutions that break them.
+    """
+    if include_local_ics and system.peer(peer).local_ics:
+        raise SystemError_(
+            f"the LAV construction of Section 4.2 has no layer for local "
+            f"ICs, and peer {peer!r} has some; use the GAV builder")
+    labels = labels_for_peer(system, peer)
+    decs = [e.constraint for e in system.trusted_decs_of(peer)]
+    return LavSpecification(system.global_instance(), decs, labels)

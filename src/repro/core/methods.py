@@ -28,7 +28,12 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..relational.instance import DatabaseInstance
 from ..relational.query import Query
-from .errors import P2PError, RewritingNotSupported, UnknownMethodError
+from .errors import (
+    P2PError,
+    RewritingNotSupported,
+    SystemError_,
+    UnknownMethodError,
+)
 from .pca import PCAResult, pca_from_solutions, possible_from_solutions
 from .system import PeerSystem
 from .trust import TrustLevel
@@ -184,8 +189,25 @@ class ModelMethod(AnswerMethod):
             include_local_ics=session.include_local_ics)
 
 
+class _SpecificationMethod(AnswerMethod):
+    """A method whose solutions are a specification program's stable
+    models, kept solved in an :class:`~repro.core.asp_gav.AspSolutions`:
+    conjunctive queries are answered off the models, and nothing is
+    decoded unless the query needs the instances."""
+
+    def certain_answers(self, session: "PeerQuerySession", peer: str,
+                        query: Query) -> PCAResult:
+        return session.cached_solutions(
+            peer, method=self.name).certain_answers(query)
+
+    def possible_answers(self, session: "PeerQuerySession", peer: str,
+                         query: Query) -> PCAResult:
+        return session.cached_solutions(
+            peer, method=self.name).possible_answers(query)
+
+
 @register_method
-class AspMethod(AnswerMethod):
+class AspMethod(_SpecificationMethod):
     """GAV answer-set specification, staged (Section 3.1)."""
 
     name = "asp"
@@ -197,33 +219,31 @@ class AspMethod(AnswerMethod):
             session.system, peer,
             include_local_ics=session.include_local_ics)
 
-    def certain_answers(self, session: "PeerQuerySession", peer: str,
-                        query: Query) -> PCAResult:
-        # conjunctive queries are answered off the stable models; nothing
-        # is decoded unless the query needs the instances
-        return session.cached_solutions(
-            peer, method=self.name).certain_answers(query)
-
-    def possible_answers(self, session: "PeerQuerySession", peer: str,
-                         query: Query) -> PCAResult:
-        return session.cached_solutions(
-            peer, method=self.name).possible_answers(query)
-
 
 @register_method
-class LavMethod(AnswerMethod):
+class LavMethod(_SpecificationMethod):
     """LAV three-layer specification (Section 4.2, Appendix)."""
 
     name = "lav"
 
+    def supports(self, system: PeerSystem, peer: str,
+                 query: Optional[Query] = None) -> bool:
+        # `less`-trusted referential DECs, no local ICs
+        from .asp_lav import lav_specification_for_peer
+        try:
+            lav_specification_for_peer(system, peer)
+        except SystemError_:
+            return False
+        return True
+
     def solutions(self, session: "PeerQuerySession", peer: str
-                  ) -> list[DatabaseInstance]:
-        from .asp_lav import LavSpecification, labels_for_peer
-        system = session.system
-        labels = labels_for_peer(system, peer)
-        decs = [e.constraint for e in system.trusted_decs_of(peer)]
-        spec = LavSpecification(system.global_instance(), decs, labels)
-        return spec.solutions()
+                  ) -> "AspSolutions":
+        from .asp_gav import AspSolutions
+        from .asp_lav import lav_specification_for_peer
+        return AspSolutions(session.system, peer,
+                            spec=lav_specification_for_peer(
+                                session.system, peer,
+                                include_local_ics=session.include_local_ics))
 
 
 @register_method
@@ -266,7 +286,7 @@ class RewriteMethod(AnswerMethod):
 
 
 @register_method
-class TransitiveMethod(AnswerMethod):
+class TransitiveMethod(_SpecificationMethod):
     """Combined-program (global) semantics of Section 4.3."""
 
     name = "transitive"
@@ -278,11 +298,13 @@ class TransitiveMethod(AnswerMethod):
                        for name in system.peers)
 
     def solutions(self, session: "PeerQuerySession", peer: str
-                  ) -> list[DatabaseInstance]:
+                  ) -> "AspSolutions":
+        from .asp_gav import AspSolutions
         from .transitive import TransitiveSpecification
-        return TransitiveSpecification(
-            session.system, peer,
-            include_local_ics=session.include_local_ics).solutions()
+        return AspSolutions(session.system, peer,
+                            spec=TransitiveSpecification(
+                                session.system, peer,
+                                include_local_ics=session.include_local_ics))
 
 
 #: the planner's preference order: cheap first, general last.

@@ -14,29 +14,33 @@ the definition, not an approximation), and notes that the absence of
 stable models signals the absence of solutions, with implicit *cyclic*
 dependencies being the problematic case [19]; :attr:`has_cycles` exposes
 the detection.
+
+:class:`TransitiveSpecification` is a
+:class:`~repro.core.asp_common.Specification`: it provides the combined
+rules, and its solution atoms are the primed atoms of every relation some
+relevant peer may change.  Building, solving and answering off the models'
+atom ids are the shared core's.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional, Sequence
 
-from ..datalog.engine import AnswerSetEngine
-from ..datalog.program import Program, Rule
-from ..datalog.terms import Atom
-from ..relational.instance import DatabaseInstance, canonical_order
+from ..datalog.program import Rule
+from ..relational.instance import DatabaseInstance
 from ..relational.query import Query
 from .asp_common import (
+    Specification,
     TranslationContext,
     dec_rules,
-    decode_model,
-    instance_facts,
     local_ic_rules,
     make_aux_names,
+    persistence_rules,
 )
+from .asp_gav import AspSolutions
 from .errors import SystemError_
 from .naming import NameMap
-from .pca import PCAResult, pca_from_solutions
+from .pca import PCAResult
 from .system import PeerSystem
 from .trust import TrustLevel
 
@@ -44,7 +48,7 @@ __all__ = ["TransitiveSpecification", "global_solutions",
            "transitive_peer_consistent_answers"]
 
 
-class TransitiveSpecification:
+class TransitiveSpecification(Specification):
     """The combined specification program rooted at one peer."""
 
     def __init__(self, system: PeerSystem, root: str, *,
@@ -73,13 +77,10 @@ class TransitiveSpecification:
             self.all_changeable |= changeable
 
         self.has_cycles = self._detect_cycles()
-        self.global_instance = system.global_instance()
-        self.name_map = NameMap(self.global_instance.relations())
-        self._program: Optional[Program] = None
-        self._engine: Optional[AnswerSetEngine] = None
-        # context used for decoding: every changed relation is primed
-        self._decode_context = TranslationContext(
-            self.name_map, self.all_changeable)
+        instance = system.global_instance()
+        relations = instance.relations()
+        super().__init__(instance, NameMap(relations), relations,
+                         self.all_changeable)
 
     # ------------------------------------------------------------------
     def _reachable_peers(self) -> list[str]:
@@ -115,96 +116,29 @@ class TransitiveSpecification:
                    if colour.get(p, 0) == 0)
 
     # ------------------------------------------------------------------
-    @property
-    def program(self) -> Program:
-        if self._program is None:
-            rules: list[Rule] = []
-            deletable_relations: set[str] = set()
-            contexts: list[TranslationContext] = []
-            for peer_name in self.relevant_peers:
-                changeable = self.changeable_of[peer_name]
-                decs = [e.constraint
-                        for e in self.system.trusted_decs_of(peer_name)]
-                if not decs:
-                    continue
-                foreign_primed = (self.all_changeable - changeable) & \
-                    self._relations_referenced(decs)
-                context = TranslationContext(self.name_map, changeable,
-                                             foreign_primed)
-                contexts.append(context)
-                aux = make_aux_names(
-                    self.name_map,
-                    extra_reserved=self._aux_names_so_far(rules))
-                for constraint in decs:
-                    rules.extend(dec_rules(constraint, context, aux))
-                if self.include_local_ics:
-                    rules.extend(local_ic_rules(
-                        self.system.peer(peer_name).local_ics, context,
-                        aux))
-            for rule in rules:
-                for literal in rule.head:
-                    if not literal.positive:
-                        relation = self.name_map.relation_of_primed(
-                            literal.predicate)
-                        if relation is not None:
-                            deletable_relations.add(relation)
-            rules.extend(self._persistence_rules(deletable_relations))
-            facts = instance_facts(self.global_instance,
-                                   self.global_instance.relations(),
-                                   self.name_map)
-            if any(c.domain_used for c in contexts):
-                for value in sorted(
-                        self.global_instance.active_domain(),
-                        key=lambda v: (isinstance(v, str), str(v))):
-                    facts.append(Rule(head=[Atom("dom", (value,))]))
-            self._program = Program(rules + facts)
-        return self._program
-
-    def _relations_referenced(self, decs) -> set[str]:
-        referenced: set[str] = set()
-        for constraint in decs:
-            referenced |= constraint.relations()
-        return referenced
-
-    def _aux_names_so_far(self, rules: Sequence[Rule]) -> set[str]:
-        names: set[str] = set()
-        for rule in rules:
-            names |= rule.predicates()
-        return names
-
-    def _persistence_rules(self, deletable: set[str]) -> list[Rule]:
-        from ..datalog.terms import Literal, Variable
-        rules = []
-        for relation in sorted(self.all_changeable):
-            arity = self.global_instance.schema.arity(relation)
-            variables = tuple(Variable(f"X{i}") for i in range(arity))
-            source_atom = Atom(self.name_map.source(relation), variables)
-            primed_atom = Atom(self.name_map.primed(relation), variables)
-            body: list = [Literal(source_atom)]
-            if relation in deletable:
-                body.append(Literal(primed_atom, positive=False,
-                                    naf=True))
-            rules.append(Rule(head=[primed_atom], body=body))
+    def build_rules(self) -> list[Rule]:
+        rules: list[Rule] = []
+        for peer_name in self.relevant_peers:
+            changeable = self.changeable_of[peer_name]
+            decs = [e.constraint
+                    for e in self.system.trusted_decs_of(peer_name)]
+            if not decs:
+                continue
+            foreign_primed = (self.all_changeable - changeable) \
+                & set().union(*(c.relations() for c in decs))
+            context = TranslationContext(self.name_map, changeable,
+                                         foreign_primed)
+            aux = make_aux_names(self.name_map, extra_reserved=set().union(
+                *(rule.predicates() for rule in rules)))
+            for constraint in decs:
+                rules.extend(dec_rules(constraint, context, aux))
+            if self.include_local_ics:
+                rules.extend(local_ic_rules(
+                    self.system.peer(peer_name).local_ics, context, aux))
+        rules.extend(persistence_rules(self.all_changeable, rules,
+                                       self.instance, self.name_map.source,
+                                       self.name_map.primed))
         return rules
-
-    # ------------------------------------------------------------------
-    @property
-    def engine(self) -> AnswerSetEngine:
-        if self._engine is None:
-            self._engine = AnswerSetEngine(self.program)
-        return self._engine
-
-    def answer_sets(self):
-        return self.engine.answer_sets()
-
-    def solutions(self) -> list[DatabaseInstance]:
-        """Global solutions = decoded answer sets (Section 4.3 semantics —
-        no extra minimisation on top of the stable models)."""
-        decoded: dict[DatabaseInstance, None] = {}
-        for model in self.answer_sets():
-            decoded.setdefault(decode_model(model, self.global_instance,
-                                            self._decode_context))
-        return canonical_order(decoded)
 
 
 def global_solutions(system: PeerSystem, root: str,
@@ -216,7 +150,8 @@ def global_solutions(system: PeerSystem, root: str,
 def transitive_peer_consistent_answers(system: PeerSystem, root: str,
                                        query: Query,
                                        **kwargs) -> PCAResult:
-    """PCAs under the transitive semantics: intersect over the global
-    solutions restricted to the root peer."""
+    """PCAs under the transitive semantics: the answers true in every
+    global solution restricted to the root peer, read off the combined
+    program's stable models."""
     spec = TransitiveSpecification(system, root, **kwargs)
-    return pca_from_solutions(system, root, query, spec.solutions())
+    return AspSolutions(system, root, spec=spec).certain_answers(query)

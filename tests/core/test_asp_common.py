@@ -6,11 +6,11 @@ import pytest
 from repro.core.asp_common import (
     TranslationContext,
     dec_rules,
-    decode_model,
     hard_constraint_rules,
     instance_facts,
     make_aux_names,
 )
+from repro.core.asp_gav import GavSpecification
 from repro.core.naming import NameMap
 from repro.datalog.terms import Atom, Literal
 from repro.relational import (
@@ -83,7 +83,7 @@ class TestTgdTranslation:
         rules = dec_rules(self.dec3(), context,
                           make_aux_names(context.name_map))
         texts = rule_texts(rules)
-        assert context.domain_used
+        assert any("dom" in rule.body_predicates() for rule in rules)
         assert any("ins_" in t and "dom(W)" in t for t in texts)
         # both consequent atoms get insertion rules from the marker
         assert any(t.startswith("r2_p") and ":- ins_" in t
@@ -194,22 +194,25 @@ class TestFactsAndDecode:
         assert [str(f) for f in facts] == ["r1(1, a).", "r1(2, b)."] or \
             [str(f) for f in facts] == ["r1(a, 1).", "r1(b, 2)."]
 
-    def test_decode_replaces_changeable_only(self):
+    @staticmethod
+    def deleting_spec():
+        """R1 is changeable and the denial DEC deletes R1(c, d); S1 is
+        read only."""
         schema = DatabaseSchema.of({"R1": 2, "S1": 2})
-        base = DatabaseInstance(schema, {"R1": [("a", "b")],
+        base = DatabaseInstance(schema, {"R1": [("a", "b"), ("c", "d")],
                                          "S1": [("c", "d")]})
-        context = TranslationContext(NameMap(["R1", "S1"]), {"R1"})
-        model = [Literal(Atom("r1_p", ("x", "y"))),
-                 Literal(Atom("s1_p", ("zz", "zz"))),  # not changeable
-                 Literal(Atom("unrelated", ("q",)))]
-        decoded = decode_model(model, base, context)
-        assert decoded.tuples("R1") == frozenset({("x", "y")})
-        assert decoded.tuples("S1") == frozenset({("c", "d")})
+        denial = DenialConstraint(
+            antecedent=[RelAtom("R1", [X, Y]), RelAtom("S1", [X, Y])])
+        return GavSpecification(base, [denial], changeable={"R1"})
+
+    def test_decode_replaces_changeable_only(self):
+        solution, = self.deleting_spec().solutions()
+        assert solution.tuples("R1") == frozenset({("a", "b")})
+        assert solution.tuples("S1") == frozenset({("c", "d")})
 
     def test_decode_ignores_negative_literals(self):
-        schema = DatabaseSchema.of({"R1": 2})
-        base = DatabaseInstance(schema, {"R1": [("a", "b")]})
-        context = TranslationContext(NameMap(["R1"]), {"R1"})
-        model = [Literal(Atom("r1_p", ("a", "b")), positive=False)]
-        decoded = decode_model(model, base, context)
-        assert decoded.tuples("R1") == frozenset()
+        spec = self.deleting_spec()
+        model, = spec.answer_sets()
+        assert Literal(Atom("r1_p", ("c", "d")), positive=False) in model
+        solution, = spec.solutions()
+        assert ("c", "d") not in solution.tuples("R1")

@@ -13,10 +13,12 @@ from repro.core import (
     DataExchange,
     GavSpecification,
     Peer,
+    PeerQuerySession,
     PeerSystem,
     SystemError_,
     TrustRelation,
     asp_solutions_for_peer,
+    get_method,
     solutions_for_peer,
 )
 from repro.relational import (
@@ -97,6 +99,33 @@ class TestLayeredMode:
                                 local_ics=[tgd])
         with pytest.raises(SystemError_):
             _ = spec.program
+
+
+class TestLavRefusesLocalICs:
+    """The LAV program has no layer for local ICs: rather than return
+    the imported row next to the own one, which breaks P1's FD, `lav`
+    raises the typed error."""
+
+    QUERY = "q(X, Y) := A(X, Y)"
+
+    def test_lav_raises_where_model_and_asp_repair(self):
+        system = import_vs_fd_system()
+        session = PeerQuerySession(system)
+        for method in ("model", "asp"):
+            assert session.answer("P1", self.QUERY, method=method).answers \
+                == {("k", "imported")}
+        with pytest.raises(SystemError_):
+            session.answer("P1", self.QUERY, method="lav")
+        assert not get_method("lav").supports(system, "P1")
+        assert get_method("lav").supports(system, "P2")
+
+    def test_lav_applies_when_local_ics_are_off(self):
+        session = PeerQuerySession(import_vs_fd_system(),
+                                   include_local_ics=False)
+        expected = {("k", "own"), ("k", "imported")}
+        for method in ("model", "lav"):
+            assert session.answer("P1", self.QUERY, method=method).answers \
+                == expected
 
 
 class TestDenialMode:

@@ -175,7 +175,8 @@ class TestAspAnswerRoute:
         from bench.workloads import seeded_conflict_system
         from repro.core import asp_common
         from repro.relational import DatabaseInstance
-        decoded = self.count_calls(monkeypatch, asp_common, "decode_model")
+        decoded = self.count_calls(monkeypatch, asp_common.Specification,
+                                   "_decode")
         replaced = self.count_calls(monkeypatch, DatabaseInstance,
                                     "replace_relations")
         session = PeerQuerySession(seeded_conflict_system(0, 3, 4))
