@@ -27,17 +27,18 @@ Commands
     per-phase timing breakdown.  Network failures (peer down, hop budget
     exhausted) are reported as typed errors, exit 3.
 
-``serve SYSTEM.json PEER [--host H] [--port N] [--peers SPEC]
-[--data-dir DIR] [--hops N] [--retries N] [--timeout S] [--method M]
-[--snapshot-every N]``
+``serve SYSTEM.json PEER [--host H] [--port N | --listen-fd FD]
+[--peers SPEC] [--data-dir DIR] [--hops N] [--retries N] [--timeout S]
+[--method M] [--snapshot-every N]``
     Run one peer of the system as a standalone server process speaking
     the :mod:`repro.wire` frame protocol over TCP.  ``--peers`` names
     the other peers' addresses (``P2=host:port,P3=host:port``); the
     server prints ``READY <peer> <host>:<port>`` once listening and
     serves until SIGTERM/SIGINT, flushing durable state on the way out.
     ``--port 0`` picks a free port.  Normally launched by the
-    ``cluster`` supervisor, but addresses can be wired by hand across
-    machines.
+    ``cluster`` supervisor, which binds the port itself and passes the
+    socket down as ``--listen-fd``; addresses can also be wired by hand
+    across machines.
 
 ``cluster SYSTEM.json PEER QUERY [--method M] [--brave] [--data-dir
 DIR] [--hops N] [--retries N] [--timeout S] [--host H] [--json]``
@@ -274,11 +275,15 @@ def _parse_peer_addresses(spec: str) -> dict:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
+    import socket
     from .core import load_system
     from .wire import PeerServer
     system = load_system(args.system)
+    listener = (socket.socket(fileno=args.listen_fd)
+                if args.listen_fd is not None else None)
     server = PeerServer(
         system, args.peer, host=args.host, port=args.port,
+        listener=listener,
         addresses=_parse_peer_addresses(args.peers),
         data_dir=args.data_dir, hop_budget=args.hops,
         retries=args.retries, timeout=args.timeout,
@@ -483,6 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0, metavar="N",
                        help="listening port (0 picks a free one)")
+    serve.add_argument("--listen-fd", type=int, default=None, metavar="FD",
+                       help="serve on this inherited, already bound "
+                            "socket instead of binding --host/--port")
     serve.add_argument("--peers", default="", metavar="SPEC",
                        help="other peers' addresses, e.g. "
                             "'P2=127.0.0.1:7002,P3=127.0.0.1:7003'")

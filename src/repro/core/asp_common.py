@@ -51,7 +51,8 @@ from .naming import NameMap
 
 __all__ = ["Specification", "TranslationContext", "instance_facts",
            "translate_atom", "translate_cmp", "dec_rules",
-           "hard_constraint_rules", "local_ic_rules", "persistence_rules"]
+           "hard_constraint_rules", "inserts_into_triggers", "local_ic_rules",
+           "persistence_rules"]
 
 
 class TranslationContext:
@@ -92,18 +93,19 @@ class TranslationContext:
         return self.name_map.source(relation)
 
 
+def _fact_rules(predicate: str, rows: Iterable[tuple]) -> list[Rule]:
+    """One fact per row, in a deterministic order."""
+    return [Rule(head=[Atom(predicate, values)])
+            for values in sorted(rows, key=lambda row: tuple(
+                (isinstance(v, str), str(v)) for v in row))]
+
+
 def instance_facts(instance: DatabaseInstance, relations: Iterable[str],
                    name_map: NameMap) -> list[Rule]:
     """Source facts for the given relations, deterministic order."""
-    facts: list[Rule] = []
-    for relation in sorted(set(relations)):
-        pred = name_map.source(relation)
-        for values in sorted(instance.tuples(relation),
-                             key=lambda row: tuple(
-                                 (isinstance(v, str), str(v))
-                                 for v in row)):
-            facts.append(Rule(head=[Atom(pred, values)]))
-    return facts
+    return [fact for relation in sorted(set(relations))
+            for fact in _fact_rules(name_map.source(relation),
+                                    instance.tuples(relation))]
 
 
 def translate_atom(atom: RelAtom, pred: str) -> Atom:
@@ -360,6 +362,28 @@ def local_ic_rules(constraints: Iterable[Constraint],
     return rules
 
 
+def inserts_into_triggers(decs: Iterable[Constraint],
+                          changeable: Iterable[str]) -> bool:
+    """True when some relation occurs both in a DEC consequent, where a
+    repair may insert into it (it is ``changeable``), and in a DEC
+    antecedent (a violation trigger).
+
+    The paper's translation (rules (6)-(9)) triggers violations on the
+    *source* relations, which is exact for its DEC class ("no cycles and
+    single atom consequents", Section 4.2) but can miss violations
+    created by insertions when the classes mix.
+    """
+    changeable = frozenset(changeable)
+    insertable: set[str] = set()
+    triggers: set[str] = set()
+    for constraint in decs:
+        if isinstance(constraint, TupleGeneratingConstraint):
+            insertable |= {a.relation for a in constraint.consequent
+                           if a.relation in changeable}
+        triggers |= {a.relation for a in constraint.antecedent}
+    return bool(insertable & triggers)
+
+
 def make_aux_names(name_map: NameMap,
                    extra_reserved: Iterable[str] = ()) -> _AuxNames:
     """Aux-name factory avoiding the relation predicates."""
@@ -395,8 +419,14 @@ class Specification:
     source facts for and the relations a solution replaces, and provide
     :meth:`build_rules`; :meth:`_solution_row` and :meth:`_query_atom` are
     the two hooks where the programs differ.  Everything else — the
-    memoised program and engine, the atom-id -> (relation, row) map, the
-    solution models, their decoding and the query program — lives here.
+    memoised rules, program and engine, the atom-id -> (relation, row)
+    map, the solution models, their decoding and the query program —
+    lives here.
+
+    The engine takes the source rows (and the active domain, when a rule
+    reads it) as tables, not as a fact rule per row; :attr:`program`
+    writes the same facts out as rules for whoever wants the program
+    text.
     """
 
     #: whether :meth:`solution_models` may apply the Δ-minimality filter of
@@ -412,9 +442,11 @@ class Specification:
         # the relations a solution replaces wholesale
         self._replaced = frozenset(relation for relation in replaced
                                    if relation in instance.schema)
+        self._rules: Optional[list[Rule]] = None
         self._program: Optional[Program] = None
         self._engine: Optional[AnswerSetEngine] = None
         self._rows: Optional[dict[int, tuple[str, tuple]]] = None
+        self._fixed: Optional[dict[str, set[tuple]]] = None
         self._solution_models: dict[bool, list[frozenset[int]]] = {}
 
     # ------------------------------------------------------------------
@@ -424,11 +456,13 @@ class Specification:
         """All rules except facts."""
         raise NotImplementedError
 
-    def _solution_row(self, atom: Atom) -> Optional[tuple[str, tuple]]:
-        """The (relation, row) a true atom puts into a solution, if any;
-        by default the primed atoms."""
-        relation = self.name_map.relation_of_primed(atom.predicate)
-        return None if relation is None else (relation, atom.value_tuple())
+    def _solution_row(self, predicate: str,
+                      values: tuple) -> Optional[tuple[str, tuple]]:
+        """The (relation, row) a true atom ``predicate(values)`` (raw
+        values) puts into a solution, if any; by default the primed
+        atoms."""
+        relation = self.name_map.relation_of_primed(predicate)
+        return None if relation is None else (relation, values)
 
     def _query_atom(self, relation: str, terms: tuple) -> Atom:
         """A query atom over ``relation``'s solution-level contents: the
@@ -443,24 +477,40 @@ class Specification:
     # Program and solving
     # ------------------------------------------------------------------
     @property
+    def rules(self) -> list[Rule]:
+        """:meth:`build_rules`, memoised."""
+        if self._rules is None:
+            self._rules = self.build_rules()
+        return self._rules
+
+    def _fact_tables(self) -> dict[str, Iterable[tuple]]:
+        """The program's facts as tables: each fact relation's rows under
+        its source predicate, plus the active domain when a rule reads
+        the domain predicate."""
+        tables: dict[str, Iterable[tuple]] = {
+            self.name_map.source(relation): self.instance.tuples(relation)
+            for relation in sorted(self._fact_relations)}
+        domain = self.name_map.domain
+        if any(domain in rule.body_predicates() for rule in self.rules):
+            tables[domain] = [(value,)
+                              for value in self.instance.active_domain()]
+        return tables
+
+    @property
     def program(self) -> Program:
+        """The whole program as text would show it: :attr:`rules` plus
+        a fact rule per table row."""
         if self._program is None:
-            rules = self.build_rules()
-            facts = instance_facts(self.instance, self._fact_relations,
-                                   self.name_map)
-            domain = self.name_map.domain
-            if any(domain in rule.body_predicates() for rule in rules):
-                for value in sorted(self.instance.active_domain(),
-                                    key=lambda v: (isinstance(v, str),
-                                                   str(v))):
-                    facts.append(Rule(head=[Atom(domain, (value,))]))
-            self._program = Program(rules + facts)
+            facts = [fact for predicate, rows in self._fact_tables().items()
+                     for fact in _fact_rules(predicate, rows)]
+            self._program = Program(self.rules + facts)
         return self._program
 
     @property
     def engine(self) -> AnswerSetEngine:
         if self._engine is None:
-            self._engine = AnswerSetEngine(self.program)
+            self._engine = AnswerSetEngine(Program(self.rules),
+                                           facts=self._fact_tables())
         return self._engine
 
     def answer_sets(self):
@@ -476,11 +526,27 @@ class Specification:
             rows = {}
             for ident in frozenset().union(*self.engine.id_models()):
                 literal = literal_for(ident)
-                entry = literal.positive and row_of(literal.atom)
+                entry = literal.positive and row_of(
+                    literal.predicate, literal.atom.value_tuple())
                 if entry and entry[0] in self._replaced:
                     rows[ident] = entry
             self._rows = rows
         return self._rows
+
+    def _fixed_rows(self) -> dict[str, set[tuple]]:
+        """``relation -> rows`` every solution holds: the solution atoms
+        among the deterministic relations, for each replaced relation.
+        Built once."""
+        if self._fixed is None:
+            fixed: dict[str, set[tuple]] = {
+                relation: set() for relation in self._replaced}
+            for key, rows in self.engine.ground.facts.items():
+                for values in rows:
+                    entry = self._solution_row(key, values)
+                    if entry is not None and entry[0] in fixed:
+                        fixed[entry[0]].add(entry[1])
+            self._fixed = fixed
+        return self._fixed
 
     def solution_models(self, *, minimal_only: bool = True
                         ) -> list[frozenset[int]]:
@@ -493,8 +559,9 @@ class Specification:
         specifications without :attr:`delta_minimal`).  A solution's Δ to
         the source, restricted to the replaced relations, is its
         projection's symmetric difference with the atoms of the source
-        rows, plus the source rows no model contains; every Δ shares
-        those, so comparing the id sets decides ``<`` exactly.
+        rows, plus the source rows no model contains, plus the part the
+        deterministic relations give; every Δ shares the last two, so
+        comparing the id sets decides ``<`` exactly.
         """
         minimal_only = minimal_only and self.delta_minimal
         cached = self._solution_models.get(minimal_only)
@@ -532,10 +599,10 @@ class Specification:
 
     def _decode(self, model: frozenset[int]) -> DatabaseInstance:
         """Read a solution instance off a stable model: the replaced
-        relations take the model's solution atoms, the others keep the
-        source rows."""
-        replaced: dict[str, set[tuple]] = {
-            relation: set() for relation in self._replaced}
+        relations take the deterministic solution rows and the model's
+        solution atoms, the others keep the source rows."""
+        replaced = {relation: set(fixed)
+                    for relation, fixed in self._fixed_rows().items()}
         rows = self._solution_rows()
         for ident in model:
             entry = rows.get(ident)
@@ -553,17 +620,16 @@ class Specification:
 
         The query program is the one rule ``ans_query(x̄) :- body`` over
         the solution-level atoms (:meth:`_query_atom`), grounded against
-        this specification's table only (the specification is not ground
-        again).  Raises, before any iteration,
+        this specification's ground program only (the specification is
+        not ground again); a body atom over a deterministic relation adds
+        no id, so a body over those alone holds in every model.  Raises, before any iteration,
         :class:`~repro.core.errors.SystemError_` for a query that is not
         conjunctive or reads a relation the program does not hold, and
         :class:`~repro.datalog.errors.SafetyError` for an unsafe one.
         """
         rule = Rule(head=[Atom("ans_query", query.head)],
                     body=_conjunctive_body(query.formula, self._query_atom))
-        return ((tuple([term.value for term in head]), body)
-                for head, body in ground_rule_over(rule,
-                                                   self.engine.ground.table))
+        return ground_rule_over(rule, self.engine.ground)
 
     def query_program_answers(self, query: Query,
                               *, skeptical: bool = True) -> set[tuple]:

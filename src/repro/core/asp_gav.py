@@ -49,7 +49,6 @@ from ..relational.constraints import (
     Constraint,
     DenialConstraint,
     EqualityGeneratingConstraint,
-    TupleGeneratingConstraint,
 )
 from ..relational.instance import DatabaseInstance, canonical_order
 from ..relational.query import Query
@@ -59,6 +58,7 @@ from .asp_common import (
     _holding_answers,
     dec_rules,
     hard_constraint_rules,
+    inserts_into_triggers,
     local_ic_rules,
     make_aux_names,
     persistence_rules,
@@ -146,26 +146,18 @@ class GavSpecification(Specification):
 
     @property
     def out_of_class(self) -> bool:
-        """True when some relation occurs both in a DEC consequent
-        (insertable) and a DEC antecedent (violation trigger).
+        """True when the repair DECs insert into a relation that a DEC
+        antecedent reads
+        (:func:`~repro.core.asp_common.inserts_into_triggers`).
 
-        The paper's translation (rules (6)-(9)) triggers violations on the
-        *source* relations, which is exact for its DEC class ("no cycles
-        and single atom consequents", Section 4.2) but can miss violations
-        created by insertions when the classes mix.  For such systems the
-        builder adds solution-state hard constraints: models that sneak an
-        unrepaired violation past the source triggers are pruned, so the
-        program never *fabricates* solutions (it may under-approximate;
-        the model-theoretic route stays authoritative there).
+        For such systems the builder adds solution-state hard constraints:
+        models that sneak an unrepaired violation past the source triggers
+        are pruned, so the program never *fabricates* solutions (it may
+        under-approximate; the model-theoretic route stays authoritative
+        there).
         """
-        insertable: set[str] = set()
-        triggers: set[str] = set()
-        for constraint in self.repair_decs:
-            if isinstance(constraint, TupleGeneratingConstraint):
-                insertable |= {a.relation for a in constraint.consequent
-                               if a.relation in self.context.changeable}
-            triggers |= {a.relation for a in constraint.antecedent}
-        return bool(insertable & triggers)
+        return inserts_into_triggers(self.repair_decs,
+                                     self.context.changeable)
 
     def build_rules(self) -> list[Rule]:
         """All rules except facts (exposed for the transitive combiner)."""
@@ -243,10 +235,11 @@ class GavSpecification(Specification):
     # ------------------------------------------------------------------
     # The solution-atom and query-atom hooks
     # ------------------------------------------------------------------
-    def _solution_row(self, atom: Atom) -> Optional[tuple[str, tuple]]:
+    def _solution_row(self, predicate: str,
+                      values: tuple) -> Optional[tuple[str, tuple]]:
         relation = (self.name_map.relation_of_final if self.uses_final_layer
-                    else self.name_map.relation_of_primed)(atom.predicate)
-        return None if relation is None else (relation, atom.value_tuple())
+                    else self.name_map.relation_of_primed)(predicate)
+        return None if relation is None else (relation, values)
 
     def _query_atom(self, relation: str, terms: tuple) -> Atom:
         if not self.uses_final_layer:

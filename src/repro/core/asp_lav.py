@@ -282,9 +282,9 @@ class LavSpecification(Specification):
         return (self._layer1_rules() + self._layer2_scaffold()
                 + self._dec_repair_rules())
 
-    def _solution_row(self, atom: Atom) -> Optional[tuple[str, tuple]]:
-        relation = self.name_map.relation_of_primed(atom.predicate)
-        values = atom.value_tuple()
+    def _solution_row(self, predicate: str,
+                      values: tuple) -> Optional[tuple[str, tuple]]:
+        relation = self.name_map.relation_of_primed(predicate)
         if relation is None or values[-1:] != ("tss",):
             return None
         return relation, values[:-1]

@@ -293,16 +293,19 @@ class TransitiveMethod(_SpecificationMethod):
 
     def supports(self, system: PeerSystem, peer: str,
                  query: Optional[Query] = None) -> bool:
-        # Section 4.3 is defined for `less`-trusted chains only.
+        # Section 4.3 is defined for `less`-trusted chains only, and the
+        # combined program is exact only within the paper's DEC class.
+        from .transitive import TransitiveSpecification
         return not any(system.trusted_decs_of(name, TrustLevel.SAME)
-                       for name in system.peers)
+                       for name in system.peers) \
+            and not TransitiveSpecification(system, peer).out_of_class
 
     def solutions(self, session: "PeerQuerySession", peer: str
                   ) -> "AspSolutions":
         from .asp_gav import AspSolutions
-        from .transitive import TransitiveSpecification
+        from .transitive import transitive_specification_for_peer
         return AspSolutions(session.system, peer,
-                            spec=TransitiveSpecification(
+                            spec=transitive_specification_for_peer(
                                 session.system, peer,
                                 include_local_ics=session.include_local_ics))
 

@@ -13,7 +13,12 @@ the answer sets of the combined program* (no extra minimisation — that is
 the definition, not an approximation), and notes that the absence of
 stable models signals the absence of solutions, with implicit *cyclic*
 dependencies being the problematic case [19]; :attr:`has_cycles` exposes
-the detection.
+the detection.  The combined program triggers violations on the source
+relations only, as the Section 3.1 rules do, so where some relevant
+peer's DECs insert into a relation another DEC reads it can return
+solutions that break a DEC; :attr:`out_of_class` flags that mix, and the
+``transitive`` method refuses it (typed) through
+:func:`transitive_specification_for_peer`.
 
 :class:`TransitiveSpecification` is a
 :class:`~repro.core.asp_common.Specification`: it provides the combined
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from ..datalog.graphs import has_cycle
 from ..datalog.program import Rule
 from ..relational.instance import DatabaseInstance
 from ..relational.query import Query
@@ -33,6 +39,7 @@ from .asp_common import (
     Specification,
     TranslationContext,
     dec_rules,
+    inserts_into_triggers,
     local_ic_rules,
     make_aux_names,
     persistence_rules,
@@ -45,7 +52,8 @@ from .system import PeerSystem
 from .trust import TrustLevel
 
 __all__ = ["TransitiveSpecification", "global_solutions",
-           "transitive_peer_consistent_answers"]
+           "transitive_peer_consistent_answers",
+           "transitive_specification_for_peer"]
 
 
 class TransitiveSpecification(Specification):
@@ -76,7 +84,22 @@ class TransitiveSpecification(Specification):
         for changeable in self.changeable_of.values():
             self.all_changeable |= changeable
 
-        self.has_cycles = self._detect_cycles()
+        #: a cycle of trusted DEC edges among the relevant peers
+        self.has_cycles = has_cycle({
+            peer_name: {exchange.other
+                        for exchange in system.trusted_decs_of(peer_name)}
+            for peer_name in self.relevant_peers})
+        #: whether some relevant peer's own DECs insert into a relation a
+        #: DEC antecedent reads: the combined program triggers violations
+        #: on the sources only and has no belt for that mix, so it would
+        #: answer wrongly (:func:`transitive_specification_for_peer`
+        #: refuses it)
+        self.out_of_class = any(
+            inserts_into_triggers(
+                (exchange.constraint
+                 for exchange in system.trusted_decs_of(peer_name)),
+                self.changeable_of[peer_name])
+            for peer_name in self.relevant_peers)
         instance = system.global_instance()
         relations = instance.relations()
         super().__init__(instance, NameMap(relations), relations,
@@ -95,25 +118,6 @@ class TransitiveSpecification(Specification):
                     order.append(exchange.other)
                     queue.append(exchange.other)
         return order
-
-    def _detect_cycles(self) -> bool:
-        """Peer-level cycle detection over trusted DEC edges."""
-        colour: dict[str, int] = {}
-
-        def visit(node: str) -> bool:
-            colour[node] = 1
-            for exchange in self.system.trusted_decs_of(node):
-                other = exchange.other
-                state = colour.get(other, 0)
-                if state == 1:
-                    return True
-                if state == 0 and visit(other):
-                    return True
-            colour[node] = 2
-            return False
-
-        return any(visit(p) for p in self.relevant_peers
-                   if colour.get(p, 0) == 0)
 
     # ------------------------------------------------------------------
     def build_rules(self) -> list[Rule]:
@@ -141,6 +145,25 @@ class TransitiveSpecification(Specification):
         return rules
 
 
+def transitive_specification_for_peer(system: PeerSystem, root: str, *,
+                                      include_local_ics: bool = True
+                                      ) -> TransitiveSpecification:
+    """The combined program rooted at ``root``, for answering.
+
+    Raises :class:`~repro.core.errors.SystemError_` where the program is
+    :attr:`~TransitiveSpecification.out_of_class`, instead of returning
+    solutions that break a DEC.
+    """
+    spec = TransitiveSpecification(system, root,
+                                   include_local_ics=include_local_ics)
+    if spec.out_of_class:
+        raise SystemError_(
+            f"the combined program rooted at {root!r} has a peer whose "
+            f"DECs insert into a relation a DEC antecedent reads; outside "
+            f"the class the Section 4.3 program answers exactly")
+    return spec
+
+
 def global_solutions(system: PeerSystem, root: str,
                      **kwargs) -> list[DatabaseInstance]:
     """Convenience wrapper: the global solutions for ``root``."""
@@ -152,6 +175,7 @@ def transitive_peer_consistent_answers(system: PeerSystem, root: str,
                                        **kwargs) -> PCAResult:
     """PCAs under the transitive semantics: the answers true in every
     global solution restricted to the root peer, read off the combined
-    program's stable models."""
-    spec = TransitiveSpecification(system, root, **kwargs)
+    program's stable models.  Refuses, typed, where
+    :func:`transitive_specification_for_peer` does."""
+    spec = transitive_specification_for_peer(system, root, **kwargs)
     return AspSolutions(system, root, spec=spec).certain_answers(query)

@@ -2,29 +2,33 @@
 
 This is the façade the rest of the library uses.  The pipeline is::
 
-    program
+    program (+ fact tables)
       └─ unfold choice goals (stable version)           [choice.py]
       └─ shift disjunctive heads when HCF               [hcf.py]
-      └─ ground; the deterministic part is evaluated    [grounding.py]
-         exactly and comes out as facts
-      └─ solve:
-           facts only -> the one model, read off the rules
-           otherwise  -> branch & bound                 [stable.py]
+      └─ ground, seeded with the fact tables and the    [grounding.py]
+         program's own facts; the deterministic part
+         is evaluated exactly and stays a set of
+         relations; only the rest gets atom ids
+      └─ solve the rest:
+           bodyless rules only -> the one model, read off the rules
+           otherwise           -> branch & bound        [stable.py]
       └─ models as sets of atom ids                     id_models()
-      └─ rendered and sorted only on request            answer_sets()
+      └─ rendered, with the deterministic relations,    answer_sets()
+         and sorted only on request
 
 Skeptical (cautious) and brave query answering follow the paper's usage:
 peer consistent answers are obtained by running a query program "under the
 skeptical answer set semantics" (Section 3.2).  Callers that answer many
 queries over one program ground just the query rule against the already
-grounded table (:func:`~repro.datalog.grounding.ground_rule_over`) and
-test its ground bodies against :meth:`AnswerSetEngine.id_models`; no
-model is ever rendered as literals on that route.
+grounded program (:func:`~repro.datalog.grounding.ground_rule_over`) and
+test its ground bodies against :meth:`AnswerSetEngine.id_models`; a body
+over deterministic relations alone holds in every model, and no model is
+ever rendered as literals on that route.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from .choice import unfold_choice
 from .grounding import GroundProgram, ground_program
@@ -43,14 +47,21 @@ class AnswerSetEngine:
     Parameters:
         program: the (possibly non-ground, disjunctive, choice-bearing)
             program.
+        facts: more ground facts, as tables: objective key (``"p"`` or
+            ``"-p"``) -> rows of raw constant values.  They are the
+            program's facts as much as its own bodyless ground rules are,
+            without a :class:`Rule` per row; the grounder copies them.
         shift_hcf: shift disjunctive heads when the program is HCF
             (Section 4.1 optimisation).  Disable only for ablation studies.
         max_models: optional cap on the number of models computed.
     """
 
-    def __init__(self, program: Program, *, shift_hcf: bool = True,
+    def __init__(self, program: Program, *,
+                 facts: Optional[Mapping[str, Iterable[tuple]]] = None,
+                 shift_hcf: bool = True,
                  max_models: Optional[int] = None) -> None:
         self.source_program = program
+        self._facts = facts
         self._max_models = max_models
         self._shift_hcf = shift_hcf
 
@@ -67,12 +78,15 @@ class AnswerSetEngine:
     @property
     def ground(self) -> GroundProgram:
         if self._ground is None:
-            self._ground = ground_program(self.prepared_program)
+            self._ground = ground_program(self.prepared_program,
+                                          facts=self._facts)
         return self._ground
 
     def id_models(self) -> list[frozenset[int]]:
         """All answer sets, as frozensets of ids of :attr:`ground`'s atom
-        table, in the solver's order (memoised).
+        table, in the solver's order (memoised).  Only the part that can
+        differ between models has ids: the deterministic relations,
+        ``ground.facts``, hold in each of them besides.
 
         The order depends on grounding order, so it is only fit for
         order-free consumers (intersections, unions, counts).
@@ -83,32 +97,40 @@ class AnswerSetEngine:
 
     def answer_sets(self) -> list[frozenset[Literal]]:
         """All answer sets, as frozensets of objective literals: the
-        rendered view of :meth:`id_models`.
+        rendered view of :meth:`id_models`, deterministic relations
+        included.
 
         Deterministic order, independent of hash seeds: models compare by
         their sorted rendered literals.  Each atom occurring in some model
         is rendered once and ranked, and models are sorted by their sorted
         rank tuples, which gives the same order without rendering every
-        literal of every model.  Zero or one model is not sorted at all.
+        literal of every model.  The deterministic literals every model
+        shares can decide that order only through the greatest of them
+        (it makes a model that ends early compare as longer), so that one
+        alone joins each rank tuple.  Zero or one model is not sorted at
+        all.
         """
         if self._models is not None:
             return self._models
-        table = self.ground.table
+        ground = self.ground
         id_models = self.id_models()
         if len(id_models) > 1:
-            text = {atom: str(table.literal_for(atom))
+            text = {atom: str(ground.table.literal_for(atom))
                     for atom in frozenset().union(*id_models)}
-            rank = {s: r for r, s in enumerate(sorted(set(text.values())))}
-            id_models = sorted(id_models,
-                               key=lambda m: sorted(rank[text[a]] for a in m))
-        models = [frozenset(table.literal_for(i) for i in id_model)
-                  for id_model in id_models]
+            shared = sorted(map(str, ground.fact_literals()))[-1:]
+            rank = {s: r for r, s in enumerate(sorted(
+                {*text.values(), *shared}))}
+            tail = [rank[s] for s in shared]
+            id_models = sorted(id_models, key=lambda m: sorted(
+                [rank[text[a]] for a in m] + tail))
+        models = [ground.model_literals(id_model) for id_model in id_models]
         self._models = models
         return models
 
     def _solve_ids(self, ground: GroundProgram) -> list[frozenset[int]]:
-        # The grounder turns a stratified program into facts (plus, at
-        # most, an empty constraint); its one model needs no search.
+        # The grounder turns a stratified program into tables (plus, at
+        # most, the empty constraint); bodyless rules have one model, and
+        # it needs no search.
         if all(not rule.pos and not rule.naf and len(rule.head) <= 1
                for rule in ground.rules):
             if any(rule.is_constraint() for rule in ground.rules):

@@ -32,6 +32,7 @@ __all__ = [
     "positive_dependency_graph",
     "dependency_edges",
     "strongly_connected_components",
+    "has_cycle",
     "condensation_order",
     "stratification",
     "is_stratified",
@@ -72,7 +73,7 @@ def positive_dependency_graph(program: Program
     return graph
 
 
-def dependency_edges(program: Program
+def dependency_edges(program: Iterable[Rule]
                      ) -> tuple[dict[str, set[str]], set[tuple[str, str]]]:
     """Full dependency graph plus the set of *negative* edges.
 
@@ -163,6 +164,14 @@ def strongly_connected_components(graph: Mapping[Hashable, Iterable[Hashable]]
                         break
                 components.append(component)
     return components
+
+
+def has_cycle(graph: Mapping[Hashable, Iterable[Hashable]]) -> bool:
+    """Whether ``graph`` has a cycle: a strongly connected component with
+    more than one node, or a node with an edge to itself."""
+    return any(node in graph.get(node, ()) for node in graph) or any(
+        len(component) > 1
+        for component in strongly_connected_components(graph))
 
 
 def condensation_order(graph: Mapping[Hashable, Iterable[Hashable]]

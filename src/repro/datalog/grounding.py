@@ -8,8 +8,13 @@ deterministic too.  The rules defining deterministic keys form a
 stratified, disjunction-free *bottom* whose heads the rest of the program
 never defines, so by the splitting-set theorem (Lifschitz & Turner 1994)
 every answer set is the bottom's unique perfect model plus an answer set
-of the rest, partially evaluated against that model.  Grounding runs in
-three passes:
+of the rest, partially evaluated against that model.
+
+Ground facts are never rules here.  They are *tables*: per objective key,
+a set of tuples of raw constant values — the ``facts`` a caller hands
+over (a specification's source and domain rows) plus every bodyless
+ground rule of the program, lifted into the same tables.  They seed the
+possible set, and grounding runs in three passes:
 
 0. **Exact evaluation of the bottom.**  Deterministic strongly connected
    components are evaluated in dependency order, each semi-naively; a NAF
@@ -18,26 +23,35 @@ three passes:
 1. **Possible set of the rest.**  An over-approximation of the objective
    literals the remaining rules can derive in *any* answer set (ignoring
    NAF over non-deterministic atoms and treating every disjunct of a head
-   as derivable), seeded with the bottom's model.
-2. **Instantiation.**  Every deterministic atom becomes a fact.  The
-   remaining rules are instantiated over the possible set so that
+   as derivable), seeded with the tables and the bottom's model.
+2. **Instantiation.**  Deterministic relations stay relations: they are
+   kept as tables in :attr:`GroundProgram.facts`, true in every answer
+   set, and none of their atoms gets an id.  Dense integer atom ids, for
+   the solver, go only to the atoms of the rest: the table rows of
+   non-deterministic keys (as facts) and the atoms the remaining rules
+   mention.  Those rules are instantiated over the possible set so that
 
    * deterministic positive body literals are dropped (they are true),
    * rules with a NAF literal over a deterministic fact are dropped,
    * NAF literals whose atom is not possible are dropped (they are true),
-   * comparisons are evaluated and eliminated, and
-   * the result is represented over dense integer atom ids for the solver.
+     and
+   * comparisons are evaluated and eliminated.
 
-A stratified normal program therefore comes out as facts alone, plus one
-empty constraint when one of its constraints is violated.
+   A deterministic ``p``/``-p`` pair, like a constraint whose whole body
+   is deterministic and true, leaves the empty constraint ``:- .``.
+
+A stratified normal program therefore comes out as tables alone, plus the
+empty constraint when it has no answer set; its one answer set is the
+tables themselves.
 
 Choice goals must be unfolded (see :mod:`repro.datalog.choice`) before
 grounding; the grounder refuses programs that still contain them.
 
 After solving, :func:`ground_rule_over` instantiates one more positive
-rule — a query program's ``ans_query`` rule — over the atoms of a ground
-program's table with the same join machinery, so answering a query never
-grounds the program again.
+rule — a query program's ``ans_query`` rule — over a ground program with
+the same join machinery: its deterministic body literals join the tables
+and add no id, the others join the atoms with ids.  Answering a query
+never grounds the program again.
 
 Both fixpoint loops are semi-naive: each round only re-evaluates rule
 bodies in ways that touch at least one atom discovered in the previous
@@ -46,7 +60,7 @@ round.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from ..relational.indexes import TupleIndex
 from .errors import GroundingError
@@ -58,14 +72,13 @@ from .graphs import (
 from .program import Program, Rule
 from .terms import (
     Atom,
-    ChoiceGoal,
     Comparison,
     Constant,
     Literal,
     Term,
     Variable,
+    compare_values,
 )
-from .unify import Substitution
 
 __all__ = ["AtomTable", "GroundRule", "GroundProgram", "ground_program",
            "ground_rule_over"]
@@ -154,24 +167,55 @@ class GroundRule:
 
 
 class GroundProgram:
-    """A fully ground program over an :class:`AtomTable`."""
+    """A ground program: rules over an :class:`AtomTable`, plus the
+    deterministic relations.
 
-    __slots__ = ("table", "rules")
+    ``facts`` maps an objective key (``"p"`` or ``"-p"``) to a
+    deterministic relation: a :class:`~repro.relational.indexes.TupleIndex`
+    of tuples of raw constant values, true in every answer set and never
+    given an atom id (treat it as read-only).  ``table`` and ``rules`` are
+    what the solver sees, so :attr:`atom_count` counts the atoms with ids
+    only, and :attr:`fact_count` the deterministic rows.
+    """
 
-    def __init__(self, table: AtomTable, rules: list[GroundRule]) -> None:
+    __slots__ = ("table", "rules", "facts", "_fact_literals")
+
+    def __init__(self, table: AtomTable, rules: list[GroundRule],
+                 facts: Optional[Mapping[str, TupleIndex]] = None) -> None:
         self.table = table
         self.rules = rules
+        self.facts: dict[str, TupleIndex] = dict(facts or {})
+        self._fact_literals: Optional[frozenset[Literal]] = None
 
     @property
     def atom_count(self) -> int:
         return len(self.table)
 
+    @property
+    def fact_count(self) -> int:
+        return sum(map(len, self.facts.values()))
+
+    def fact_literals(self) -> frozenset[Literal]:
+        """The deterministic rows as objective literals (built once)."""
+        if self._fact_literals is None:
+            self._fact_literals = frozenset(
+                _key_literal(key, values)
+                for key, relation in self.facts.items()
+                for values in relation)
+        return self._fact_literals
+
+    def model_literals(self, model: Iterable[int]) -> frozenset[Literal]:
+        """An answer set given as atom ids, as objective literals: the
+        literals of its ids plus every deterministic literal."""
+        return self.fact_literals().union(map(self.table.literal_for, model))
+
     def is_disjunctive(self) -> bool:
         return any(len(r.head) > 1 for r in self.rules)
 
     def pretty(self) -> str:
-        """Human-readable listing (sorted; for debugging and golden tests)."""
-        lines = []
+        """Human-readable listing (sorted; for debugging and golden tests):
+        the deterministic rows as facts, then the rules."""
+        lines = [f"{literal}." for literal in self.fact_literals()]
         for rule in self.rules:
             head = " v ".join(str(self.table.literal_for(h))
                               for h in rule.head)
@@ -194,11 +238,12 @@ class GroundProgram:
 class _PossibleSet:
     """The over-approximation of derivable literals, per objective key.
 
-    Each predicate's ground tuples live in a shared
-    :class:`~repro.relational.indexes.TupleIndex` — the same lazy,
+    Each key's rows — tuples of raw constant values — live in a
+    :class:`~repro.relational.indexes.TupleIndex`, the same lazy,
     incrementally-maintained per-column hash indexes the relational
-    evaluation planner uses — so bound-column lookups during rule
-    instantiation are exact bucket probes, not relation scans.
+    evaluation planner uses, so bound-column lookups during rule
+    instantiation are exact bucket probes, not relation scans.  Every index
+    here is the grounder's own: the set is mutated while grounding.
     """
 
     __slots__ = ("relations",)
@@ -220,16 +265,26 @@ class _PossibleSet:
         return self.relations.get(key)
 
 
-def _literal_values(literal: Literal) -> tuple:
-    return tuple(literal.atom.args)
+def _pattern(literal: Literal) -> tuple:
+    """A literal's arguments with its constants unwrapped to raw values
+    (a raw value is never a :class:`Variable`)."""
+    return tuple(term if isinstance(term, Variable) else term.value
+                 for term in literal.atom.args)
 
 
-def _seed_substitution(rule: Rule) -> tuple[dict[Variable, Constant],
+def _key_literal(key: str, values: tuple) -> Literal:
+    """The objective literal of an objective key and a row of values."""
+    if key.startswith("-"):
+        return Literal(Atom(key[1:], values), positive=False)
+    return Literal(Atom(key, values))
+
+
+def _seed_substitution(rule: Rule) -> tuple[dict[Variable, object],
                                             list[Comparison]]:
     """Extract variable bindings from ``=``-to-constant comparisons.
 
-    Returns the seed substitution plus the comparisons that still need
-    runtime evaluation.  Iterates to a fixpoint so chains like
+    Returns the seed substitution (to raw values) plus the comparisons that
+    still need runtime evaluation.  Iterates to a fixpoint so chains like
     ``X = a, Y = X`` resolve fully.
     """
     seed: dict[Variable, Constant] = {}
@@ -256,7 +311,7 @@ def _seed_substitution(rule: Rule) -> tuple[dict[Variable, Constant],
             else:
                 remaining.append(comparison)
         pending = remaining
-    return seed, pending
+    return {variable: term.value for variable, term in seed.items()}, pending
 
 
 def _order_positive_body(rule: Rule) -> list[Literal]:
@@ -278,7 +333,11 @@ def _order_positive_body(rule: Rule) -> list[Literal]:
 
 
 class _RuleGrounder:
-    """Instantiation engine for one rule against a possible set."""
+    """Instantiation engine for one rule against a possible set.
+
+    Substitutions map variables to raw constant values; every literal of
+    the rule is kept as its objective key plus its :func:`_pattern`.
+    """
 
     def __init__(self, rule: Rule) -> None:
         rule.check_safety()
@@ -287,23 +346,26 @@ class _RuleGrounder:
                 f"choice goal must be unfolded before grounding: {rule}")
         self.rule = rule
         self.seed, self.residual_comparisons = _seed_substitution(rule)
-        self.ordered_body = _order_positive_body(rule)
-        self.naf_body = [(objective_key(literal), literal)
+        self.body = [(objective_key(literal), _pattern(literal))
+                     for literal in _order_positive_body(rule)]
+        self.heads = [(objective_key(literal), _pattern(literal))
+                      for literal in rule.head]
+        self.naf_body = [(objective_key(literal), _pattern(literal))
                          for literal in rule.naf_body()]
 
-    def blocked(self, subst: Substitution, possible: _PossibleSet,
+    def blocked(self, subst: dict[Variable, object], possible: _PossibleSet,
                 deterministic: set[str]) -> bool:
         """True when a NAF literal's atom is a deterministic fact, so this
         instance can never fire."""
-        for key, literal in self.naf_body:
+        for key, pattern in self.naf_body:
             if key in deterministic and possible.contains(
-                    key, _instantiate(literal.atom.args, subst)):
+                    key, _instantiate(pattern, subst)):
                 return True
         return False
 
     def substitutions(self, possible: _PossibleSet,
                       delta: Optional[dict[str, list[tuple]]] = None
-                      ) -> Iterator[dict[Variable, Constant]]:
+                      ) -> Iterator[dict[Variable, object]]:
         """All substitutions making the positive body hold in ``possible``.
 
         When ``delta`` is given, only substitutions where at least one body
@@ -312,37 +374,32 @@ class _RuleGrounder:
         if delta is None:
             yield from self._join(0, dict(self.seed), possible, None, -1)
             return
-        for pivot in range(len(self.ordered_body)):
-            key = objective_key(self.ordered_body[pivot])
-            if key not in delta or not delta[key]:
-                continue
-            yield from self._join(0, dict(self.seed), possible, delta, pivot)
-        if not self.ordered_body:
-            return
+        for pivot, (key, _) in enumerate(self.body):
+            if delta.get(key):
+                yield from self._join(0, dict(self.seed), possible, delta,
+                                      pivot)
 
-    def _join(self, position: int, subst: dict[Variable, Constant],
+    def _join(self, position: int, subst: dict[Variable, object],
               possible: _PossibleSet, delta: Optional[dict[str, list[tuple]]],
-              pivot: int) -> Iterator[dict[Variable, Constant]]:
-        if position == len(self.ordered_body):
+              pivot: int) -> Iterator[dict[Variable, object]]:
+        if position == len(self.body):
             if self._comparisons_hold(subst):
                 yield subst
             return
-        literal = self.ordered_body[position]
-        key = objective_key(literal)
-        pattern = _literal_values(literal)
-        bound: dict[int, Constant] = {}
-        for idx, term in enumerate(pattern):
-            if isinstance(term, Constant):
-                bound[idx] = term
-            elif isinstance(term, Variable) and term in subst:
-                bound[idx] = subst[term]
+        key, pattern = self.body[position]
         if position == pivot:
             assert delta is not None
-            source: Iterator[tuple] = iter(delta.get(key, ()))
+            source: Iterable[tuple] = delta.get(key, ())
         else:
             relation = possible.relation(key)
             if relation is None:
                 return
+            bound: dict[int, object] = {}
+            for idx, term in enumerate(pattern):
+                if not isinstance(term, Variable):
+                    bound[idx] = term
+                elif term in subst:
+                    bound[idx] = subst[term]
             # exact index probe on every bound column (snapshot list:
             # the fixpoint may derive into this relation mid-scan)
             source = relation.matching(bound)
@@ -354,17 +411,16 @@ class _RuleGrounder:
 
     @staticmethod
     def _match(pattern: tuple, values: tuple,
-               subst: dict[Variable, Constant]
-               ) -> Optional[dict[Variable, Constant]]:
+               subst: dict[Variable, object]
+               ) -> Optional[dict[Variable, object]]:
         if len(pattern) != len(values):
             return None
-        extended: Optional[dict[Variable, Constant]] = None
+        extended: Optional[dict[Variable, object]] = None
         for pat, val in zip(pattern, values):
-            if isinstance(pat, Constant):
+            if not isinstance(pat, Variable):
                 if pat != val:
                     return None
                 continue
-            assert isinstance(pat, Variable)
             current = (extended or subst).get(pat)
             if current is None:
                 if extended is None:
@@ -374,7 +430,7 @@ class _RuleGrounder:
                 return None
         return extended if extended is not None else dict(subst)
 
-    def _comparisons_hold(self, subst: dict[Variable, Constant]) -> bool:
+    def _comparisons_hold(self, subst: dict[Variable, object]) -> bool:
         """Evaluate the residual comparisons under ``subst``.
 
         An equality with one side still unbound binds that variable in
@@ -397,7 +453,7 @@ class _RuleGrounder:
                         subst[left] = right
                     else:
                         subst[right] = left
-                elif not Comparison(comparison.op, left, right).evaluate():
+                elif not compare_values(comparison.op, left, right):
                     return False
             if len(deferred) == len(pending):
                 raise GroundingError(
@@ -407,22 +463,25 @@ class _RuleGrounder:
         return True
 
 
-def _resolve(term: Term, subst: Substitution) -> Term:
-    return subst.get(term, term) if isinstance(term, Variable) else term
+def _resolve(term: Term, subst: dict[Variable, object]) -> object:
+    """A term's raw value under ``subst``; an unbound variable itself."""
+    if isinstance(term, Variable):
+        return subst.get(term, term)
+    assert isinstance(term, Constant)
+    return term.value
 
 
-def _instantiate(term_args: tuple[Term, ...],
-                 subst: Substitution) -> Optional[tuple]:
+def _instantiate(pattern: tuple,
+                 subst: dict[Variable, object]) -> Optional[tuple]:
     values = []
-    for term in term_args:
-        if isinstance(term, Constant):
-            values.append(term)
-        else:
-            assert isinstance(term, Variable)
+    for term in pattern:
+        if isinstance(term, Variable):
             value = subst.get(term)
             if value is None:
                 return None
             values.append(value)
+        else:
+            values.append(term)
     return tuple(values)
 
 
@@ -430,10 +489,11 @@ def _complement_key(key: str) -> str:
     return key[1:] if key.startswith("-") else f"-{key}"
 
 
-def _deterministic_components(program: Program) -> list[set[str]]:
-    """The deterministic keys of ``program``, as strongly connected
-    components of its dependency graph in dependency order (a component's
-    dependencies come before it).
+def _deterministic_components(rules: list[Rule],
+                              tables: Iterable[str]) -> list[set[str]]:
+    """The deterministic keys of ``rules`` and the fact ``tables``, as
+    strongly connected components of their dependency graph in dependency
+    order (a component's dependencies come before it).
 
     A key *branches* when it lies on a cycle through negation or occurs in
     a head with two or more literals (``p(X) v p(Y)`` adds no graph edge,
@@ -441,13 +501,15 @@ def _deterministic_components(program: Program) -> list[set[str]]:
     branching key, and the classical complement of a branching key.  The
     remaining keys are deterministic.
     """
-    graph, negative = dependency_edges(program)
+    graph, negative = dependency_edges(rules)
+    for key in tables:
+        graph.setdefault(key, set())
     components = strongly_connected_components(graph)
     component_of = {key: number for number, component in enumerate(components)
                     for key in component}
     branching = {head for head, body in negative
                  if component_of[head] == component_of[body]}
-    for rule in program:
+    for rule in rules:
         if len(rule.head) > 1:
             branching.update(objective_key(literal) for literal in rule.head)
     dependants: dict[str, list[str]] = {}
@@ -465,6 +527,13 @@ def _deterministic_components(program: Program) -> list[set[str]]:
             if not component & branching]
 
 
+def _check_budget(atoms: int, max_atoms: int) -> None:
+    if atoms > max_atoms:
+        raise GroundingError(
+            f"grounding exceeded {max_atoms} atoms; "
+            "the program may be unintentionally large")
+
+
 def _fixpoint(grounders: list[_RuleGrounder], possible: _PossibleSet,
               deterministic: set[str], atoms: int, max_atoms: int) -> int:
     """Derive the heads of ``grounders`` into ``possible`` semi-naively
@@ -473,33 +542,29 @@ def _fixpoint(grounders: list[_RuleGrounder], possible: _PossibleSet,
     Instances blocked by a deterministic fact never fire; NAF over other
     atoms is ignored, which over-approximates.
     """
-    def fire(grounder: _RuleGrounder, substs: Iterator[Substitution],
+    def fire(grounder: _RuleGrounder,
+             substs: Iterator[dict[Variable, object]],
              new: dict[str, list[tuple]]) -> None:
         for subst in substs:
             if grounder.blocked(subst, possible, deterministic):
                 continue
-            for head_literal in grounder.rule.head:
-                values = _instantiate(head_literal.atom.args, subst)
+            for key, pattern in grounder.heads:
+                values = _instantiate(pattern, subst)
                 if values is None:
                     raise GroundingError(
                         f"unbound head variable in rule {grounder.rule}")
-                key = objective_key(head_literal)
                 if possible.add(key, values):
                     new.setdefault(key, []).append(values)
 
-    # Round 0: every rule evaluated naively (facts, bodyless rules, and
-    # rules over what earlier passes derived).
+    # Round 0: every rule evaluated naively (bodyless rules, and rules
+    # over the tables and what earlier passes derived).
     delta: dict[str, list[tuple]] = {}
     for grounder in grounders:
         fire(grounder, grounder.substitutions(possible), delta)
-    recursive = [grounder for grounder in grounders
-                 if grounder.rule.positive_body()]
+    recursive = [grounder for grounder in grounders if grounder.body]
     while delta:
         atoms += sum(len(values) for values in delta.values())
-        if atoms > max_atoms:
-            raise GroundingError(
-                f"grounding exceeded {max_atoms} atoms; "
-                "the program may be unintentionally large")
+        _check_budget(atoms, max_atoms)
         next_delta: dict[str, list[tuple]] = {}
         for grounder in recursive:
             fire(grounder, grounder.substitutions(possible, delta),
@@ -509,19 +574,37 @@ def _fixpoint(grounders: list[_RuleGrounder], possible: _PossibleSet,
 
 
 def ground_program(program: Program, *,
+                   facts: Optional[Mapping[str, Iterable[tuple]]] = None,
                    max_atoms: int = 2_000_000) -> GroundProgram:
     """Ground ``program`` into a :class:`GroundProgram`.
 
-    Deterministic atoms come out as facts; see the module docstring.
-    Raises :class:`GroundingError` if the program contains choice goals,
-    unsafe rules, or exceeds ``max_atoms`` derived ground literals.
+    ``facts`` maps objective keys (``"p"``, or ``"-p"`` for classically
+    negated facts) to rows of raw constant values; they are copied, never
+    kept.  The program's own bodyless ground rules join them, and the
+    deterministic relations come out in :attr:`GroundProgram.facts`; see
+    the module docstring.  Raises :class:`GroundingError` if the program
+    contains choice goals, unsafe rules, or exceeds ``max_atoms`` ground
+    literals, the facts included.
     """
     if program.has_choice():
         raise GroundingError(
             "program contains choice goals; unfold them first "
             "(repro.datalog.choice.unfold_choice)")
-    grounders = [_RuleGrounder(rule) for rule in program]
-    components = _deterministic_components(program)
+    # The tables seed the possible set.
+    possible = _PossibleSet()
+    for key, rows in (facts or {}).items():
+        possible.relations[key] = TupleIndex(rows)
+    rules: list[Rule] = []
+    for rule in program:
+        if rule.is_fact():
+            literal = rule.head[0]
+            possible.add(objective_key(literal), _pattern(literal))
+        else:
+            rules.append(rule)
+    atoms = sum(map(len, possible.relations.values()))
+    _check_budget(atoms, max_atoms)
+    grounders = [_RuleGrounder(rule) for rule in rules]
+    components = _deterministic_components(rules, possible.relations)
     deterministic = set().union(*components)
     component_of = {key: number for number, component in enumerate(components)
                     for key in component}
@@ -535,9 +618,12 @@ def ground_program(program: Program, *,
         else:
             bottom[number].append(grounder)
 
+    # the table rows of the other keys are facts the solver must see
+    table_facts = [(key, list(relation))
+                   for key, relation in possible.relations.items()
+                   if key not in deterministic]
+
     # Pass 0: the deterministic part, exactly, one component at a time.
-    possible = _PossibleSet()
-    atoms = 0
     for component_grounders in bottom:
         atoms = _fixpoint(component_grounders, possible, deterministic,
                           atoms, max_atoms)
@@ -547,47 +633,51 @@ def ground_program(program: Program, *,
                if not grounder.rule.is_constraint()],
               possible, deterministic, atoms, max_atoms)
 
-    # Pass 2: deterministic atoms as facts, then the remaining rules
+    # Pass 2: deterministic relations stay relations; the table rows of
+    # the other keys become facts, and the remaining rules are
     # instantiated over the final possible set.
+    fixed = {key: relation for key, relation in possible.relations.items()
+             if key in deterministic}
     table = AtomTable()
-    rules: dict[GroundRule, None] = {}
-    for component in components:
-        for key in sorted(component):
-            relation = possible.relation(key)
-            if relation is None:
-                continue
-            positive = not key.startswith("-")
-            predicate = key if positive else key[1:]
-            for values in relation:
-                fact = table.add(Literal(Atom(predicate, values), positive))
-                rules[GroundRule((fact,), (), ())] = None
+    ground_rules: dict[GroundRule, None] = {}
+    for key, relation in fixed.items():
+        complement = fixed.get(key[1:]) if key.startswith("-") else None
+        if complement is not None and not relation.rows.isdisjoint(
+                complement.rows):
+            ground_rules[GroundRule((), (), ())] = None  # p and -p: no model
+            break
+    for key, rows in table_facts:
+        for values in rows:
+            fact = table.add(_key_literal(key, values))
+            ground_rules.setdefault(GroundRule((fact,), (), ()))
 
-    def intern(literal_template: Literal, subst: Substitution) -> int:
-        values = _instantiate(literal_template.atom.args, subst)
+    def intern(key: str, pattern: tuple,
+               subst: dict[Variable, object]) -> int:
+        values = _instantiate(pattern, subst)
         assert values is not None
-        atom = Atom(literal_template.atom.predicate, values)
-        return table.add(Literal(atom, literal_template.positive))
+        return table.add(_key_literal(key, values))
 
     for grounder in residual:
         rule = grounder.rule
-        residual_pos = [literal for literal in rule.positive_body()
-                        if objective_key(literal) not in deterministic]
+        residual_pos = [(key, pattern) for key, pattern in grounder.body
+                        if key not in deterministic]
         for subst in grounder.substitutions(possible):
             if grounder.blocked(subst, possible, deterministic):
                 continue  # `not fact` is false: never fires
-            head_ids = [intern(literal, subst) for literal in rule.head]
+            head_ids = [intern(key, pattern, subst)
+                        for key, pattern in grounder.heads]
             # deterministic positive literals are facts: true, so dropped
-            pos_set = {intern(literal, subst) for literal in residual_pos}
+            pos_set = {intern(key, pattern, subst)
+                       for key, pattern in residual_pos}
             naf_ids = set()
-            for key, body_literal in grounder.naf_body:
-                values = _instantiate(body_literal.atom.args, subst)
+            for key, pattern in grounder.naf_body:
+                values = _instantiate(pattern, subst)
                 if values is None:
                     raise GroundingError(
                         f"unbound NAF variable in rule {rule}")
                 if not possible.contains(key, values):
                     continue  # atom never derivable: `not atom` is true
-                atom = Atom(body_literal.atom.predicate, values)
-                naf_ids.add(table.add(Literal(atom, body_literal.positive)))
+                naf_ids.add(table.add(_key_literal(key, values)))
             if pos_set & naf_ids:
                 continue  # body requires both a and `not a`: never fires
             if set(head_ids) & pos_set:
@@ -596,49 +686,59 @@ def ground_program(program: Program, *,
             ground_rule = GroundRule(tuple(dict.fromkeys(head_ids)),
                                      tuple(sorted(pos_set)),
                                      tuple(sorted(naf_ids)))
-            rules.setdefault(ground_rule)
-    return GroundProgram(table, list(rules))
+            ground_rules.setdefault(ground_rule)
+    return GroundProgram(table, list(ground_rules), fixed)
 
 
-def ground_rule_over(rule: Rule, table: AtomTable
-                     ) -> Iterator[tuple[tuple[Constant, ...],
-                                         tuple[int, ...]]]:
-    """Instances of one positive rule over an already grounded table.
+def ground_rule_over(rule: Rule, ground: GroundProgram
+                     ) -> Iterator[tuple[tuple, tuple[int, ...]]]:
+    """Instances of one positive rule over an already grounded program.
 
-    The body is matched against the literals interned in ``table`` (every
-    literal true in some answer set of the grounded program is there), so
-    the program the table came from is not ground again.  Returns an
-    iterator over the substitutions satisfying the body's comparisons,
-    each as the instantiated head arguments and the ids of the ground
-    positive body literals.  Raises, before any iteration,
-    :class:`~repro.datalog.errors.SafetyError` for an unsafe rule and
-    :class:`GroundingError` for a rule with NAF or a disjunctive head.
+    A body literal over a deterministic relation is matched against that
+    relation in :attr:`GroundProgram.facts` and adds no id; any other is
+    matched against the literals interned in ``ground.table`` (every
+    other literal true in some answer set is there), so the program is
+    not ground again.  Returns an iterator over the substitutions
+    satisfying the body's comparisons, each as the head's raw values and
+    the ids of the ground body literals that have one.  Raises, before
+    any iteration, :class:`~repro.datalog.errors.SafetyError` for an
+    unsafe rule and :class:`GroundingError` for a rule with NAF or a
+    disjunctive head.
     """
     if len(rule.head) != 1 or rule.naf_body():
         raise GroundingError(
             f"only positive single-head rules ground over a table: {rule}")
     rule.check_safety()
-    # each body literal gets one more argument, bound to the id of the
-    # table literal it matches, so no ground literal is looked up again
-    body = rule.positive_body()
-    slots = [Variable(f"#{position}") for position in range(len(body))]
-    tagged = [Literal(Atom(literal.predicate, (*literal.atom.args, slot)),
-                      literal.positive)
-              for literal, slot in zip(body, slots)]
-    grounder = _RuleGrounder(Rule(head=rule.head,
-                                  body=[*tagged, *rule.comparisons()]))
-    rows: dict[str, list[tuple]] = {objective_key(literal): []
-                                    for literal in body}
-    predicates = {literal.predicate for literal in body}
-    for ident, literal in enumerate(table.literals()):
+    # a literal over the table gets one more argument, bound to the id of
+    # the table literal it matches, so no ground literal is looked up again
+    possible = _PossibleSet()
+    tagged_rows: dict[str, list[tuple]] = {}
+    body: list = []
+    slots: list[Variable] = []
+    for literal in rule.positive_body():
+        key = objective_key(literal)
+        relation = ground.facts.get(key)
+        if relation is not None:
+            possible.relations[key] = relation  # read only: never derived
+            body.append(literal)
+            continue
+        slot = Variable(f"#{len(slots)}")
+        slots.append(slot)
+        body.append(Literal(Atom(literal.predicate,
+                                 (*literal.atom.args, slot)),
+                            literal.positive))
+        tagged_rows[key] = []
+    predicates = {key.lstrip("-") for key in tagged_rows}
+    for ident, literal in enumerate(ground.table.literals()):
         atom = literal.atom
         if atom.predicate in predicates:
-            found = rows.get(objective_key(literal))
+            found = tagged_rows.get(objective_key(literal))
             if found is not None:
-                found.append((*atom.args, ident))
-    possible = _PossibleSet()
-    for key, found in rows.items():
+                found.append((*atom.value_tuple(), ident))
+    for key, found in tagged_rows.items():
         possible.relations[key] = TupleIndex(found)
-    head = rule.head[0].atom.args
+    grounder = _RuleGrounder(Rule(head=rule.head,
+                                  body=[*body, *rule.comparisons()]))
+    head = grounder.heads[0][1]
     return ((_instantiate(head, subst), tuple([subst[slot] for slot in slots]))
             for subst in grounder.substitutions(possible))

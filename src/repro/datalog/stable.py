@@ -60,7 +60,8 @@ _UNKNOWN, _TRUE, _FALSE = 0, 1, 2
 
 
 def is_stable_model(ground: GroundProgram, candidate: set[int]) -> bool:
-    """Exact Gelfond–Lifschitz check of ``candidate`` against ``ground``."""
+    """Exact Gelfond–Lifschitz check of ``candidate`` (atom ids) against
+    ``ground``'s rules; its deterministic relations hold besides."""
     for first, second in ground.table.complement_pairs():
         if first in candidate and second in candidate:
             return False
@@ -130,7 +131,7 @@ def shift_ground(ground: GroundProgram) -> GroundProgram:
             rules.setdefault(GroundRule(
                 (head_atom,), rule.pos,
                 tuple(sorted(set(rule.naf) | set(others)))))
-    return GroundProgram(ground.table, list(rules))
+    return GroundProgram(ground.table, list(rules), ground.facts)
 
 
 class StableModelSolver:
@@ -506,7 +507,9 @@ class StableModelSolver:
 def stable_models(ground: GroundProgram, *,
                   max_models: Optional[int] = None,
                   shift_hcf: bool = True) -> list[frozenset[int]]:
-    """Convenience wrapper: all answer sets of ``ground``."""
+    """Convenience wrapper: all answer sets of ``ground``, as sets of
+    atom ids (:meth:`GroundProgram.model_literals` adds the deterministic
+    relations)."""
     solver = StableModelSolver(ground, max_models=max_models,
                                shift_hcf=shift_hcf)
     return solver.solve()

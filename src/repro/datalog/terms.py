@@ -16,6 +16,7 @@ that heavily.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, Union
 
@@ -28,6 +29,7 @@ __all__ = [
     "Comparison",
     "ChoiceGoal",
     "BodyItem",
+    "compare_values",
     "make_constant",
     "format_value",
 ]
@@ -269,7 +271,18 @@ class Literal:
         return f"not {core}" if self.naf else core
 
 
-_COMPARISON_OPS = {"=", "!=", "<", "<=", ">", ">="}
+_COMPARISON_OPS = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def compare_values(op: str, left: object, right: object) -> bool:
+    """``left op right`` over raw constant values, in the total order of
+    :meth:`Constant.sort_key` (ints before strings)."""
+    return _COMPARISON_OPS[op](
+        (0, left) if isinstance(left, int) else (1, left),
+        (0, right) if isinstance(right, int) else (1, right))
 
 
 class Comparison:
@@ -311,19 +324,7 @@ class Comparison:
             raise ValueError(f"comparison {self} is not ground")
         assert isinstance(self.left, Constant)
         assert isinstance(self.right, Constant)
-        lk = self.left.sort_key()
-        rk = self.right.sort_key()
-        if self.op == "=":
-            return lk == rk
-        if self.op == "!=":
-            return lk != rk
-        if self.op == "<":
-            return lk < rk
-        if self.op == "<=":
-            return lk <= rk
-        if self.op == ">":
-            return lk > rk
-        return lk >= rk
+        return compare_values(self.op, self.left.value, self.right.value)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Comparison) and self.op == other.op

@@ -20,9 +20,8 @@ tuples with per-column hash indexes that are
   the smallest bucket first), so callers get precisely the agreeing
   tuples and need no re-verification pass.
 
-The index is value-agnostic: the relational layer stores raw Python
-scalars, the Datalog layer stores :class:`~repro.datalog.terms.Constant`
-terms; both are just hashable keys here.
+The index is value-agnostic: rows are tuples of hashable keys.  Both the
+relational layer and the Datalog grounder store raw Python scalars.
 """
 
 from __future__ import annotations

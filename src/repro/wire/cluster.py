@@ -2,10 +2,11 @@
 
 :class:`ClusterSupervisor` takes a system (a
 :class:`~repro.core.system.PeerSystem` or the path of its JSON
-definition), allocates a localhost port per peer, and launches
-``python -m repro serve SYSTEM PEER --port ... --peers ...`` once per
-peer — each process holding only its peer's local slice (instance,
-DECs, trust edges; durable under ``data_dir/<peer>/`` when given).
+definition), binds a localhost listening socket per peer, and launches
+``python -m repro serve SYSTEM PEER --listen-fd ... --peers ...`` once
+per peer on the inherited socket — each process holding only its peer's
+local slice (instance, DECs, trust edges; durable under
+``data_dir/<peer>/`` when given).
 ``start()`` blocks until every server has printed its ``READY`` line,
 ``stop()`` terminates them gracefully (SIGTERM → the servers flush
 their durable caches → SIGKILL stragglers), and ``kill(peer)`` crashes
@@ -34,6 +35,8 @@ from typing import Optional, Union
 from ..core.system import PeerSystem
 from ..net.errors import NetworkError
 from ..obs.metrics import merge_snapshots
+from .server import bind_port
+from .transport import format_address
 
 __all__ = ["ClusterError", "ClusterSupervisor", "fetch_status",
            "free_port", "open_wire_session"]
@@ -51,12 +54,11 @@ class ClusterError(NetworkError):
 def free_port(host: str = "127.0.0.1") -> int:
     """An OS-assigned currently-free TCP port on ``host``.
 
-    Bind-and-release: a racing process could grab the port before the
-    server does.  :class:`~repro.wire.server.PeerServer` absorbs the
+    Bind-and-release: a racing process could grab the port before a
+    server binds it.  :class:`~repro.wire.server.PeerServer` absorbs the
     common transient case (``EADDRINUSE`` from a just-released probe or
-    a restarting sibling) with a bounded bind retry; a port that stays
-    occupied still surfaces as a failed ``READY`` wait, reported typed
-    instead of hanging.
+    a restarting sibling) with a bounded bind retry.  The supervisor does
+    not use it: it binds every listener itself and hands it over.
     """
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
         probe.bind((host, 0))
@@ -159,17 +161,19 @@ class ClusterSupervisor:
         """
         if self.processes:
             raise ClusterError("cluster already started")
-        addresses = {peer: f"{self.host}:{free_port(self.host)}"
-                     for peer in self.peers}
+        # every port is bound here and held until its server has it: no
+        # other socket can take it in between
+        listeners = {peer: bind_port(self.host, 0) for peer in self.peers}
+        addresses = {
+            peer: format_address((self.host, sock.getsockname()[1]))
+            for peer, sock in listeners.items()}
         peers_spec = ",".join(f"{peer}={address}"
                               for peer, address in addresses.items())
         watchers = []
         try:
             for peer in self.peers:
-                port = addresses[peer].rpartition(":")[2]
                 command = [self.python, "-m", "repro", "serve",
                            str(self.system_path), peer,
-                           "--host", self.host, "--port", port,
                            "--peers", peers_spec,
                            "--retries", str(self.retries),
                            "--method", self.default_method,
@@ -188,7 +192,7 @@ class ClusterSupervisor:
                 if self.data_dir is not None:
                     command += ["--data-dir", str(self.data_dir)]
                 self._commands[peer] = command
-                watchers.append(self._spawn(peer))
+                watchers.append(self._spawn(peer, listeners.pop(peer)))
             deadline = time.monotonic() + self.startup_timeout
             for watcher in watchers:
                 remaining = deadline - time.monotonic()
@@ -204,16 +208,27 @@ class ClusterSupervisor:
                         f"reporting READY (exit code "
                         f"{watcher.process.wait()})")
         except BaseException:
+            for sock in listeners.values():
+                sock.close()
             self.stop()
             raise
         self._addresses = addresses
         return dict(addresses)
 
-    def _spawn(self, peer: str) -> _ReadyWatcher:
-        """Launch (or relaunch) one peer's stored command."""
-        process = subprocess.Popen(
-            self._commands[peer], env=self._spawn_env(),
-            stdout=subprocess.PIPE, text=True)
+    def _spawn(self, peer: str, listener: socket.socket) -> _ReadyWatcher:
+        """Launch (or relaunch) one peer's stored command on ``listener``
+        (bound here), which the child inherits."""
+        listener.listen(128)
+        fd = listener.fileno()
+        try:
+            process = subprocess.Popen(
+                [*self._commands[peer], "--listen-fd", str(fd)],
+                pass_fds=(fd,), env=self._spawn_env(),
+                stdout=subprocess.PIPE, text=True)
+        finally:
+            # the child holds the port now; once it dies, the port
+            # refuses dials at once
+            listener.close()
         self.processes[peer] = process
         return _ReadyWatcher(peer, process)
 
@@ -269,12 +284,13 @@ class ClusterSupervisor:
         """Re-spawn a dead peer server on its old address and data
         directory.
 
-        The recovery half of the fault drill: the relaunched process
-        re-binds the same port (the server's bounded ``EADDRINUSE``
-        retry rides out the old socket's lingering state), resumes any
-        durable store under the same ``data_dir/<peer>/``, and the rest
-        of the cluster needs no reconfiguration — its address for the
-        peer never changed.  Refuses (typed) while the process is still
+        The recovery half of the fault drill: the supervisor re-binds
+        the same port (:func:`~repro.wire.server.bind_port`'s bounded
+        ``EADDRINUSE`` retry rides out the old socket's lingering state)
+        and hands it to the relaunched process, which resumes any
+        durable store under the same ``data_dir/<peer>/``; the rest of
+        the cluster needs no reconfiguration — its address for the peer
+        never changed.  Refuses (typed) while the process is still
         running: ``kill()`` first.
         """
         process = self._process(peer)
@@ -283,7 +299,14 @@ class ClusterSupervisor:
                 f"peer {peer!r} is still running; kill() it before "
                 f"restart()")
         self._close_stdout(process)
-        watcher = self._spawn(peer)
+        port = int(self._addresses[peer].rpartition(":")[2])
+        try:
+            listener = bind_port(self.host, port)
+        except OSError as exc:
+            raise ClusterError(
+                f"cannot re-bind peer {peer!r}'s port {port}: {exc}"
+            ) from exc
+        watcher = self._spawn(peer, listener)
         if not watcher.ready.wait(self.startup_timeout):
             raise ClusterError(
                 f"restarted server {peer!r} did not report READY "

@@ -83,7 +83,7 @@ from .codec import (
 )
 from .transport import Address, SocketTransport, format_address
 
-__all__ = ["PeerServer", "build_peer_node"]
+__all__ = ["PeerServer", "bind_port", "build_peer_node"]
 
 
 def build_peer_node(system: PeerSystem, peer: str, *,
@@ -147,8 +147,43 @@ class _ServedConnection:
         self.draining = False
 
 
+def bind_port(host: str, port: int, attempts: int = 3) -> socket.socket:
+    """A TCP socket bound to ``host:port`` (``SO_REUSEADDR``), not yet
+    listening, retrying a bounded number of times on ``EADDRINUSE``.
+
+    A port that was just released can still be held for a moment:
+    TIME_WAIT from a just-killed server, or a transient socket that the
+    OS handed the port to (:func:`~repro.wire.cluster.free_port`'s
+    bind-and-release probe leaves that window open).  A few
+    short-backoff retries absorb that race; a genuinely occupied port
+    still fails typed after the last attempt.  Until it listens, the
+    socket holds the port and refuses dials.
+    """
+    last: Optional[OSError] = None
+    for attempt in range(max(1, attempts)):
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        try:
+            sock.bind((host, port))
+            return sock
+        except OSError as exc:
+            sock.close()
+            if exc.errno != errno.EADDRINUSE or port == 0:
+                raise
+            last = exc
+            if attempt + 1 < attempts:
+                time.sleep(0.1 * (attempt + 1))
+    assert last is not None
+    raise last
+
+
 class PeerServer:
-    """Serve one peer's node over a listening TCP socket."""
+    """Serve one peer's node over a listening TCP socket.
+
+    ``listener`` is a socket already bound for the server (a cluster
+    supervisor binds every port itself and hands each one over); without
+    it the server binds ``host:port`` with :func:`bind_port`.
+    """
 
     def __init__(self, system: PeerSystem, peer: str, *,
                  host: str = "127.0.0.1", port: int = 0,
@@ -168,7 +203,8 @@ class PeerServer:
                  idle_timeout: float = 60.0,
                  bind_retries: int = 3,
                  routing: bool = False,
-                 tracing: bool = False) -> None:
+                 tracing: bool = False,
+                 listener: Optional[socket.socket] = None) -> None:
         if workers < 1 or pending_limit < 1:
             raise NetworkError(
                 "workers and pending_limit must be >= 1")
@@ -201,8 +237,12 @@ class PeerServer:
         self.workers = workers
         self.pending_limit = pending_limit
         self.idle_timeout = idle_timeout
-        self._listener = self._bind(host, port, max(1, bind_retries))
-        self.host, self.port = self._listener.getsockname()[:2]
+        if listener is None:
+            listener = bind_port(host, port, bind_retries)
+        listener.listen(128)
+        listener.setblocking(False)
+        self._listener = listener
+        self.host, self.port = listener.getsockname()[:2]
         self._shutdown = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
@@ -227,40 +267,6 @@ class PeerServer:
         #: live serving-process metrics, scraped over the wire by the
         #: :class:`~repro.net.protocol.GetStatus` message
         self.metrics = MetricsRegistry()
-
-    @staticmethod
-    def _bind(host: str, port: int, attempts: int) -> socket.socket:
-        """Bind the listener, retrying a bounded number of times on
-        ``EADDRINUSE``.
-
-        Ports come from :func:`~repro.wire.cluster.free_port`'s
-        bind-and-release probe, so there is an unavoidable window in
-        which the OS hands the 'free' port to someone else's transient
-        socket (TIME_WAIT from a just-killed server being the classic
-        case on a restart).  A few short-backoff retries absorb that
-        race; a genuinely occupied port still fails typed after the
-        last attempt.
-        """
-        last: Optional[OSError] = None
-        for attempt in range(attempts):
-            listener = socket.socket(socket.AF_INET,
-                                     socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET,
-                                socket.SO_REUSEADDR, 1)
-            try:
-                listener.bind((host, port))
-                listener.listen(128)
-                listener.setblocking(False)
-                return listener
-            except OSError as exc:
-                listener.close()
-                if exc.errno != errno.EADDRINUSE or port == 0:
-                    raise
-                last = exc
-                if attempt + 1 < attempts:
-                    time.sleep(0.1 * (attempt + 1))
-        assert last is not None
-        raise last
 
     # ------------------------------------------------------------------
     @property

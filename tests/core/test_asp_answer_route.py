@@ -111,6 +111,26 @@ def no_solution_system():
             .build())
 
 
+def cycle_system():
+    """Three peers, all trust `less`: P and Q import each other's
+    relation, and P has a key EGD toward R.  The imported A(k, 2) breaks
+    the key, and P may not delete it: no solution for P."""
+    key = EqualityGeneratingConstraint(
+        antecedent=[RelAtom("A", [X, Y]), RelAtom("C", [X, Z])],
+        equalities=[(Y, Z)], name="key")
+    return (PeerSystem.builder()
+            .peer("P", {"A": 2}, instance={"A": [("k", "1")]})
+            .peer("Q", {"B": 2}, instance={"B": [("k", "2")]})
+            .peer("R", {"C": 2}, instance={"C": [("k", "1")]})
+            .exchange("P", "Q", _import("B", "A", "imp_b"))
+            .exchange("Q", "P", _import("A", "B", "imp_a"))
+            .exchange("P", "R", key)
+            .trust("P", "less", "Q")
+            .trust("P", "less", "R")
+            .trust("Q", "less", "P")
+            .build())
+
+
 def branching_stage1_system():
     """Stage 1 has two solutions (delete A(a, b) or A(b, a)) and a `same`
     DEC follows, so stage 2 runs once per branch: the fallback."""
@@ -180,6 +200,7 @@ SYSTEMS = {
     "layered_ic_same": lambda: import_vs_fd_system("same"),
     "out_of_class": out_of_class_system,
     "no_solutions": no_solution_system,
+    "cycle": cycle_system,
     "branching_stage1": branching_stage1_system,
     "non_minimal": non_minimal_system,
     "chains": chains_system,

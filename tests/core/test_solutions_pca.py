@@ -147,6 +147,15 @@ class TestPCAResult:
         assert result == {("a",)}
         assert result != {("b",)}
 
+    def test_equality_between_results(self):
+        """Two results are equal when both the answers and the solution
+        count agree; either one differing makes them unequal."""
+        assert PCAResult({("a",)}, 3) == PCAResult({("a",)}, 3)
+        assert not PCAResult({("a",)}, 3) != PCAResult({("a",)}, 3)
+        assert PCAResult({("a",)}, 3) != PCAResult({("a",)}, 2)
+        assert PCAResult({("a",)}, 3) != PCAResult({("b",)}, 3)
+        assert PCAResult(set(), None) != PCAResult(set(), 0)
+
     def test_iteration_sorted(self):
         result = PCAResult({("b",), ("a",)}, 1)
         assert list(result) == [("a",), ("b",)]

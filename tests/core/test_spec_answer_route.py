@@ -26,6 +26,7 @@ from repro.core import (
     possible_from_solutions,
 )
 from repro.core.asp_lav import lav_specification_for_peer
+from repro.core.transitive import transitive_specification_for_peer
 from repro.relational import (
     DatabaseInstance,
     InclusionDependency,
@@ -44,6 +45,7 @@ from repro.workloads import (
 from .test_asp_answer_route import (
     DECODED,
     _queries,
+    cycle_system,
     import_vs_fd_system,
     no_solution_system,
     out_of_class_system,
@@ -90,13 +92,14 @@ SYSTEMS = {
     "layered_ic": import_vs_fd_system,
     "out_of_class": out_of_class_system,
     "no_solutions": no_solution_system,
+    "cycle": cycle_system,
     "primed_name": primed_name_system,
     "domain_name": domain_name_system,
 }
 
 SPECS = {
     "lav": lav_specification_for_peer,
-    "transitive": TransitiveSpecification,
+    "transitive": transitive_specification_for_peer,
 }
 
 
@@ -105,8 +108,8 @@ def _coincides_with_model(system, peer, method):
 
     LAV's are, on every system it accepts.  The combined program's are
     when no other peer it reaches has DECs of its own (nothing is
-    transitive), no reached peer has local ICs (the program prunes them
-    as denials) and the root's DECs are in the paper's class.
+    transitive) and no reached peer has local ICs (the program prunes
+    them as denials); out of the paper's DEC class it refuses.
     """
     if method == "lav":
         return True
@@ -114,10 +117,7 @@ def _coincides_with_model(system, peer, method):
     if any(system.trusted_decs_of(other) or system.peer(other).local_ics
            for other in spec.relevant_peers if other != peer):
         return False
-    if system.peer(peer).local_ics:
-        return False
-    entry = AspSolutions.for_peer(system, peer)
-    return entry.spec is None or not entry.spec.out_of_class
+    return not system.peer(peer).local_ics
 
 
 def _cases():
@@ -215,6 +215,25 @@ def test_cases_cover_every_route():
         lav_specification_for_peer(import_vs_fd_system(), "P1")
     with pytest.raises(SystemError_):
         TransitiveSpecification(example1_system(), "P1")
+
+
+def test_transitive_flags_exactly_the_out_of_class_systems():
+    """The combined program's class check fires where some relevant
+    peer's DECs insert into a relation a DEC antecedent reads — the
+    systems on which it used to return solutions that break a DEC — and
+    nowhere else in the matrix."""
+    flagged = set()
+    for name, build in SYSTEMS.items():
+        system = build()
+        for peer in system.peers:
+            try:
+                spec = TransitiveSpecification(system, peer)
+            except SystemError_:
+                continue  # `same` edges: refused before any program
+            if spec.out_of_class:
+                flagged.add(name)
+                assert not get_method("transitive").supports(system, peer)
+    assert flagged == {"out_of_class", "no_solutions", "cycle"}
 
 
 def test_query_over_an_unlabelled_relation():

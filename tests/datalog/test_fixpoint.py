@@ -20,7 +20,8 @@ def _ground(text):
 
 def _hand_ground(*rules):
     """A ground program built without the grounder, which would evaluate
-    these stratified programs to facts.  Each rule is a ``(head, pos,
+    these stratified programs to deterministic tables and leave no rules.
+    Each rule is a ``(head, pos,
     naf)`` triple of strings whose letters name propositional atoms."""
     table = AtomTable()
 
@@ -39,18 +40,18 @@ def _ids(ground, *names):
 
 class TestLeastModel:
     def test_chain(self):
-        ground = _ground("a. b :- a. c :- b.")
+        ground = _hand_ground(("a", "", ""), ("b", "a", ""), ("c", "b", ""))
         model = least_model(ground.rules)
         assert len(model) == 3
 
     def test_unsupported_not_included(self):
-        ground = _ground("a :- b. c.")
+        ground = _hand_ground(("a", "b", ""), ("c", "", ""))
         model = least_model(ground.rules)
         names = {str(ground.table.literal_for(i)) for i in model}
         assert names == {"c"}
 
     def test_cycle_not_self_supported(self):
-        ground = _ground("a :- b. b :- a. c.")
+        ground = _hand_ground(("a", "b", ""), ("b", "a", ""), ("c", "", ""))
         model = least_model(ground.rules)
         names = {str(ground.table.literal_for(i)) for i in model}
         assert names == {"c"}
@@ -66,7 +67,7 @@ class TestLeastModel:
             least_model(ground.rules)
 
     def test_constraints_skipped(self):
-        ground = _ground("a. :- a.")
+        ground = _hand_ground(("a", "", ""), ("", "a", ""))
         model = least_model(ground.rules)
         assert len(model) == 1  # constraint checked by callers, not here
 
@@ -87,7 +88,7 @@ class TestReduct:
         assert all(not rule.naf for rule in reduct)
 
     def test_positive_rules_unchanged(self):
-        ground = _ground("a :- b. b.")
+        ground = _hand_ground(("a", "b", ""), ("b", "", ""))
         reduct = gelfond_lifschitz_reduct(ground.rules, set())
         assert reduct == list(ground.rules)
 
@@ -101,7 +102,7 @@ class TestModelChecks:
         assert satisfies_rule(rule, set())        # body false
 
     def test_is_model(self):
-        ground = _ground("a :- b. b.")
+        ground = _hand_ground(("a", "b", ""), ("b", "", ""))
         ids = _ids(ground, "a", "b")
         assert is_model(ground.rules, set(ids))
         assert not is_model(ground.rules, {ids[1]})
@@ -109,7 +110,7 @@ class TestModelChecks:
 
 class TestMinimalModel:
     def test_least_model_is_minimal(self):
-        ground = _ground("a. b :- a.")
+        ground = _hand_ground(("a", "", ""), ("b", "a", ""))
         model = least_model(ground.rules)
         assert is_minimal_model(ground.rules, model)
 

@@ -18,11 +18,20 @@ def _rendered_rules(ground):
     return ground.pretty().splitlines()
 
 
+def _atoms(ground):
+    """Every ground literal: those with ids and the deterministic ones."""
+    return {str(lit) for lit in (*ground.table.literals(),
+                                 *ground.fact_literals())}
+
+
 class TestBasicGrounding:
     def test_facts_only(self):
+        # facts stay a table: no atom ids, no rules
         ground = ground_program(parse_program("p(a). p(b)."))
-        assert ground.atom_count == 2
-        assert len(ground.rules) == 2
+        assert ground.fact_count == 2
+        assert ground.atom_count == 0
+        assert ground.rules == []
+        assert set(ground.facts["p"]) == {("a",), ("b",)}
 
     def test_single_rule_instantiation(self):
         # deterministic: evaluated during grounding, so facts come out
@@ -46,7 +55,7 @@ class TestBasicGrounding:
             t(X, Z) :- e(X, Y), t(Y, Z).
             e(1, 2). e(2, 3). e(3, 4).
         """))
-        atoms = {str(lit) for lit in ground.table.literals()}
+        atoms = _atoms(ground)
         assert "t(1, 4)" in atoms
 
     def test_irrelevant_rule_not_instantiated(self):
@@ -55,7 +64,7 @@ class TestBasicGrounding:
             r(X) :- s(X).
             p(a).
         """))
-        atoms = {str(lit) for lit in ground.table.literals()}
+        atoms = _atoms(ground)
         assert "q(a)" in atoms
         assert not any(a.startswith("r(") for a in atoms)
 
@@ -91,19 +100,19 @@ class TestGroundRuleOver:
         """))
         rule = parse_rule("ans(X, Z) :- e(X, Y), f(Y), Z = Y.")
         table = ground.table
-        found = {tuple(term.value for term in head):
-                 {str(table.literal_for(ident)) for ident in body}
-                 for head, body in ground_rule_over(rule, table)}
-        # f(c) is not in the table: nothing can derive it
-        assert found == {("a", "b"): {"e(a, b)", "f(b)"}}
+        found = {head: {str(table.literal_for(ident)) for ident in body}
+                 for head, body in ground_rule_over(rule, ground)}
+        # f(c) is not in the table: nothing can derive it; e is a
+        # deterministic relation, so e(a, b) holds and adds no id
+        assert found == {("a", "b"): {"f(b)"}}
 
     def test_rejects_naf_and_unsafe_rules(self):
-        table = ground_program(parse_program("p(a).")).table
+        ground = ground_program(parse_program("p(a)."))
         with pytest.raises(GroundingError):
             list(ground_rule_over(parse_rule("q(X) :- p(X), not r(X)."),
-                                  table))
+                                  ground))
         with pytest.raises(SafetyError):
-            list(ground_rule_over(parse_rule("q(X, Y) :- p(X)."), table))
+            list(ground_rule_over(parse_rule("q(X, Y) :- p(X)."), ground))
 
 
 class TestNafSimplification:
@@ -148,7 +157,7 @@ class TestDisjunctiveAndConstraints:
             d(X) :- b(X).
             c(1).
         """))
-        atoms = {str(lit) for lit in ground.table.literals()}
+        atoms = _atoms(ground)
         assert {"a(1)", "b(1)", "c(1)", "d(1)"} <= atoms
 
     def test_constraints_grounded(self):
@@ -160,8 +169,9 @@ class TestDisjunctiveAndConstraints:
         assert not any(":- q(b)" in line for line in _rendered_rules(ground))
 
     def test_classical_negation_complement_pairs(self):
+        # -p branches, so p does too: both get ids and form a pair
         ground = ground_program(parse_program("""
-            -p(X) :- q(X).
+            -p(X) v s(X) :- q(X).
             p(a). q(a).
         """))
         pairs = ground.table.complement_pairs()
@@ -201,7 +211,7 @@ class TestDeterministicSplit:
             q(X) :- n(X), not t(X, X).
             e(1, 2). e(2, 1). e(3, 1). n(1). n(3).
         """))
-        assert all(rule.is_fact() for rule in ground.rules)
+        assert ground.rules == []
         lines = _rendered_rules(ground)
         assert "q(3)." in lines and "q(1)." not in lines
         assert "t(3, 2)." in lines
@@ -217,7 +227,7 @@ class TestDeterministicSplit:
         lines = _rendered_rules(ground)
         assert "q(b) :- not s." in lines
         assert not any(line.startswith("q(a)") for line in lines)
-        assert "q(a)" not in {str(lit) for lit in ground.table.literals()}
+        assert "q(a)" not in _atoms(ground)
 
     def test_deterministic_positive_literal_dropped(self):
         ground = ground_program(parse_program("""
@@ -231,7 +241,16 @@ class TestDeterministicSplit:
         program = parse_program("p(a). q(b) :- p(a). :- q(b). :- p(c).")
         ground = ground_program(program)
         assert ":- ." in _rendered_rules(ground)
-        assert len(ground.rules) == 3
+        assert len(ground.rules) == 1
+        assert ground.fact_count == 2
+        assert answer_sets(program) == []
+
+    def test_deterministic_complement_pair_leaves_the_empty_constraint(self):
+        program = parse_program("-p(X) :- q(X). p(a). q(a).")
+        ground = ground_program(program)
+        assert _rendered_rules(ground) == [
+            "-p(a).", ":- .", "p(a).", "q(a)."]
+        assert ground.atom_count == 0
         assert answer_sets(program) == []
 
     def test_complement_from_a_disjunction_keeps_key_residual(self):
@@ -267,7 +286,7 @@ class TestDeterministicSplit:
             pair(X, Y) :- d(X), d(Y).
             d(1). d(2). d(3). d(4). d(5). d(6).
         """)
-        assert ground_program(program, max_atoms=42).atom_count == 42
+        assert ground_program(program, max_atoms=42).fact_count == 42
         with pytest.raises(GroundingError):
             ground_program(program, max_atoms=41)
 
@@ -297,9 +316,7 @@ class TestSemiNaiveEquivalence:
         text = "t(X, Y) :- e(X, Y).\nt(X, Z) :- t(X, Y), e(Y, Z).\n"
         text += "\n".join(f"e({a}, {b})." for a, b in edges)
         ground = ground_program(parse_program(text))
-        derived = {lit.atom.value_tuple()
-                   for lit in ground.table.literals()
-                   if lit.predicate == "t"}
+        derived = set(ground.facts["t"])
         # naive closure
         closure = set(edges)
         changed = True

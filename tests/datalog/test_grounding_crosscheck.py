@@ -36,8 +36,7 @@ def _names(literals, predicates):
 
 
 def _models_as_names(ground, models, predicates):
-    return sorted(_names((ground.table.literal_for(i) for i in m),
-                         predicates)
+    return sorted(_names(ground.model_literals(m), predicates)
                   for m in models)
 
 
@@ -113,14 +112,15 @@ def test_relevant_grounding_never_larger(program):
     relevant = ground_program(program)
     naive = naive_ground(program)
     assert len(relevant.rules) <= len(naive.rules)
-    assert relevant.atom_count <= naive.atom_count
+    assert relevant.atom_count + relevant.fact_count <= naive.atom_count
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(nonground_programs())
 def test_stratified_programs_ground_to_facts(program):
     """With no disjunction and no recursion through negation every key
-    is deterministic: only facts and empty constraints are left."""
+    is deterministic: only tables and the empty constraint are left."""
     assume(is_stratified(program) and not program.has_disjunction())
-    for rule in ground_program(program).rules:
-        assert rule.is_fact() or rule == GroundRule((), (), ()), rule
+    ground = ground_program(program)
+    assert ground.rules in ([], [GroundRule((), (), ())]), ground.rules
+    assert ground.atom_count == 0

@@ -218,19 +218,22 @@ def test_conflict_specification_shifts_to_a_tight_program():
 def test_conflict_specification_leaves_only_the_disputed_rules():
     """Only the disputed keys stay undecided after grounding: the 12
     shifted conflict rules and the 12 persistence rules of those keys.
-    Everything else — sources, and the persistence of the 50 undisputed
-    rows — comes out as facts."""
+    Everything else comes out decided: the 62 source rows as
+    deterministic tables, and the persistence of the 50 undisputed rows
+    as facts (the primed relation is not deterministic as a whole)."""
     spec = _conflict_specification()
-    rules = spec.engine.ground.rules
-    assert sum(rule.is_fact() for rule in rules) == 112
+    ground = spec.engine.ground
+    rules = ground.rules
+    assert ground.fact_count == 62
+    assert sum(rule.is_fact() for rule in rules) == 50
     assert sum(not rule.is_fact() for rule in rules) == 24
     assert len(spec.answer_sets()) == 64
 
 
 def test_import_specification_grounds_to_facts():
     """The ``asp_ground`` program shape (full inclusions from more-trusted
-    peers, no conflicts) is deterministic: every ground rule is a fact and
-    there is one model."""
+    peers, no conflicts) is deterministic: it grounds to tables alone, with
+    no rule and no atom id, and there is one model."""
     from repro.core import GavSpecification
     from repro.workloads import import_star_system
     system = import_star_system(20, 3)
@@ -239,8 +242,9 @@ def test_import_specification_grounds_to_facts():
                              for e in system.trusted_decs_of("P0")],
                             {"R0"})
     ground = spec.engine.ground
-    assert all(rule.is_fact() for rule in ground.rules)
-    assert len(ground.rules) == ground.atom_count
+    assert ground.rules == []
+    assert ground.atom_count == 0
+    assert ground.fact_count == 154
     assert len(spec.answer_sets()) == 1
 
 

@@ -21,7 +21,7 @@ from repro.datalog.stable import (
 
 def _models_as_names(ground, models):
     return sorted(
-        sorted(str(ground.table.literal_for(i)) for i in model)
+        sorted(str(literal) for literal in ground.model_literals(model))
         for model in models)
 
 
@@ -46,7 +46,7 @@ class TestNormalPrograms:
     def test_definite_program_single_model(self):
         ground, models = _solve("a. b :- a. c :- b.")
         assert len(models) == 1
-        assert len(models[0]) == 3
+        assert len(ground.model_literals(models[0])) == 3
 
     def test_even_loop_two_models(self):
         ground, models = _solve("a :- not b. b :- not a.")

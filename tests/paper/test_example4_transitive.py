@@ -115,3 +115,40 @@ class TestCycleDetection:
         assert spec.has_cycles
         # the combined program still has answer sets here (benign cycle)
         assert spec.solutions()
+
+    @staticmethod
+    def _import_network(edges):
+        """One unary relation per peer; each ``(owner, other)`` edge
+        imports ``other``'s relation into ``owner``'s, `less` trusted."""
+        from repro.core import PeerSystem
+        from repro.relational import InclusionDependency
+        builder = PeerSystem.builder()
+        for peer in sorted({peer for edge in edges for peer in edge}):
+            builder.peer(peer, {f"R{peer}": 1},
+                         instance={f"R{peer}": [(peer.lower(),)]})
+        for owner, other in edges:
+            builder.exchange(owner, other, InclusionDependency(
+                f"R{other}", f"R{owner}", child_arity=1, parent_arity=1))
+            builder.trust(owner, "less", other)
+        return builder.build()
+
+    def test_three_peer_cycle_flagged(self):
+        system = self._import_network([("A", "B"), ("B", "C"), ("C", "A")])
+        for root in "ABC":
+            assert TransitiveSpecification(system, root).has_cycles
+
+    def test_acyclic_diamond_not_flagged(self):
+        # two paths from A to D, and no way back
+        system = self._import_network([("A", "B"), ("A", "C"), ("B", "D"),
+                                       ("C", "D")])
+        spec = TransitiveSpecification(system, "A")
+        assert spec.relevant_peers == ["A", "B", "C", "D"]
+        assert not spec.has_cycles
+
+    def test_self_loop_is_a_cycle(self):
+        # a DEC always involves two peers, so a self-edge exists only in
+        # the graph the check runs on
+        from repro.datalog.graphs import has_cycle
+        assert has_cycle({"A": {"A"}})
+        assert has_cycle({"A": {"B"}, "B": {"B"}})
+        assert not has_cycle({"A": {"B"}, "B": set()})

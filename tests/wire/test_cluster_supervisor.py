@@ -99,6 +99,43 @@ def test_restart_unknown_unit_refuses_typed():
 # The free_port bind race: bounded EADDRINUSE retry
 # ---------------------------------------------------------------------------
 
+def test_start_comes_up_when_every_free_port_is_squatted(monkeypatch):
+    """The supervisor binds each listener itself and hands it to its
+    server, so a socket that takes a probed port between the probe and
+    the server's bind cannot fail startup: here every port free_port
+    returns is held for the whole start."""
+    import socket
+
+    from repro.core import PeerQuerySession
+    from repro.wire import RemoteNetworkSession, cluster
+
+    squatter = socket.socket()
+    squatter.bind(("127.0.0.1", 0))
+    squatter.listen(1)
+    squatted = squatter.getsockname()[1]
+    monkeypatch.setattr(cluster, "free_port", lambda host="": squatted)
+    system = example1_system()
+    query = "q(X, Y) := R1(X, Y)"
+    try:
+        with ClusterSupervisor(system) as supervisor:
+            ports = {address.rpartition(":")[2]
+                     for address in supervisor.addresses().values()}
+            assert str(squatted) not in ports
+            assert len(ports) == len(system.peers)
+            session = RemoteNetworkSession(supervisor.addresses(),
+                                           request_timeout=10.0)
+            try:
+                result = session.answer("P1", query)
+            finally:
+                session.close()
+            assert result.ok, result.error
+            assert result.answers == PeerQuerySession(system).answer(
+                "P1", query).answers
+    finally:
+        squatter.close()
+    assert _no_cluster_processes()
+
+
 def test_server_bind_retries_ride_out_a_transient_squatter():
     """free_port's bind-and-release is racy by construction: a squatter
     holding the port when the server binds must be absorbed by the
