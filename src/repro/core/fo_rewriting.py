@@ -323,15 +323,17 @@ def answers_via_rewriting(system: PeerSystem, peer: str,
     instead of active-domain products.
     """
     rewritten = rewrite_peer_query(system, peer, query)
-    own = set(system.peer(peer).schema.names)
-    needed = rewritten.relations()
-    data: dict[str, frozenset] = {}
-    for relation in sorted(needed):
-        if relation in own:
-            data[relation] = system.instances[peer].tuples(relation)
-        else:
-            data[relation] = system.fetch_relation(
+    by_owner: dict[str, list[str]] = {}
+    for relation in sorted(rewritten.relations()):
+        owner = system.owner_of(relation)
+        if owner != peer:
+            system.fetch_relation(
                 peer, relation, purpose=f"rewritten query {query.name}")
-    schema = system.global_schema.restrict(sorted(needed))
-    instance = DatabaseInstance(schema, data)
+        by_owner.setdefault(owner, []).append(relation)
+    # the fetched rows are the owners' own immutable relations: combine
+    # them as they are, with their indexes, instead of re-validating them
+    instance = DatabaseInstance(system.global_schema.restrict(()))
+    for owner, relations in by_owner.items():
+        instance = instance.combine(
+            system.instances[owner].restrict(relations))
     return rewritten.answers(instance)

@@ -120,6 +120,8 @@ class PeerSystem:
         except SchemaError as exc:
             raise SystemError_(str(exc)) from exc
         self._owner_of: dict[str, str] = {}
+        # relation -> (the rows last fetched, their estimate_bytes)
+        self._fetched_bytes: dict[str, tuple[frozenset, int]] = {}
         for peer in self.peers.values():
             for name in peer.schema.names:
                 self._owner_of[name] = peer.name
@@ -329,13 +331,24 @@ class PeerSystem:
         This is the (simulated) data exchange step of Example 2: the
         requesting peer pulls another peer's relation to answer a query.
         """
-        from .messaging import estimate_bytes
         provider = self.owner_of(relation)
         tuples = self.instances[provider].tuples(relation)
-        self.exchange_log.record(requester, provider, relation,
-                                 len(tuples), purpose,
-                                 bytes_estimate=estimate_bytes(tuples))
+        if requester != provider:  # local reads are not exchanges
+            self.exchange_log.record(requester, provider, relation,
+                                     len(tuples), purpose,
+                                     bytes_estimate=self._bytes_of(
+                                         relation, tuples))
         return tuples
+
+    def _bytes_of(self, relation: str, tuples: frozenset) -> int:
+        """``estimate_bytes(tuples)``, walked once per immutable row set
+        of ``relation`` rather than on every fetch."""
+        from .messaging import estimate_bytes
+        cached = self._fetched_bytes.get(relation)
+        if cached is None or cached[0] is not tuples:
+            cached = self._fetched_bytes[relation] = (
+                tuples, estimate_bytes(tuples))
+        return cached[1]
 
     # ------------------------------------------------------------------
     # Functional updates (used by stage-wise solution computation)

@@ -47,22 +47,28 @@ tables themselves.
 Choice goals must be unfolded (see :mod:`repro.datalog.choice`) before
 grounding; the grounder refuses programs that still contain them.
 
+Rule bodies are joined by the same join machinery the relational
+planner runs (:mod:`repro.relational.join`): each rule is compiled once
+into atom steps over slot environments.  Both fixpoint loops are
+semi-naive: each round only re-evaluates rule bodies in ways that touch
+at least one atom discovered in the previous round (the round's new rows
+replace one body atom's relation at a time).
+
 After solving, :func:`ground_rule_over` instantiates one more positive
 rule — a query program's ``ans_query`` rule — over a ground program with
-the same join machinery: its deterministic body literals join the tables
-and add no id, the others join the atoms with ids.  Answering a query
-never grounds the program again.
-
-Both fixpoint loops are semi-naive: each round only re-evaluates rule
-bodies in ways that touch at least one atom discovered in the previous
-round.
+the same join: its deterministic body literals join the tables and add
+no id, the others join the atoms with ids.  Answering a query never
+grounds the program again.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional
 
 from ..relational.indexes import TupleIndex
+from ..relational.join import AtomStep, Scope, picker
 from .errors import GroundingError
 from .graphs import (
     dependency_edges,
@@ -219,9 +225,11 @@ class GroundProgram:
         for rule in self.rules:
             head = " v ".join(str(self.table.literal_for(h))
                               for h in rule.head)
-            body_parts = [str(self.table.literal_for(b)) for b in rule.pos]
-            body_parts += [f"not {self.table.literal_for(b)}"
-                           for b in rule.naf]
+            # sorted: atom ids, and so their order, follow the hash seed
+            body_parts = sorted(str(self.table.literal_for(b))
+                                for b in rule.pos)
+            body_parts += sorted(f"not {self.table.literal_for(b)}"
+                                 for b in rule.naf)
             if body_parts and head:
                 lines.append(f"{head} :- {', '.join(body_parts)}.")
             elif head:
@@ -235,41 +243,10 @@ class GroundProgram:
 # Possible-set computation and rule instantiation
 # ---------------------------------------------------------------------------
 
-class _PossibleSet:
-    """The over-approximation of derivable literals, per objective key.
-
-    Each key's rows — tuples of raw constant values — live in a
-    :class:`~repro.relational.indexes.TupleIndex`, the same lazy,
-    incrementally-maintained per-column hash indexes the relational
-    evaluation planner uses, so bound-column lookups during rule
-    instantiation are exact bucket probes, not relation scans.  Every index
-    here is the grounder's own: the set is mutated while grounding.
-    """
-
-    __slots__ = ("relations",)
-
-    def __init__(self) -> None:
-        self.relations: dict[str, TupleIndex] = {}
-
-    def add(self, key: str, values: tuple) -> bool:
-        relation = self.relations.get(key)
-        if relation is None:
-            relation = self.relations[key] = TupleIndex()
-        return relation.add(values)
-
-    def contains(self, key: str, values: tuple) -> bool:
-        relation = self.relations.get(key)
-        return relation is not None and values in relation
-
-    def relation(self, key: str) -> Optional[TupleIndex]:
-        return self.relations.get(key)
-
-
-def _pattern(literal: Literal) -> tuple:
-    """A literal's arguments with its constants unwrapped to raw values
-    (a raw value is never a :class:`Variable`)."""
-    return tuple(term if isinstance(term, Variable) else term.value
-                 for term in literal.atom.args)
+#: The over-approximation of derivable literals: per objective key, a
+#: TupleIndex of rows of raw values, the grounder's own.  It grows while
+#: grounding (a ``defaultdict``), and ``get`` reads it.
+_Possible = dict[str, TupleIndex]
 
 
 def _key_literal(key: str, values: tuple) -> Literal:
@@ -277,41 +254,6 @@ def _key_literal(key: str, values: tuple) -> Literal:
     if key.startswith("-"):
         return Literal(Atom(key[1:], values), positive=False)
     return Literal(Atom(key, values))
-
-
-def _seed_substitution(rule: Rule) -> tuple[dict[Variable, object],
-                                            list[Comparison]]:
-    """Extract variable bindings from ``=``-to-constant comparisons.
-
-    Returns the seed substitution (to raw values) plus the comparisons that
-    still need runtime evaluation.  Iterates to a fixpoint so chains like
-    ``X = a, Y = X`` resolve fully.
-    """
-    seed: dict[Variable, Constant] = {}
-    pending = list(rule.comparisons())
-    changed = True
-    while changed:
-        changed = False
-        remaining: list[Comparison] = []
-        for comparison in pending:
-            if comparison.op != "=":
-                remaining.append(comparison)
-                continue
-            left = seed.get(comparison.left, comparison.left) \
-                if isinstance(comparison.left, Variable) else comparison.left
-            right = seed.get(comparison.right, comparison.right) \
-                if isinstance(comparison.right, Variable) \
-                else comparison.right
-            if isinstance(left, Variable) and isinstance(right, Constant):
-                seed[left] = right
-                changed = True
-            elif isinstance(right, Variable) and isinstance(left, Constant):
-                seed[right] = left
-                changed = True
-            else:
-                remaining.append(comparison)
-        pending = remaining
-    return {variable: term.value for variable, term in seed.items()}, pending
 
 
 def _order_positive_body(rule: Rule) -> list[Literal]:
@@ -332,12 +274,41 @@ def _order_positive_body(rule: Rule) -> list[Literal]:
     return ordered
 
 
-class _RuleGrounder:
-    """Instantiation engine for one rule against a possible set.
+def _equate(comparisons: Iterable[Comparison], scope: Scope
+            ) -> tuple[Scope, list[tuple[str, int, int]], list[Comparison]]:
+    """Resolve ``comparisons`` against ``scope`` to a fixpoint: an
+    equality with one side unbound gives that variable the other side's
+    slot (as :meth:`~repro.datalog.program.Rule.safe_variables` binds
+    it), one with both sides bound becomes a check ``(op, slot, slot)``.
+    Returns the scope, the checks and the comparisons left unbound."""
+    slots = dict(scope.slots)
+    checks: list[tuple[str, int, int]] = []
+    pending = list(comparisons)
+    while pending:
+        deferred = []
+        for comparison in pending:
+            left = slots.get(comparison.left)
+            right = slots.get(comparison.right)
+            if left is not None and right is not None:
+                checks.append((comparison.op, left, right))
+            elif comparison.op == "=" and left is not None:
+                slots[comparison.right] = left
+            elif comparison.op == "=" and right is not None:
+                slots[comparison.left] = right
+            else:
+                deferred.append(comparison)
+        if len(deferred) == len(pending):
+            break
+        pending = deferred
+    return Scope(slots, scope.width), checks, pending
 
-    Substitutions map variables to raw constant values; every literal of
-    the rule is kept as its objective key plus its :func:`_pattern`.
-    """
+
+class _RuleGrounder:
+    """One rule compiled onto the shared join.  A substitution is a slot
+    environment: the rule's constants, then what its positive body binds
+    in join order.  Equalities with a constant seed the join (``X = a``
+    gives ``X`` the slot of ``a``), the others are resolved after it, and
+    heads and NAF literals are getters over the slots."""
 
     def __init__(self, rule: Rule) -> None:
         rule.check_safety()
@@ -345,144 +316,80 @@ class _RuleGrounder:
             raise GroundingError(
                 f"choice goal must be unfolded before grounding: {rule}")
         self.rule = rule
-        self.seed, self.residual_comparisons = _seed_substitution(rule)
-        self.body = [(objective_key(literal), _pattern(literal))
-                     for literal in _order_positive_body(rule)]
-        self.heads = [(objective_key(literal), _pattern(literal))
-                      for literal in rule.head]
-        self.naf_body = [(objective_key(literal), _pattern(literal))
-                         for literal in rule.naf_body()]
+        constants = [term for item in (*rule.head, *rule.body)
+                     for term in (item.atom.args if isinstance(item, Literal)
+                                  else (item.left, item.right))
+                     if isinstance(term, Constant)]
+        scope = Scope.of_constants(constants)
+        self.start = tuple(constant.value for constant in scope.slots)
+        scope, self.checks, pending = _equate(rule.comparisons(), scope)
+        ordered = _order_positive_body(rule)
+        self.body: list[tuple[str, AtomStep]] = []
+        for literal in ordered:
+            step = AtomStep(literal.atom.args, scope)
+            self.body.append((objective_key(literal), step))
+            scope = step.scope
+        scope, checks, pending = _equate(pending, scope)
+        if pending:
+            raise GroundingError(
+                f"comparison {pending[0]} not bound in rule {rule}")
+        self.checks += checks
+        self.scope = scope
+        self.heads, self.positive, self.naf_body = (
+            [(objective_key(literal), self.getter(literal.atom.args))
+             for literal in literals]
+            for literals in (rule.head, ordered, rule.naf_body()))
 
-    def blocked(self, subst: dict[Variable, object], possible: _PossibleSet,
+    def getter(self, terms: Iterable[Term]):
+        """The values of ``terms`` out of a substitution, as a tuple."""
+        return picker([self.scope.slots[term] for term in terms])
+
+    def blocked(self, env: tuple, possible: _Possible,
                 deterministic: set[str]) -> bool:
         """True when a NAF literal's atom is a deterministic fact, so this
         instance can never fire."""
-        for key, pattern in self.naf_body:
-            if key in deterministic and possible.contains(
-                    key, _instantiate(pattern, subst)):
+        for key, values in self.naf_body:
+            if key in deterministic and values(env) in possible.get(key, ()):
                 return True
         return False
 
-    def substitutions(self, possible: _PossibleSet,
+    def substitutions(self, possible: _Possible,
                       delta: Optional[dict[str, list[tuple]]] = None
-                      ) -> Iterator[dict[Variable, object]]:
+                      ) -> Iterator[tuple]:
         """All substitutions making the positive body hold in ``possible``.
 
         When ``delta`` is given, only substitutions where at least one body
-        literal matches a delta tuple are produced (semi-naive evaluation).
+        literal matches a delta tuple are produced (semi-naive evaluation):
+        the delta rows replace the relation at one pivot position at a time.
         """
-        if delta is None:
-            yield from self._join(0, dict(self.seed), possible, None, -1)
-            return
-        for pivot, (key, _) in enumerate(self.body):
-            if delta.get(key):
-                yield from self._join(0, dict(self.seed), possible, delta,
-                                      pivot)
+        pivots = [-1] if delta is None else [
+            pivot for pivot, (key, _) in enumerate(self.body) if delta.get(key)]
+        return chain.from_iterable(
+            self._join(0, self.start, possible, delta, pivot)
+            for pivot in pivots)
 
-    def _join(self, position: int, subst: dict[Variable, object],
-              possible: _PossibleSet, delta: Optional[dict[str, list[tuple]]],
-              pivot: int) -> Iterator[dict[Variable, object]]:
+    def _join(self, position: int, env: tuple, possible: _Possible,
+              delta: Optional[dict[str, list[tuple]]], pivot: int
+              ) -> Iterator[tuple]:
         if position == len(self.body):
-            if self._comparisons_hold(subst):
-                yield subst
+            for op, left, right in self.checks:
+                if not compare_values(op, env[left], env[right]):
+                    return
+            yield env
             return
-        key, pattern = self.body[position]
+        key, step = self.body[position]
         if position == pivot:
             assert delta is not None
-            source: Iterable[tuple] = delta.get(key, ())
+            extensions = step.extend(env, delta[key], probed=False)
         else:
-            relation = possible.relation(key)
+            relation = possible.get(key)
             if relation is None:
                 return
-            bound: dict[int, object] = {}
-            for idx, term in enumerate(pattern):
-                if not isinstance(term, Variable):
-                    bound[idx] = term
-                elif term in subst:
-                    bound[idx] = subst[term]
-            # exact index probe on every bound column (snapshot list:
-            # the fixpoint may derive into this relation mid-scan)
-            source = relation.matching(bound)
-        for values in source:
-            extended = self._match(pattern, values, subst)
-            if extended is not None:
-                yield from self._join(position + 1, extended, possible,
-                                      delta, pivot)
-
-    @staticmethod
-    def _match(pattern: tuple, values: tuple,
-               subst: dict[Variable, object]
-               ) -> Optional[dict[Variable, object]]:
-        if len(pattern) != len(values):
-            return None
-        extended: Optional[dict[Variable, object]] = None
-        for pat, val in zip(pattern, values):
-            if not isinstance(pat, Variable):
-                if pat != val:
-                    return None
-                continue
-            current = (extended or subst).get(pat)
-            if current is None:
-                if extended is None:
-                    extended = dict(subst)
-                extended[pat] = val
-            elif current != val:
-                return None
-        return extended if extended is not None else dict(subst)
-
-    def _comparisons_hold(self, subst: dict[Variable, object]) -> bool:
-        """Evaluate the residual comparisons under ``subst``.
-
-        An equality with one side still unbound binds that variable in
-        ``subst`` instead (``X = Y`` with ``Y`` bound makes ``X`` safe, as
-        :meth:`~repro.datalog.program.Rule.safe_variables` says), and the
-        comparisons it unblocks are evaluated on the next round.
-        """
-        pending = self.residual_comparisons
-        while pending:
-            deferred = []
-            for comparison in pending:
-                left = _resolve(comparison.left, subst)
-                right = _resolve(comparison.right, subst)
-                left_free = isinstance(left, Variable)
-                right_free = isinstance(right, Variable)
-                if left_free or right_free:
-                    if left_free and right_free or comparison.op != "=":
-                        deferred.append(comparison)
-                    elif left_free:
-                        subst[left] = right
-                    else:
-                        subst[right] = left
-                elif not compare_values(comparison.op, left, right):
-                    return False
-            if len(deferred) == len(pending):
-                raise GroundingError(
-                    f"comparison {deferred[0]} not bound in rule "
-                    f"{self.rule}")
-            pending = deferred
-        return True
-
-
-def _resolve(term: Term, subst: dict[Variable, object]) -> object:
-    """A term's raw value under ``subst``; an unbound variable itself."""
-    if isinstance(term, Variable):
-        return subst.get(term, term)
-    assert isinstance(term, Constant)
-    return term.value
-
-
-def _instantiate(pattern: tuple,
-                 subst: dict[Variable, object]) -> Optional[tuple]:
-    values = []
-    for term in pattern:
-        if isinstance(term, Variable):
-            value = subst.get(term)
-            if value is None:
-                return None
-            values.append(value)
-        else:
-            values.append(term)
-    return tuple(values)
+            # a snapshot: the fixpoint may derive into this relation
+            extensions = step.extend(env, list(step.lookup(relation, env)))
+        for extension in extensions:
+            yield from self._join(position + 1, extension, possible, delta,
+                                  pivot)
 
 
 def _complement_key(key: str) -> str:
@@ -534,7 +441,7 @@ def _check_budget(atoms: int, max_atoms: int) -> None:
             "the program may be unintentionally large")
 
 
-def _fixpoint(grounders: list[_RuleGrounder], possible: _PossibleSet,
+def _fixpoint(grounders: list[_RuleGrounder], possible: _Possible,
               deterministic: set[str], atoms: int, max_atoms: int) -> int:
     """Derive the heads of ``grounders`` into ``possible`` semi-naively
     until nothing new appears; returns the updated atom count.
@@ -542,18 +449,14 @@ def _fixpoint(grounders: list[_RuleGrounder], possible: _PossibleSet,
     Instances blocked by a deterministic fact never fire; NAF over other
     atoms is ignored, which over-approximates.
     """
-    def fire(grounder: _RuleGrounder,
-             substs: Iterator[dict[Variable, object]],
+    def fire(grounder: _RuleGrounder, substs: Iterator[tuple],
              new: dict[str, list[tuple]]) -> None:
         for subst in substs:
             if grounder.blocked(subst, possible, deterministic):
                 continue
-            for key, pattern in grounder.heads:
-                values = _instantiate(pattern, subst)
-                if values is None:
-                    raise GroundingError(
-                        f"unbound head variable in rule {grounder.rule}")
-                if possible.add(key, values):
+            for key, head in grounder.heads:
+                values = head(subst)
+                if possible[key].add(values):
                     new.setdefault(key, []).append(values)
 
     # Round 0: every rule evaluated naively (bodyless rules, and rules
@@ -591,20 +494,29 @@ def ground_program(program: Program, *,
             "program contains choice goals; unfold them first "
             "(repro.datalog.choice.unfold_choice)")
     # The tables seed the possible set.
-    possible = _PossibleSet()
+    possible: _Possible = defaultdict(TupleIndex)
     for key, rows in (facts or {}).items():
-        possible.relations[key] = TupleIndex(rows)
+        possible[key] = TupleIndex(rows)
     rules: list[Rule] = []
     for rule in program:
         if rule.is_fact():
             literal = rule.head[0]
-            possible.add(objective_key(literal), _pattern(literal))
+            possible[objective_key(literal)].add(literal.atom.value_tuple())
         else:
             rules.append(rule)
-    atoms = sum(map(len, possible.relations.values()))
+    atoms = sum(map(len, possible.values()))
     _check_budget(atoms, max_atoms)
+    # one relation per key: rows of two arities cannot share it
+    arities = {key: set(map(len, rows)) for key, rows in possible.items()}
+    for rule in rules:
+        for literal in (*rule.head, *rule.positive_body(), *rule.naf_body()):
+            arities.setdefault(objective_key(literal), set()).add(
+                literal.atom.arity)
+    mixed = sorted(key for key, found in arities.items() if len(found) > 1)
+    if mixed:
+        raise GroundingError(f"predicates used with two arities: {mixed}")
     grounders = [_RuleGrounder(rule) for rule in rules]
-    components = _deterministic_components(rules, possible.relations)
+    components = _deterministic_components(rules, possible)
     deterministic = set().union(*components)
     component_of = {key: number for number, component in enumerate(components)
                     for key in component}
@@ -620,7 +532,7 @@ def ground_program(program: Program, *,
 
     # the table rows of the other keys are facts the solver must see
     table_facts = [(key, list(relation))
-                   for key, relation in possible.relations.items()
+                   for key, relation in possible.items()
                    if key not in deterministic]
 
     # Pass 0: the deterministic part, exactly, one component at a time.
@@ -636,7 +548,7 @@ def ground_program(program: Program, *,
     # Pass 2: deterministic relations stay relations; the table rows of
     # the other keys become facts, and the remaining rules are
     # instantiated over the final possible set.
-    fixed = {key: relation for key, relation in possible.relations.items()
+    fixed = {key: relation for key, relation in possible.items()
              if key in deterministic}
     table = AtomTable()
     ground_rules: dict[GroundRule, None] = {}
@@ -651,33 +563,26 @@ def ground_program(program: Program, *,
             fact = table.add(_key_literal(key, values))
             ground_rules.setdefault(GroundRule((fact,), (), ()))
 
-    def intern(key: str, pattern: tuple,
-               subst: dict[Variable, object]) -> int:
-        values = _instantiate(pattern, subst)
-        assert values is not None
+    def intern(key: str, values: tuple) -> int:
         return table.add(_key_literal(key, values))
 
     for grounder in residual:
-        rule = grounder.rule
-        residual_pos = [(key, pattern) for key, pattern in grounder.body
+        residual_pos = [(key, values) for key, values in grounder.positive
                         if key not in deterministic]
         for subst in grounder.substitutions(possible):
             if grounder.blocked(subst, possible, deterministic):
                 continue  # `not fact` is false: never fires
-            head_ids = [intern(key, pattern, subst)
-                        for key, pattern in grounder.heads]
+            head_ids = [intern(key, head(subst))
+                        for key, head in grounder.heads]
             # deterministic positive literals are facts: true, so dropped
-            pos_set = {intern(key, pattern, subst)
-                       for key, pattern in residual_pos}
+            pos_set = {intern(key, values(subst))
+                       for key, values in residual_pos}
             naf_ids = set()
-            for key, pattern in grounder.naf_body:
-                values = _instantiate(pattern, subst)
-                if values is None:
-                    raise GroundingError(
-                        f"unbound NAF variable in rule {rule}")
-                if not possible.contains(key, values):
+            for key, values in grounder.naf_body:
+                row = values(subst)
+                if row not in possible.get(key, ()):
                     continue  # atom never derivable: `not atom` is true
-                naf_ids.add(table.add(_key_literal(key, values)))
+                naf_ids.add(intern(key, row))
             if pos_set & naf_ids:
                 continue  # body requires both a and `not a`: never fires
             if set(head_ids) & pos_set:
@@ -711,21 +616,21 @@ def ground_rule_over(rule: Rule, ground: GroundProgram
     rule.check_safety()
     # a literal over the table gets one more argument, bound to the id of
     # the table literal it matches, so no ground literal is looked up again
-    possible = _PossibleSet()
+    possible: _Possible = {}
     tagged_rows: dict[str, list[tuple]] = {}
     body: list = []
-    slots: list[Variable] = []
+    tags: list[Variable] = []
     for literal in rule.positive_body():
         key = objective_key(literal)
         relation = ground.facts.get(key)
         if relation is not None:
-            possible.relations[key] = relation  # read only: never derived
+            possible[key] = relation  # read only: never derived
             body.append(literal)
             continue
-        slot = Variable(f"#{len(slots)}")
-        slots.append(slot)
+        tag = Variable(f"#{len(tags)}")
+        tags.append(tag)
         body.append(Literal(Atom(literal.predicate,
-                                 (*literal.atom.args, slot)),
+                                 (*literal.atom.args, tag)),
                             literal.positive))
         tagged_rows[key] = []
     predicates = {key.lstrip("-") for key in tagged_rows}
@@ -736,9 +641,9 @@ def ground_rule_over(rule: Rule, ground: GroundProgram
             if found is not None:
                 found.append((*atom.value_tuple(), ident))
     for key, found in tagged_rows.items():
-        possible.relations[key] = TupleIndex(found)
+        possible[key] = TupleIndex(found)
     grounder = _RuleGrounder(Rule(head=rule.head,
                                   body=[*body, *rule.comparisons()]))
-    head = grounder.heads[0][1]
-    return ((_instantiate(head, subst), tuple([subst[slot] for slot in slots]))
+    head, ids = grounder.heads[0][1], grounder.getter(tags)
+    return ((head(subst), ids(subst))
             for subst in grounder.substitutions(possible))

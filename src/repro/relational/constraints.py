@@ -185,8 +185,7 @@ def _formula_bindings(formula: Formula, instance: DatabaseInstance,
             f"unknown evaluator {evaluator!r}; choose 'planner' or 'naive'")
     planner = None if planners is None else planners.get(formula)
     if planner is None:
-        planner = QueryPlanner(instance,
-                               evaluation_domain(instance, formula))
+        planner = QueryPlanner(instance)
         if planners is not None:
             planners[formula] = planner
     return planner.bindings(formula, env)

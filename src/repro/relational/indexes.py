@@ -1,13 +1,15 @@
 """The shared hash-index layer behind indexed query evaluation.
 
-Every evaluation mechanism in the reproduction — the FO planner
-(:mod:`repro.relational.planner`), constraint checking
-(:mod:`repro.relational.constraints`), and the ASP grounder
-(:mod:`repro.datalog.grounding`) — needs the same primitive: *given some
-bound columns, which tuples of a relation agree with them?*  Answering
-that by scanning the whole relation (or worse, by enumerating
-``product(domain, repeat=k)``) makes first-order evaluation exponential
-in the number of unbound variables regardless of instance shape.
+Every evaluation mechanism in the reproduction needs the same primitive:
+*given some bound columns, which tuples of a relation agree with them?*
+One module asks it: the shared join (:mod:`repro.relational.join`),
+whose atom steps probe these indexes for the FO planner's scans
+(:mod:`repro.relational.planner`, and through it constraint checking in
+:mod:`repro.relational.constraints`) and for the ASP grounder's rule
+bodies (:mod:`repro.datalog.grounding`).  Answering it by scanning the
+whole relation (or worse, by enumerating ``product(domain, repeat=k)``)
+makes first-order evaluation exponential in the number of unbound
+variables regardless of instance shape.
 
 :class:`TupleIndex` provides the primitive: a mutable set of equal-arity
 tuples with per-column hash indexes that are

@@ -10,9 +10,9 @@ Instances are immutable: mutation-style methods return new instances, which
 keeps repair search and solution enumeration free of aliasing bugs.
 
 Each instance also carries lazily-built per-relation/per-column hash
-indexes (:class:`~repro.relational.indexes.TupleIndex`) behind
-:meth:`DatabaseInstance.rows_matching` — the entry point of the indexed
-evaluation planner.  Functional updates (:meth:`with_facts`,
+indexes (:class:`~repro.relational.indexes.TupleIndex`, from
+:meth:`DatabaseInstance.index`) that the indexed evaluation planner's
+atom scans probe.  Functional updates (:meth:`with_facts`,
 :meth:`without_facts`) maintain the already-built indexes *incrementally*
 instead of rebuilding them, and relations untouched by an update share
 their index object with the parent instance (safe: identical row sets,
@@ -124,12 +124,12 @@ class DatabaseInstance:
                     raise InstanceError(
                         f"relation {name!r} not in schema")
                 arity = schema.arity(name)
-                frozen = frozenset(tuple(row) for row in rows)
-                for row in frozen:
-                    if len(row) != arity:
-                        raise InstanceError(
-                            f"tuple {row} has arity {len(row)}, relation "
-                            f"{name!r} expects {arity}")
+                frozen = frozenset(map(tuple, rows))
+                if set(map(len, frozen)) - {arity}:
+                    row = next(row for row in frozen if len(row) != arity)
+                    raise InstanceError(
+                        f"tuple {row} has arity {len(row)}, relation "
+                        f"{name!r} expects {arity}")
                 table[name] = frozen
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "_data", FactTable(table))

@@ -9,19 +9,28 @@ Formula`/:class:`~repro.relational.query.Query` objects into executable
 plans that are first-order-*cheap*:
 
 * **selection pushdown** — constants and already-bound variables become
-  hash-index lookups (:meth:`DatabaseInstance.rows_matching`), never
-  post-hoc filters over full scans;
+  hash-index lookups, never post-hoc filters over full scans;
 * **greedy join ordering** — conjunctions are reordered by estimated
   bound-prefix selectivity (relation size over distinct count of the
   best bound column), with fully-bound parts scheduled immediately as
   cheap filters;
-* **index-backed atom scans** — each atom yields exactly its matching
-  extensions, so no re-verification pass is needed;
+* **index-backed atom scans** — each atom is a step of the join shared
+  with the Datalog grounder (:mod:`repro.relational.join`);
 * **restricted domain enumeration** — ``product(domain, ...)`` survives
   only for *genuinely range-unrestricted* variables (those occurring
   solely under negation, implication, universal quantification, or
   non-equality comparisons), exactly where active-domain semantics
   requires it.
+
+Plans run on *slot environments*: tuples whose positions are fixed at
+compile time — the formula's constants, the bound variables by name,
+then what each node binds.  A scan binding distinct fresh variables
+passes its rows through whole, and deduplication and head projection
+read slots by position, so evaluation never hashes a variable.  The
+evaluation domain is built only as far as a plan reads it: its values
+for range-unrestricted variables (in :func:`~repro.relational.query.
+evaluation_domain` order), its size for cost estimates, and whether it
+is empty for the empty-domain ∃ corner.
 
 Semantics are identical to the naive evaluator (active-domain semantics,
 including the empty-domain ∃ corner and quantifier shadowing); the
@@ -36,12 +45,13 @@ and the convenience wrappers :func:`plan_answers`, :func:`plan_holds`,
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterator, Optional, Sequence
+from itertools import chain, product
+from typing import Callable, Iterator, Optional, Sequence
 
-from ..datalog.terms import Comparison, Constant, Variable
+from ..datalog.terms import Constant, Variable, compare_values
 from .errors import QueryError
 from .instance import DatabaseInstance
+from .join import AtomStep, Scope, picker
 from .query import (
     And,
     Cmp,
@@ -53,10 +63,8 @@ from .query import (
     Or,
     Query,
     RelAtom,
-    _MISSING,
     _Truth,
-    _term_value,
-    evaluation_domain,
+    _domain_order,
 )
 
 __all__ = ["QueryPlanner", "plan_answers", "plan_holds", "plan_bindings",
@@ -72,18 +80,25 @@ def _by_name(variables) -> list[Variable]:
     return sorted(variables, key=lambda v: v.name)
 
 
+def _some(rows: Iterator) -> bool:
+    for _ in rows:
+        return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Plan nodes
 # ---------------------------------------------------------------------------
 
 class PlanNode:
-    """One executable operator.  ``run(env)`` yields exactly the
-    extensions of ``env`` (which must bind the compile-time bound set)
-    that bind the node's free variables and satisfy its formula."""
+    """One executable operator, compiled against a :class:`Scope`.
+    ``run(env)`` yields exactly the satisfying extensions of the slot
+    environment ``env``: ``env`` with the values of :attr:`out` — the
+    node's free variables the scope leaves unbound — appended in order."""
 
-    __slots__ = ()
+    __slots__ = ("out",)
 
-    def run(self, env: Env) -> Iterator[Env]:
+    def run(self, env: tuple) -> Iterator[tuple]:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -93,155 +108,116 @@ class PlanNode:
         return ()
 
 
-class TruePlan(PlanNode):
-    __slots__ = ("value",)
-
-    def __init__(self, value: bool) -> None:
-        self.value = value
-
-    def run(self, env: Env) -> Iterator[Env]:
-        if self.value:
-            yield env
-
-    def describe(self) -> str:
-        return "true" if self.value else "false"
-
-
 class ScanAtom(PlanNode):
     """Index-backed scan of one relation atom: constants and bound
-    variables are pushed into the hash-index lookup; the remaining
-    columns bind (with repeated-variable consistency checks)."""
+    variables probe the hash index; the remaining columns bind (with
+    repeated-variable checks).  A scan probing nothing reads the
+    instance's rows as they are."""
 
-    __slots__ = ("planner", "atom", "const_cols", "bound_cols", "var_cols")
+    __slots__ = ("instance", "atom", "step")
 
-    def __init__(self, planner: "QueryPlanner", atom: RelAtom,
-                 bound: frozenset) -> None:
-        self.planner = planner
+    def __init__(self, instance: DatabaseInstance, atom: RelAtom,
+                 scope: Scope) -> None:
+        self.instance = instance
         self.atom = atom
-        const_cols: list[tuple[int, object]] = []
-        bound_cols: list[tuple[int, Variable]] = []
-        var_cols: list[tuple[int, Variable]] = []
-        for position, term in enumerate(atom.terms):
-            if isinstance(term, Constant):
-                const_cols.append((position, term.value))
-            elif term in bound:
-                bound_cols.append((position, term))
-            else:
-                var_cols.append((position, term))
-        self.const_cols = tuple(const_cols)
-        self.bound_cols = tuple(bound_cols)
-        self.var_cols = tuple(var_cols)
+        self.step = AtomStep(atom.terms, scope)
+        self.out = self.step.fresh
 
-    def run(self, env: Env) -> Iterator[Env]:
-        lookup = dict(self.const_cols)
-        for position, variable in self.bound_cols:
-            lookup[position] = env[variable]
-        rows = self.planner.instance.rows_matching(self.atom.relation,
-                                                   lookup)
-        if not self.var_cols:
-            if rows:  # pure membership check
-                yield env
-            return
-        for row in rows:
-            out = dict(env)
-            ok = True
-            for position, variable in self.var_cols:
-                value = row[position]
-                current = out.get(variable, _MISSING)
-                if current is _MISSING:
-                    out[variable] = value
-                elif current != value:
-                    ok = False
-                    break
-            if ok:
-                yield out
+    def run(self, env: tuple) -> Iterator[tuple]:
+        step = self.step
+        if step.probe:
+            rows = step.lookup(self.instance.index(self.atom.relation), env)
+        else:
+            rows = self.instance.tuples(self.atom.relation)
+        return step.extend(env, rows)
 
     def describe(self) -> str:
-        pushed = len(self.const_cols) + len(self.bound_cols)
-        return (f"scan {self.atom} [index on {pushed}/"
+        return (f"scan {self.atom} [index on {len(self.step.probe)}/"
                 f"{len(self.atom.terms)} columns]")
 
 
 class FilterPlan(PlanNode):
     """A fully-bound subformula evaluated as a cheap filter."""
 
-    __slots__ = ("planner", "formula")
+    __slots__ = ("formula", "test", "subplans")
 
-    def __init__(self, planner: "QueryPlanner", formula: Formula) -> None:
-        self.planner = planner
+    def __init__(self, formula: Formula, test: Callable[[tuple], bool],
+                 subplans: tuple[PlanNode, ...] = ()) -> None:
         self.formula = formula
+        self.test = test
+        self.subplans = subplans
+        self.out = ()
 
-    def run(self, env: Env) -> Iterator[Env]:
-        if self.planner.holds(self.formula, env):
+    def run(self, env: tuple) -> Iterator[tuple]:
+        if self.test(env):
             yield env
 
     def describe(self) -> str:
         return f"filter {self.formula}"
+
+    def children(self) -> tuple[PlanNode, ...]:
+        return self.subplans
 
 
 class EqBindPlan(PlanNode):
     """``X = t`` with X unbound and t a constant or bound variable:
     binds directly instead of enumerating the domain."""
 
-    __slots__ = ("variable", "source")
+    __slots__ = ("source", "slot")
 
-    def __init__(self, variable: Variable, source) -> None:
-        self.variable = variable
+    def __init__(self, variable: Variable, source, slot: int) -> None:
+        self.out = (variable,)
         self.source = source
+        self.slot = slot
 
-    def run(self, env: Env) -> Iterator[Env]:
-        out = dict(env)
-        out[self.variable] = _term_value(self.source, env)
-        yield out
+    def run(self, env: tuple) -> Iterator[tuple]:
+        yield env + (env[self.slot],)
 
     def describe(self) -> str:
-        return f"bind {self.variable.name} = {self.source}"
+        return f"bind {self.out[0].name} = {self.source}"
 
 
 class EqPairPlan(PlanNode):
     """``X = Y`` with both unbound: one domain pass, not two."""
 
-    __slots__ = ("planner", "left", "right")
+    __slots__ = ("planner",)
 
     def __init__(self, planner: "QueryPlanner", left: Variable,
                  right: Variable) -> None:
         self.planner = planner
-        self.left = left
-        self.right = right
+        self.out = (left, right)
 
-    def run(self, env: Env) -> Iterator[Env]:
-        for value in self.planner.domain:
-            out = dict(env)
-            out[self.left] = value
-            out[self.right] = value
-            yield out
+    def run(self, env: tuple) -> Iterator[tuple]:
+        return (env + (value, value) for value in self.planner.domain)
 
     def describe(self) -> str:
-        return f"bind {self.left.name} = {self.right.name} over domain"
+        left, right = self.out
+        return f"bind {left.name} = {right.name} over domain"
 
 
 class EnumCheckPlan(PlanNode):
     """Last resort for range-unrestricted variables: enumerate the
     active domain and check (exactly where the semantics requires it)."""
 
-    __slots__ = ("planner", "formula", "unbound")
+    __slots__ = ("planner", "formula", "check")
 
     def __init__(self, planner: "QueryPlanner", formula: Formula,
-                 unbound: Sequence[Variable]) -> None:
+                 unbound: Sequence[Variable], check: PlanNode) -> None:
         self.planner = planner
         self.formula = formula
-        self.unbound = tuple(unbound)
+        self.out = tuple(unbound)
+        self.check = check
 
-    def run(self, env: Env) -> Iterator[Env]:
-        for combo in product(self.planner.domain, repeat=len(self.unbound)):
-            out = dict(env)
-            out.update(zip(self.unbound, combo))
-            if self.planner.holds(self.formula, out):
-                yield out
+    def run(self, env: tuple) -> Iterator[tuple]:
+        return (extended for extended in self.planner.completed(
+            iter((env,)), len(self.out)) if _some(self.check.run(extended)))
 
     def describe(self) -> str:
-        names = ", ".join(v.name for v in self.unbound)
+        names = ", ".join(v.name for v in self.out)
         return f"enumerate domain for {{{names}}} check {self.formula}"
+
+    def children(self) -> tuple[PlanNode, ...]:
+        return (self.check,)
 
 
 class AndPlan(PlanNode):
@@ -251,13 +227,15 @@ class AndPlan(PlanNode):
 
     def __init__(self, steps: Sequence[PlanNode]) -> None:
         self.steps = tuple(steps)
+        self.out = tuple(v for step in self.steps for v in step.out)
 
-    def run(self, env: Env) -> Iterator[Env]:
+    def run(self, env: tuple) -> Iterator[tuple]:
         steps = self.steps
+        last = len(steps) - 1
 
-        def recurse(position: int, current: Env) -> Iterator[Env]:
-            if position == len(steps):
-                yield current
+        def recurse(position: int, current: tuple) -> Iterator[tuple]:
+            if position == last:
+                yield from steps[position].run(current)
                 return
             for extension in steps[position].run(current):
                 yield from recurse(position + 1, extension)
@@ -271,81 +249,79 @@ class AndPlan(PlanNode):
         return self.steps
 
 
+def _distinct(rows: Iterator[tuple], closed: bool) -> Iterator[tuple]:
+    """``rows`` without repeats; only the first when ``closed`` (the
+    node binds nothing, so every row is the same)."""
+    seen: set[tuple] = set()
+    for row in rows:
+        if row not in seen:
+            seen.add(row)
+            yield row
+            if closed:
+                return
+
+
 class OrPlan(PlanNode):
     """Deduplicated union; branches binding fewer variables complete
-    the missing ones over the domain (active-domain semantics)."""
+    the missing ones over the domain (active-domain semantics).  One
+    getter per branch moves its values into the union's slots."""
 
-    __slots__ = ("planner", "branches", "key_vars")
+    __slots__ = ("planner", "branches")
 
     def __init__(self, planner: "QueryPlanner", formula: Or,
-                 bound: frozenset) -> None:
+                 scope: Scope) -> None:
         self.planner = planner
-        free = formula.free_variables()
-        self.key_vars = tuple(_by_name(free - bound))
+        self.out = tuple(_by_name(formula.free_variables()
+                                  - scope.slots.keys()))
+        kept = tuple(range(scope.width))
         branches = []
         for part in formula.parts:
-            missing = tuple(_by_name((free - part.free_variables())
-                                     - bound))
-            branches.append((planner.plan(part, bound), missing))
+            plan = planner._compile(part, scope)
+            after = scope.bind(plan.out)
+            missing = [v for v in self.out if v not in after.slots]
+            after = after.bind(missing)
+            pick = picker(kept + tuple(after.slots[v] for v in self.out))
+            branches.append((plan, pick, len(missing)))
         self.branches = tuple(branches)
 
-    def run(self, env: Env) -> Iterator[Env]:
-        seen: set[tuple] = set()
-        domain = self.planner.domain
-        for subplan, missing in self.branches:
-            for extension in subplan.run(env):
-                if missing:
-                    for combo in product(domain, repeat=len(missing)):
-                        full = dict(extension)
-                        full.update(zip(missing, combo))
-                        key = tuple(full[v] for v in self.key_vars)
-                        if key not in seen:
-                            seen.add(key)
-                            yield full
-                else:
-                    key = tuple(extension[v] for v in self.key_vars)
-                    if key not in seen:
-                        seen.add(key)
-                        yield extension
+    def run(self, env: tuple) -> Iterator[tuple]:
+        return _distinct(chain.from_iterable(
+            map(pick, self.planner.completed(plan.run(env), missing))
+            for plan, pick, missing in self.branches), not self.out)
 
     def describe(self) -> str:
         return f"union [{len(self.branches)} branches, deduplicated]"
 
     def children(self) -> tuple[PlanNode, ...]:
-        return tuple(plan for plan, _ in self.branches)
+        return tuple(plan for plan, _, _ in self.branches)
 
 
 class ExistsPlan(PlanNode):
-    """Evaluate the body (with shadowing), project the quantified
-    variables out, deduplicate the projections."""
+    """Evaluate the body (with shadowing: the quantified variables get
+    slots of their own), project them out, deduplicate the
+    projections."""
 
-    __slots__ = ("planner", "formula", "subplan", "key_vars")
+    __slots__ = ("planner", "formula", "subplan", "pick")
 
     def __init__(self, planner: "QueryPlanner", formula: Exists,
-                 bound: frozenset) -> None:
+                 scope: Scope) -> None:
         self.planner = planner
         self.formula = formula
-        inner_bound = frozenset(bound - set(formula.variables))
-        self.subplan = planner.plan(formula.sub, inner_bound)
-        self.key_vars = tuple(_by_name(formula.free_variables() - bound))
+        inner = scope.without(formula.variables)
+        self.subplan = planner._compile(formula.sub, inner)
+        after = inner.bind(self.subplan.out)
+        self.out = tuple(_by_name(formula.free_variables()
+                                  - scope.slots.keys()))
+        self.pick = picker(tuple(range(scope.width))
+                           + tuple(after.slots[v] for v in self.out))
 
-    def run(self, env: Env) -> Iterator[Env]:
-        if not self.planner.domain:
+    def run(self, env: tuple) -> Iterator[tuple]:
+        if self.planner.domain_is_empty():
             # no witness value exists, even when the body ignores the
             # quantified variables (matches the naive evaluator)
-            return
-        quantified = set(self.formula.variables)
-        shadowed = {v: env[v] for v in quantified if v in env}
-        inner = {k: v for k, v in env.items() if k not in quantified}
-        seen: set[tuple] = set()
-        for extension in self.subplan.run(inner):
-            out = {k: v for k, v in extension.items()
-                   if k not in quantified}
-            out.update(shadowed)
-            key = tuple(out[v] for v in self.key_vars)
-            if key not in seen:
-                seen.add(key)
-                yield out
+            return iter(())
+        return _distinct(map(self.pick, self.subplan.run(env)),
+                         not self.out)
 
     def describe(self) -> str:
         names = ", ".join(v.name for v in self.formula.variables)
@@ -359,6 +335,27 @@ class ExistsPlan(PlanNode):
 # The planner
 # ---------------------------------------------------------------------------
 
+class _Plan:
+    """A compiled formula: the root node, and the environment it starts
+    from — the formula's constants (in domain order), then the bound
+    variables by name."""
+
+    __slots__ = ("root", "start", "inputs", "scope")
+
+    def __init__(self, planner: "QueryPlanner", formula: Formula,
+                 bound: frozenset) -> None:
+        self.start = _domain_order(formula.constants())
+        self.inputs = tuple(_by_name(bound))
+        scope = Scope.of_constants(map(Constant, self.start)).bind(
+            self.inputs)
+        self.root = planner._compile(formula, scope)
+        self.scope = scope.bind(self.root.out)
+
+    def run(self, env: Env) -> Iterator[tuple]:
+        return self.root.run(self.start
+                             + tuple(env[v] for v in self.inputs))
+
+
 class QueryPlanner:
     """Compiles formulas into index-backed plans over one instance.
 
@@ -366,91 +363,141 @@ class QueryPlanner:
     compiled plans are cached per ``(formula, bound-variable set)``, and
     every atom scan shares the instance's lazily-built hash indexes.
 
-    ``domain`` is the evaluation domain (active domain plus the
-    constants of the formulas to be evaluated); it must cover every
-    constant of every formula handed to this planner — use
-    :func:`repro.relational.query.evaluation_domain`.
+    ``domain`` is the evaluation domain; it must cover every constant of
+    every formula handed to this planner (see
+    :func:`repro.relational.query.evaluation_domain`).  Left ``None``, it
+    is that of the instance and the formulas evaluated, built only as far
+    as a plan reads it (see the module docstring).
     """
 
-    __slots__ = ("instance", "domain", "_plans")
+    __slots__ = ("instance", "_plans", "_given", "_constants", "_values",
+                 "_size", "_empty")
 
-    def __init__(self, instance: DatabaseInstance, domain: tuple) -> None:
+    def __init__(self, instance: DatabaseInstance,
+                 domain: Optional[tuple] = None) -> None:
         self.instance = instance
-        self.domain = tuple(domain)
-        self._plans: dict[tuple[Formula, frozenset], PlanNode] = {}
+        self._plans: dict[tuple[Formula, frozenset], _Plan] = {}
+        self._given = domain is not None
+        self._constants: frozenset = frozenset()
+        self._values = None if domain is None else tuple(domain)
+        self._size = self._empty = None
+
+    # ------------------------------------------------------------------
+    # The evaluation domain, as far as it is read
+    # ------------------------------------------------------------------
+    @property
+    def domain(self) -> tuple:
+        """The evaluation domain's values, in evaluation order."""
+        if self._values is None:
+            self._values = _domain_order(self.instance.active_domain()
+                                         | self._constants)
+        return self._values
+
+    def domain_size(self) -> int:
+        if self._size is None:
+            self._size = len(self.instance.active_domain() | self._constants
+                             if self._values is None else self._values)
+        return self._size
+
+    def domain_is_empty(self) -> bool:
+        if self._empty is None:  # no constant, and no row with a value
+            self._empty = (not self._constants and not any(
+                map(any, self.instance.fact_table().values()))
+                if self._values is None else not self._values)
+        return self._empty
+
+    def completed(self, rows: Iterator[tuple], missing: int
+                  ) -> Iterator[tuple]:
+        """Each row extended by every combination of ``missing`` domain
+        values (the rows themselves when nothing is missing)."""
+        if not missing:
+            return rows
+        domain = self.domain
+        return (row + combo for row in rows
+                for combo in product(domain, repeat=missing))
 
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-    def plan(self, formula: Formula, bound: frozenset) -> PlanNode:
+    def plan(self, formula: Formula, bound: frozenset = frozenset()
+             ) -> _Plan:
         key = (formula, bound)
         cached = self._plans.get(key)
         if cached is None:
-            cached = self._compile(formula, bound)
-            self._plans[key] = cached
+            constants = formula.constants()
+            if not self._given and not constants <= self._constants:
+                self._constants |= constants
+                self._values = self._size = self._empty = None
+            cached = self._plans[key] = _Plan(self, formula, bound)
         return cached
 
-    def _compile(self, formula: Formula, bound: frozenset) -> PlanNode:
-        if isinstance(formula, _Truth):
-            return TruePlan(formula.value)
+    def _compile(self, formula: Formula, scope: Scope) -> PlanNode:
         if isinstance(formula, RelAtom):
-            return ScanAtom(self, formula, bound)
-        if isinstance(formula, Cmp):
-            return self._compile_cmp(formula, bound)
+            return ScanAtom(self.instance, formula, scope)
         if isinstance(formula, And):
-            return self._compile_and(formula, bound)
+            return self._compile_and(formula, scope)
         if isinstance(formula, Or):
-            return OrPlan(self, formula, bound)
+            return OrPlan(self, formula, scope)
         if isinstance(formula, Exists):
-            return ExistsPlan(self, formula, bound)
-        if isinstance(formula, (Not, Implies, Forall)):
-            unbound = _by_name(formula.free_variables() - bound)
-            if not unbound:
-                return FilterPlan(self, formula)
-            return EnumCheckPlan(self, formula, unbound)
-        raise QueryError(f"cannot plan {formula!r}")
-
-    def _compile_cmp(self, formula: Cmp, bound: frozenset) -> PlanNode:
-        unbound = formula.free_variables() - bound
+            return ExistsPlan(self, formula, scope)
+        if not isinstance(formula, (_Truth, Cmp, Not, Implies, Forall)):
+            raise QueryError(f"cannot plan {formula!r}")
+        unbound = _by_name(formula.free_variables() - scope.slots.keys())
         if not unbound:
-            return FilterPlan(self, formula)
-        comparison = formula.comparison
-        left, right = comparison.left, comparison.right
-        if comparison.op == "=":
-            if isinstance(left, Variable) and left in unbound:
-                if isinstance(right, Constant) or (
-                        isinstance(right, Variable) and right in bound):
-                    return EqBindPlan(left, right)
-            if isinstance(right, Variable) and right in unbound:
-                if isinstance(left, Constant) or (
-                        isinstance(left, Variable) and left in bound):
-                    return EqBindPlan(right, left)
-            if isinstance(left, Variable) and isinstance(right, Variable) \
-                    and left in unbound and right in unbound \
-                    and left != right:
+            return FilterPlan(formula, *self._test(formula, scope))
+        if isinstance(formula, Cmp) and formula.op == "=":
+            slots = scope.slots
+            left, right = formula.comparison.left, formula.comparison.right
+            for variable, source in ((left, right), (right, left)):
+                if variable in unbound and source in slots:
+                    return EqBindPlan(variable, source, slots[source])
+            if left in unbound and right in unbound and left != right:
                 return EqPairPlan(self, left, right)
-        return EnumCheckPlan(self, formula, _by_name(unbound))
+        return EnumCheckPlan(self, formula, unbound,
+                             self._compile(formula, scope.bind(unbound)))
 
-    def _compile_and(self, formula: And, bound: frozenset) -> PlanNode:
+    def _test(self, formula: Formula, scope: Scope) -> tuple:
+        """A fully bound formula as a truth test on environments, and
+        the plans the test runs."""
+        if isinstance(formula, _Truth):
+            value = formula.value
+            return (lambda env: value),
+        if isinstance(formula, Cmp):
+            op = formula.op
+            left = scope.slots[formula.comparison.left]
+            right = scope.slots[formula.comparison.right]
+            return (lambda env: compare_values(op, env[left], env[right])),
+        if isinstance(formula, Implies):
+            premise = self._compile(formula.premise, scope)
+            conclusion = self._compile(formula.conclusion, scope)
+            return (lambda env: not _some(premise.run(env))
+                    or _some(conclusion.run(env))), (premise, conclusion)
+        if isinstance(formula, Forall):
+            # ∀x̄ φ as ¬∃x̄ ¬φ, a guarded ∀x̄ (ψ → χ) as ¬∃x̄ (ψ ∧ ¬χ): the
+            # guard ψ is an index-backed scan, and only quantified
+            # variables outside it are enumerated over the domain
+            sub = formula.sub
+            formula = Exists(formula.variables,
+                             And(sub.premise, Not(sub.conclusion))
+                             if isinstance(sub, Implies) else Not(sub))
+        else:
+            formula = formula.sub
+        sub = self._compile(formula, scope)
+        return (lambda env: not _some(sub.run(env))), (sub,)
+
+    def _compile_and(self, formula: And, scope: Scope) -> PlanNode:
         remaining = list(formula.parts)
-        bound_now = set(bound)
         steps: list[PlanNode] = []
         while remaining:
-            chosen = None
-            for part in remaining:  # fully-bound parts filter first
-                if part.free_variables() <= bound_now:
-                    chosen = part
-                    break
-            if chosen is None:
-                best_cost = None
-                for part in remaining:  # cheapest binder next
-                    cost = self.estimate(part, bound_now)
-                    if best_cost is None or cost < best_cost:
-                        best_cost = cost
-                        chosen = part
+            bound = scope.slots.keys()
+            chosen = next((part for part in remaining  # filters first
+                           if part.free_variables() <= bound), None)
+            if chosen is None:  # cheapest binder next
+                chosen = min(remaining, key=lambda part: self.estimate(
+                    part, set(bound)))
             remaining.remove(chosen)
-            steps.append(self.plan(chosen, frozenset(bound_now)))
-            bound_now |= chosen.free_variables()
+            steps.append(self._compile(chosen, scope))
+            scope = scope.bind(steps[-1].out)
         return steps[0] if len(steps) == 1 else AndPlan(steps)
 
     # ------------------------------------------------------------------
@@ -466,14 +513,6 @@ class QueryPlanner:
                          for position, term in enumerate(formula.terms)
                          if isinstance(term, Constant) or term in bound]
             return index.estimate(positions)
-        if isinstance(formula, Cmp):
-            unbound = formula.free_variables() - bound
-            if not unbound:
-                return 1.0
-            if formula.op == "=" and len(unbound) >= 1:
-                # at least one side bindable or a single domain pass
-                return float(len(self.domain))
-            return min(float(len(self.domain)) ** len(unbound), _COST_CAP)
         if isinstance(formula, And):
             total = 1.0
             bound_now = set(bound)
@@ -488,8 +527,9 @@ class QueryPlanner:
             total = 0.0
             for part in formula.parts:
                 missing = (free - part.free_variables()) - bound
-                branch = self.estimate(part, bound) \
-                    * float(len(self.domain)) ** len(missing)
+                branch = self.estimate(part, bound)
+                if missing:
+                    branch *= float(self.domain_size()) ** len(missing)
                 total += branch
                 if total > _COST_CAP:
                     return _COST_CAP
@@ -497,9 +537,14 @@ class QueryPlanner:
         if isinstance(formula, Exists):
             return self.estimate(formula.sub,
                                  bound - set(formula.variables))
-        # Not / Implies / Forall: checkers over their unbound variables
+        # Cmp / Not / Implies / Forall: checkers over their unbound variables
         unbound = formula.free_variables() - bound
-        return min(float(len(self.domain)) ** len(unbound), _COST_CAP)
+        if not unbound:
+            return 1.0
+        if isinstance(formula, Cmp) and formula.op == "=":
+            # at least one side bindable or a single domain pass
+            return float(self.domain_size())
+        return min(float(self.domain_size()) ** len(unbound), _COST_CAP)
 
     # ------------------------------------------------------------------
     # Execution
@@ -507,89 +552,29 @@ class QueryPlanner:
     def bindings(self, formula: Formula, env: Env) -> Iterator[Env]:
         """Exactly the satisfying extensions of ``env`` binding all free
         variables of ``formula`` (no duplicates, no partials)."""
-        return self.plan(formula, frozenset(env)).run(dict(env))
+        plan = self.plan(formula, frozenset(env))
+        fresh = plan.root.out
+        first = plan.scope.width - len(fresh)
+        return ({**env, **dict(zip(fresh, extension[first:]))}
+                for extension in plan.run(env))
 
     def holds(self, formula: Formula, env: Env) -> bool:
         """Truth of ``formula`` under ``env`` (must bind all free
-        variables); quantifiers go through compiled plans."""
-        if isinstance(formula, _Truth):
-            return formula.value
-        if isinstance(formula, RelAtom):
-            row = tuple(_term_value(t, env) for t in formula.terms)
-            return row in self.instance.tuples(formula.relation)
-        if isinstance(formula, Cmp):
-            comparison = formula.comparison
-            return Comparison(comparison.op,
-                              Constant(_term_value(comparison.left, env)),
-                              Constant(_term_value(comparison.right, env))
-                              ).evaluate()
-        if isinstance(formula, And):
-            return all(self.holds(p, env) for p in formula.parts)
-        if isinstance(formula, Or):
-            return any(self.holds(p, env) for p in formula.parts)
-        if isinstance(formula, Not):
-            return not self.holds(formula.sub, env)
-        if isinstance(formula, Implies):
-            return (not self.holds(formula.premise, env)
-                    or self.holds(formula.conclusion, env))
-        if isinstance(formula, Exists):
-            if not self.domain:
-                return False
-            inner = {k: v for k, v in env.items()
-                     if k not in formula.variables}
-            subplan = self.plan(formula.sub, frozenset(inner))
-            for _ in subplan.run(inner):
-                return True
-            return False
-        if isinstance(formula, Forall):
-            return self._forall_holds(formula, env)
-        raise QueryError(f"cannot evaluate {formula!r}")
+        variables)."""
+        plan = self.plan(formula, frozenset(env))
+        if plan.root.out:
+            names = ", ".join(v.name for v in plan.root.out)
+            raise QueryError(f"unbound variables {{{names}}} during "
+                             f"evaluation")
+        return _some(plan.run(env))
 
-    def _forall_holds(self, formula: Forall, env: Env) -> bool:
-        """Guarded ∀x̄ (ψ → χ): enumerate ψ's (index-backed) matches and
-        check χ; only quantified variables absent from ψ fall back to
-        domain enumeration.  Unguarded bodies enumerate the domain."""
-        outer = {k: v for k, v in env.items()
-                 if k not in formula.variables}  # shadowing
-        sub = formula.sub
-        if isinstance(sub, Implies):
-            premise_plan = self.plan(sub.premise, frozenset(outer))
-            for match in premise_plan.run(outer):
-                missing = [v for v in formula.variables if v not in match]
-                if missing:
-                    for combo in product(self.domain,
-                                         repeat=len(missing)):
-                        inner = dict(match)
-                        inner.update(zip(missing, combo))
-                        if not self.holds(sub.conclusion, inner):
-                            return False
-                elif not self.holds(sub.conclusion, match):
-                    return False
-            return True
-        for combo in product(self.domain, repeat=len(formula.variables)):
-            inner = dict(outer)
-            inner.update(zip(formula.variables, combo))
-            if not self.holds(sub, inner):
-                return False
-        return True
-
-    # ------------------------------------------------------------------
     def answers(self, query: Query) -> set[tuple]:
         """All answer tuples of ``query`` (active-domain semantics)."""
-        formula = query.formula
-        free = formula.free_variables()
-        extra = [v for v in query.head if v not in free]
-        plan = self.plan(formula, frozenset())
-        results: set[tuple] = set()
-        for env in plan.run({}):
-            if extra:
-                for combo in product(self.domain, repeat=len(extra)):
-                    full = dict(env)
-                    full.update(zip(extra, combo))
-                    results.add(tuple(full[v] for v in query.head))
-            else:
-                results.add(tuple(env[v] for v in query.head))
-        return results
+        plan = self.plan(query.formula)
+        extra = [v for v in query.head if v not in plan.scope.slots]
+        slots = plan.scope.bind(extra).slots
+        rows = self.completed(plan.run({}), len(extra))
+        return set(map(picker([slots[v] for v in query.head]), rows))
 
     def explain(self, formula: Formula,
                 bound: frozenset = frozenset()) -> str:
@@ -601,7 +586,7 @@ class QueryPlanner:
             for child in node.children():
                 walk(child, depth + 1)
 
-        walk(self.plan(formula, bound), 0)
+        walk(self.plan(formula, bound).root, 0)
         return "\n".join(lines)
 
 
@@ -609,23 +594,16 @@ class QueryPlanner:
 # Convenience wrappers
 # ---------------------------------------------------------------------------
 
-def _make_planner(instance: DatabaseInstance, formula: Formula,
-                  domain: Optional[tuple]) -> QueryPlanner:
-    if domain is None:
-        domain = evaluation_domain(instance, formula)
-    return QueryPlanner(instance, domain)
-
-
 def plan_answers(query: Query, instance: DatabaseInstance,
                  domain: Optional[tuple] = None) -> set[tuple]:
     """Indexed-planner equivalent of :meth:`Query.answers`."""
-    return _make_planner(instance, query.formula, domain).answers(query)
+    return QueryPlanner(instance, domain).answers(query)
 
 
 def plan_holds(formula: Formula, instance: DatabaseInstance, env: Env,
                domain: Optional[tuple] = None) -> bool:
     """Indexed-planner equivalent of :func:`repro.relational.query.holds`."""
-    return _make_planner(instance, formula, domain).holds(formula, env)
+    return QueryPlanner(instance, domain).holds(formula, env)
 
 
 def plan_bindings(formula: Formula, instance: DatabaseInstance, env: Env,
@@ -633,11 +611,10 @@ def plan_bindings(formula: Formula, instance: DatabaseInstance, env: Env,
     """Indexed-planner equivalent of
     :func:`repro.relational.query.bindings` — but exact: complete,
     duplicate-free satisfying extensions."""
-    return _make_planner(instance, formula, domain).bindings(formula, env)
+    return QueryPlanner(instance, domain).bindings(formula, env)
 
 
 def explain_plan(query: Query, instance: DatabaseInstance,
                  domain: Optional[tuple] = None) -> str:
     """The compiled plan for ``query`` as an indented tree."""
-    return _make_planner(instance, query.formula,
-                         domain).explain(query.formula)
+    return QueryPlanner(instance, domain).explain(query.formula)

@@ -381,8 +381,12 @@ FALSE = _Truth(False)
 def evaluation_domain(instance: DatabaseInstance,
                       formula: Formula) -> tuple:
     """Active domain: instance values plus the formula's constants."""
-    domain = instance.active_domain() | formula.constants()
-    return tuple(sorted(domain, key=lambda v: (isinstance(v, str), str(v))))
+    return _domain_order(instance.active_domain() | formula.constants())
+
+
+def _domain_order(values) -> tuple:
+    """Domain values in evaluation order: ints first, then by text."""
+    return tuple(sorted(values, key=lambda v: (isinstance(v, str), str(v))))
 
 
 def _term_value(term: Term, env: Env):
@@ -650,8 +654,6 @@ class Query:
         keeps the candidate-generation + re-verification evaluator of
         this module (the differential-testing reference).
         """
-        if domain is None:
-            domain = evaluation_domain(instance, self.formula)
         if evaluator == "planner":
             from .planner import QueryPlanner
             return QueryPlanner(instance, domain).answers(self)
@@ -659,6 +661,8 @@ class Query:
             raise QueryError(
                 f"unknown evaluator {evaluator!r}; "
                 f"choose 'planner' or 'naive'")
+        if domain is None:
+            domain = evaluation_domain(instance, self.formula)
         results: set[tuple] = set()
         seen_envs: set[tuple] = set()
         for candidate in bindings(self.formula, instance, {}, domain):
@@ -687,15 +691,15 @@ class Query:
         """Boolean query evaluation (arity 0)."""
         if self.head:
             raise QueryError("is_true applies to boolean queries only")
-        domain = evaluation_domain(instance, self.formula)
         if evaluator == "planner":
             from .planner import QueryPlanner
-            return QueryPlanner(instance, domain).holds(self.formula, {})
+            return QueryPlanner(instance).holds(self.formula, {})
         if evaluator != "naive":
             raise QueryError(
                 f"unknown evaluator {evaluator!r}; "
                 f"choose 'planner' or 'naive'")
-        return holds(self.formula, instance, {}, domain)
+        return holds(self.formula, instance, {},
+                     evaluation_domain(instance, self.formula))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Query) and self.name == other.name

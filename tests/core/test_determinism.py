@@ -66,11 +66,21 @@ print(spec.engine.ground.pretty())
 """
 
 
-def _dump(hash_seed: str) -> str:
+#: a ground program whose constraints have two-literal bodies
+GROUND_LISTING = """
+from repro.core.asp_gav import AspSolutions
+from tests.core.test_asp_answer_route import out_of_class_system
+
+print(AspSolutions.for_peer(out_of_class_system(), "P")
+      .spec.engine.ground.pretty())
+"""
+
+
+def _dump(hash_seed: str, script: str = DUMP) -> str:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC_DIR, str(Path(SRC_DIR).parent), env.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, "-c", DUMP], env=env,
+    return subprocess.run([sys.executable, "-c", script], env=env,
                           check=True, capture_output=True, text=True,
                           timeout=120).stdout
 
@@ -81,6 +91,14 @@ def test_order_is_the_same_under_two_hash_seeds():
     # one line per (case, method) solution list, then 16 + 8 models, then
     # the import specification's one model and its 154 ground facts
     assert len(first.splitlines()) == 12 + 16 + 8 + 1 + 154
+
+
+def test_ground_listing_is_the_same_under_several_hash_seeds():
+    """Atom ids follow set order, which the hash seed salts, so a rule's
+    body literals are listed sorted, not in id order."""
+    listings = {_dump(seed, GROUND_LISTING) for seed in ("0", "1", "4")}
+    assert len(listings) == 1
+    assert ':- a_p(j, "1"), a_p(j, "3").' in listings.pop().splitlines()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
