@@ -323,17 +323,13 @@ def answers_via_rewriting(system: PeerSystem, peer: str,
     instead of active-domain products.
     """
     rewritten = rewrite_peer_query(system, peer, query)
-    by_owner: dict[str, list[str]] = {}
+    sources: dict[str, DatabaseInstance] = {}
     for relation in sorted(rewritten.relations()):
         owner = system.owner_of(relation)
         if owner != peer:
             system.fetch_relation(
                 peer, relation, purpose=f"rewritten query {query.name}")
-        by_owner.setdefault(owner, []).append(relation)
-    # the fetched rows are the owners' own immutable relations: combine
-    # them as they are, with their indexes, instead of re-validating them
-    instance = DatabaseInstance(system.global_schema.restrict(()))
-    for owner, relations in by_owner.items():
-        instance = instance.combine(
-            system.instances[owner].restrict(relations))
-    return rewritten.answers(instance)
+        sources[relation] = system.instances[owner]
+    # the fetched rows are the owners' own immutable relations: gather
+    # them as they are, with their indexes, instead of checking them again
+    return rewritten.answers(DatabaseInstance.gather(sources))

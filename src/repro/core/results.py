@@ -14,7 +14,6 @@ moved between peers on the way.  :class:`QueryResult` carries all of that;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 from ..relational.query import Query
@@ -30,15 +29,8 @@ _SEMANTICS = (CERTAIN, POSSIBLE)
 def _coerce_query(query: Union[Query, str]) -> Query:
     if isinstance(query, Query):
         return query
-    return _parsed(query)
-
-
-@lru_cache(maxsize=256)
-def _parsed(text: str) -> Query:
-    """The parsed form of a query text; queries are immutable, so a text
-    posed again is not parsed again."""
     from ..relational.query_parser import parse_query
-    return parse_query(text)
+    return parse_query(query)
 
 
 @dataclass(frozen=True)

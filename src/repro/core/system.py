@@ -294,12 +294,9 @@ class PeerSystem:
 
     def global_instance(self) -> DatabaseInstance:
         """r̄: the union of all peers' instances over the global schema."""
-        data: dict[str, frozenset] = {}
-        for name in self.peers:
-            instance = self.instances[name]
-            for relation in instance.relations():
-                data[relation] = instance.tuples(relation)
-        return DatabaseInstance(self.global_schema, data)
+        return DatabaseInstance.gather({
+            relation: instance for instance in self.instances.values()
+            for relation in instance.relations()})
 
     def restrict_to_peer(self, instance: DatabaseInstance,
                          peer_name: str) -> DatabaseInstance:

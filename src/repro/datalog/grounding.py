@@ -10,11 +10,12 @@ never defines, so by the splitting-set theorem (Lifschitz & Turner 1994)
 every answer set is the bottom's unique perfect model plus an answer set
 of the rest, partially evaluated against that model.
 
-Ground facts are never rules here.  They are *tables*: per objective key,
-a set of tuples of raw constant values — the ``facts`` a caller hands
-over (a specification's source and domain rows) plus every bodyless
-ground rule of the program, lifted into the same tables.  They seed the
-possible set, and grounding runs in three passes:
+Ground facts are never rules here.  They are *tables*: per objective key
+and arity (``p/1`` and ``p/2`` are two predicates), a set of tuples of
+raw constant values — the ``facts`` a caller hands over (a
+specification's source and domain rows) plus every bodyless ground rule
+of the program, lifted into the same tables.  They seed the possible
+set, and grounding runs in three passes:
 
 0. **Exact evaluation of the bottom.**  Deterministic strongly connected
    components are evaluated in dependency order, each semi-naively; a NAF
@@ -179,12 +180,14 @@ class GroundProgram:
     ``facts`` maps an objective key (``"p"`` or ``"-p"``) to a
     deterministic relation: a :class:`~repro.relational.indexes.TupleIndex`
     of tuples of raw constant values, true in every answer set and never
-    given an atom id (treat it as read-only).  ``table`` and ``rules`` are
-    what the solver sees, so :attr:`atom_count` counts the atoms with ids
-    only, and :attr:`fact_count` the deterministic rows.
+    given an atom id (treat it as read-only).  A key used with two
+    arities keeps the rows of both in one relation; :meth:`relation`
+    separates them.  ``table`` and ``rules`` are what the solver sees, so
+    :attr:`atom_count` counts the atoms with ids only, and
+    :attr:`fact_count` the deterministic rows.
     """
 
-    __slots__ = ("table", "rules", "facts", "_fact_literals")
+    __slots__ = ("table", "rules", "facts", "_fact_literals", "_by_arity")
 
     def __init__(self, table: AtomTable, rules: list[GroundRule],
                  facts: Optional[Mapping[str, TupleIndex]] = None) -> None:
@@ -192,6 +195,19 @@ class GroundProgram:
         self.rules = rules
         self.facts: dict[str, TupleIndex] = dict(facts or {})
         self._fact_literals: Optional[frozenset[Literal]] = None
+        self._by_arity: dict[_Key, TupleIndex] = {}
+
+    def relation(self, key: str, arity: int) -> Optional[TupleIndex]:
+        """The deterministic rows of ``key`` with ``arity`` values (``p/1``
+        and ``p/2`` are two predicates), or None when ``key`` is not
+        deterministic.  Built once per key and arity."""
+        found = self._by_arity.get((key, arity))
+        rows = self.facts.get(key)
+        if found is None and rows is not None:
+            found = self._by_arity[key, arity] = (TupleIndex(
+                row for row in rows if len(row) == arity)
+                if set(map(len, rows.rows)) - {arity} else rows)
+        return found
 
     @property
     def atom_count(self) -> int:
@@ -243,10 +259,18 @@ class GroundProgram:
 # Possible-set computation and rule instantiation
 # ---------------------------------------------------------------------------
 
-#: The over-approximation of derivable literals: per objective key, a
+#: A relation of the grounder: an objective key and an arity, since
+#: ``p/1`` and ``p/2`` are two predicates.
+_Key = tuple[str, int]
+
+#: The over-approximation of derivable literals: per relation, a
 #: TupleIndex of rows of raw values, the grounder's own.  It grows while
 #: grounding (a ``defaultdict``), and ``get`` reads it.
-_Possible = dict[str, TupleIndex]
+_Possible = dict[_Key, TupleIndex]
+
+
+def _relation_key(literal: Literal) -> _Key:
+    return objective_key(literal), literal.atom.arity
 
 
 def _key_literal(key: str, values: tuple) -> Literal:
@@ -327,7 +351,7 @@ class _RuleGrounder:
         self.body: list[tuple[str, AtomStep]] = []
         for literal in ordered:
             step = AtomStep(literal.atom.args, scope)
-            self.body.append((objective_key(literal), step))
+            self.body.append((_relation_key(literal), step))
             scope = step.scope
         scope, checks, pending = _equate(pending, scope)
         if pending:
@@ -336,7 +360,7 @@ class _RuleGrounder:
         self.checks += checks
         self.scope = scope
         self.heads, self.positive, self.naf_body = (
-            [(objective_key(literal), self.getter(literal.atom.args))
+            [(_relation_key(literal), self.getter(literal.atom.args))
              for literal in literals]
             for literals in (rule.head, ordered, rule.naf_body()))
 
@@ -349,12 +373,13 @@ class _RuleGrounder:
         """True when a NAF literal's atom is a deterministic fact, so this
         instance can never fire."""
         for key, values in self.naf_body:
-            if key in deterministic and values(env) in possible.get(key, ()):
+            if key[0] in deterministic \
+                    and values(env) in possible.get(key, ()):
                 return True
         return False
 
     def substitutions(self, possible: _Possible,
-                      delta: Optional[dict[str, list[tuple]]] = None
+                      delta: Optional[dict[_Key, list[tuple]]] = None
                       ) -> Iterator[tuple]:
         """All substitutions making the positive body hold in ``possible``.
 
@@ -369,7 +394,7 @@ class _RuleGrounder:
             for pivot in pivots)
 
     def _join(self, position: int, env: tuple, possible: _Possible,
-              delta: Optional[dict[str, list[tuple]]], pivot: int
+              delta: Optional[dict[_Key, list[tuple]]], pivot: int
               ) -> Iterator[tuple]:
         if position == len(self.body):
             for op, left, right in self.checks:
@@ -450,7 +475,7 @@ def _fixpoint(grounders: list[_RuleGrounder], possible: _Possible,
     atoms is ignored, which over-approximates.
     """
     def fire(grounder: _RuleGrounder, substs: Iterator[tuple],
-             new: dict[str, list[tuple]]) -> None:
+             new: dict[_Key, list[tuple]]) -> None:
         for subst in substs:
             if grounder.blocked(subst, possible, deterministic):
                 continue
@@ -461,14 +486,14 @@ def _fixpoint(grounders: list[_RuleGrounder], possible: _Possible,
 
     # Round 0: every rule evaluated naively (bodyless rules, and rules
     # over the tables and what earlier passes derived).
-    delta: dict[str, list[tuple]] = {}
+    delta: dict[_Key, list[tuple]] = {}
     for grounder in grounders:
         fire(grounder, grounder.substitutions(possible), delta)
     recursive = [grounder for grounder in grounders if grounder.body]
     while delta:
         atoms += sum(len(values) for values in delta.values())
         _check_budget(atoms, max_atoms)
-        next_delta: dict[str, list[tuple]] = {}
+        next_delta: dict[_Key, list[tuple]] = {}
         for grounder in recursive:
             fire(grounder, grounder.substitutions(possible, delta),
                  next_delta)
@@ -493,30 +518,26 @@ def ground_program(program: Program, *,
         raise GroundingError(
             "program contains choice goals; unfold them first "
             "(repro.datalog.choice.unfold_choice)")
-    # The tables seed the possible set.
+    # The tables seed the possible set, one relation per arity.
     possible: _Possible = defaultdict(TupleIndex)
     for key, rows in (facts or {}).items():
-        possible[key] = TupleIndex(rows)
+        rows = rows if isinstance(rows, (set, frozenset)) else list(rows)
+        arities = set(map(len, rows))
+        for arity in arities:
+            possible[key, arity] = TupleIndex(rows if len(arities) == 1 else (
+                row for row in rows if len(row) == arity))
     rules: list[Rule] = []
     for rule in program:
         if rule.is_fact():
             literal = rule.head[0]
-            possible[objective_key(literal)].add(literal.atom.value_tuple())
+            possible[_relation_key(literal)].add(literal.atom.value_tuple())
         else:
             rules.append(rule)
     atoms = sum(map(len, possible.values()))
     _check_budget(atoms, max_atoms)
-    # one relation per key: rows of two arities cannot share it
-    arities = {key: set(map(len, rows)) for key, rows in possible.items()}
-    for rule in rules:
-        for literal in (*rule.head, *rule.positive_body(), *rule.naf_body()):
-            arities.setdefault(objective_key(literal), set()).add(
-                literal.atom.arity)
-    mixed = sorted(key for key, found in arities.items() if len(found) > 1)
-    if mixed:
-        raise GroundingError(f"predicates used with two arities: {mixed}")
     grounders = [_RuleGrounder(rule) for rule in rules]
-    components = _deterministic_components(rules, possible)
+    components = _deterministic_components(rules,
+                                           (key for key, _ in possible))
     deterministic = set().union(*components)
     component_of = {key: number for number, component in enumerate(components)
                     for key in component}
@@ -533,7 +554,7 @@ def ground_program(program: Program, *,
     # the table rows of the other keys are facts the solver must see
     table_facts = [(key, list(relation))
                    for key, relation in possible.items()
-                   if key not in deterministic]
+                   if key[0] not in deterministic]
 
     # Pass 0: the deterministic part, exactly, one component at a time.
     for component_grounders in bottom:
@@ -549,26 +570,27 @@ def ground_program(program: Program, *,
     # the other keys become facts, and the remaining rules are
     # instantiated over the final possible set.
     fixed = {key: relation for key, relation in possible.items()
-             if key in deterministic}
+             if key[0] in deterministic}
     table = AtomTable()
     ground_rules: dict[GroundRule, None] = {}
-    for key, relation in fixed.items():
-        complement = fixed.get(key[1:]) if key.startswith("-") else None
+    for (key, arity), relation in fixed.items():
+        complement = (fixed.get((key[1:], arity)) if key.startswith("-")
+                      else None)
         if complement is not None and not relation.rows.isdisjoint(
                 complement.rows):
             ground_rules[GroundRule((), (), ())] = None  # p and -p: no model
             break
-    for key, rows in table_facts:
+    for (key, _), rows in table_facts:
         for values in rows:
             fact = table.add(_key_literal(key, values))
             ground_rules.setdefault(GroundRule((fact,), (), ()))
 
-    def intern(key: str, values: tuple) -> int:
-        return table.add(_key_literal(key, values))
+    def intern(key: _Key, values: tuple) -> int:
+        return table.add(_key_literal(key[0], values))
 
     for grounder in residual:
         residual_pos = [(key, values) for key, values in grounder.positive
-                        if key not in deterministic]
+                        if key[0] not in deterministic]
         for subst in grounder.substitutions(possible):
             if grounder.blocked(subst, possible, deterministic):
                 continue  # `not fact` is false: never fires
@@ -592,7 +614,13 @@ def ground_program(program: Program, *,
                                      tuple(sorted(pos_set)),
                                      tuple(sorted(naf_ids)))
             ground_rules.setdefault(ground_rule)
-    return GroundProgram(table, list(ground_rules), fixed)
+    merged: dict[str, TupleIndex] = {}  # one relation per key in .facts
+    for (key, _), relation in fixed.items():
+        merged[key] = (TupleIndex(chain(merged[key], relation))
+                       if key in merged else relation)
+    ground = GroundProgram(table, list(ground_rules), merged)
+    ground._by_arity.update(fixed)
+    return ground
 
 
 def ground_rule_over(rule: Rule, ground: GroundProgram
@@ -617,14 +645,14 @@ def ground_rule_over(rule: Rule, ground: GroundProgram
     # a literal over the table gets one more argument, bound to the id of
     # the table literal it matches, so no ground literal is looked up again
     possible: _Possible = {}
-    tagged_rows: dict[str, list[tuple]] = {}
+    tagged_rows: dict[_Key, list[tuple]] = {}
     body: list = []
     tags: list[Variable] = []
     for literal in rule.positive_body():
-        key = objective_key(literal)
-        relation = ground.facts.get(key)
+        key, arity = _relation_key(literal)
+        relation = ground.relation(key, arity)
         if relation is not None:
-            possible[key] = relation  # read only: never derived
+            possible[key, arity] = relation  # read only: never derived
             body.append(literal)
             continue
         tag = Variable(f"#{len(tags)}")
@@ -632,16 +660,16 @@ def ground_rule_over(rule: Rule, ground: GroundProgram
         body.append(Literal(Atom(literal.predicate,
                                  (*literal.atom.args, tag)),
                             literal.positive))
-        tagged_rows[key] = []
-    predicates = {key.lstrip("-") for key in tagged_rows}
+        tagged_rows[key, arity] = []
+    predicates = {key.lstrip("-") for key, _ in tagged_rows}
     for ident, literal in enumerate(ground.table.literals()):
         atom = literal.atom
         if atom.predicate in predicates:
-            found = tagged_rows.get(objective_key(literal))
+            found = tagged_rows.get(_relation_key(literal))
             if found is not None:
                 found.append((*atom.value_tuple(), ident))
-    for key, found in tagged_rows.items():
-        possible[key] = TupleIndex(found)
+    for (key, arity), found in tagged_rows.items():
+        possible[key, arity + 1] = TupleIndex(found)
     grounder = _RuleGrounder(Rule(head=rule.head,
                                   body=[*body, *rule.comparisons()]))
     head, ids = grounder.heads[0][1], grounder.getter(tags)

@@ -16,7 +16,8 @@ atom scans probe.  Functional updates (:meth:`with_facts`,
 :meth:`without_facts`) maintain the already-built indexes *incrementally*
 instead of rebuilding them, and relations untouched by an update share
 their index object with the parent instance (safe: identical row sets,
-and lazy column builds are deterministic).
+and lazy column builds are deterministic), as do :meth:`restrict`,
+:meth:`combine` and :meth:`gather`.
 
 Fact storage itself lives one layer down, in
 :class:`~repro.storage.tables.FactTable` — an immutable
@@ -222,12 +223,6 @@ class DatabaseInstance:
             cached = self._indexes[relation] = TupleIndex(rows)
         return cached
 
-    def rows_matching(self, relation: str,
-                      bound: Mapping[int, object]) -> list[tuple]:
-        """Exactly the tuples of ``relation`` agreeing with the bound
-        columns (``position -> value``), via the hash-index layer."""
-        return self.index(relation).matching(bound)
-
     # ------------------------------------------------------------------
     # Definition 1: distance and order
     # ------------------------------------------------------------------
@@ -343,6 +338,21 @@ class DatabaseInstance:
         indexes = dict(self._indexes)
         indexes.update(other._indexes)
         return DatabaseInstance._derived(schema, data, indexes)
+
+    @classmethod
+    def gather(cls, sources: Mapping[str, "DatabaseInstance"]
+               ) -> "DatabaseInstance":
+        """The instance of the named relations, each taken from the
+        instance ``sources`` maps it to: the union of their restrictions
+        (Definition 3(b) and (c)), sharing rows and built indexes
+        instead of checking the rows again."""
+        schema = DatabaseSchema(source.schema.relation(name)
+                                for name, source in sources.items())
+        data = {name: source._data[name] for name, source in sources.items()}
+        indexes = {name: source._indexes[name]
+                   for name, source in sources.items()
+                   if name in source._indexes}
+        return cls._derived(schema, data, indexes)
 
     def replace_relations(self, replacement: Mapping[str, Iterable[tuple]]
                           ) -> "DatabaseInstance":

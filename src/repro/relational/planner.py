@@ -26,11 +26,13 @@ Plans run on *slot environments*: tuples whose positions are fixed at
 compile time — the formula's constants, the bound variables by name,
 then what each node binds.  A scan binding distinct fresh variables
 passes its rows through whole, and deduplication and head projection
-read slots by position, so evaluation never hashes a variable.  The
-evaluation domain is built only as far as a plan reads it: its values
-for range-unrestricted variables (in :func:`~repro.relational.query.
-evaluation_domain` order), its size for cost estimates, and whether it
-is empty for the empty-domain ∃ corner.
+read slots by position, so evaluation never hashes a variable.  Each
+plan reads its own evaluation domain — the active domain plus its
+formula's constants, unless the planner was given one — and builds it
+only as far as it reads it: its values for range-unrestricted variables
+(in :func:`~repro.relational.query.evaluation_domain` order), its size
+for cost estimates, and whether it is empty for the empty-domain ∃
+corner.
 
 Semantics are identical to the naive evaluator (active-domain semantics,
 including the empty-domain ∃ corner and quantifier shadowing); the
@@ -180,15 +182,15 @@ class EqBindPlan(PlanNode):
 class EqPairPlan(PlanNode):
     """``X = Y`` with both unbound: one domain pass, not two."""
 
-    __slots__ = ("planner",)
+    __slots__ = ("plan",)
 
-    def __init__(self, planner: "QueryPlanner", left: Variable,
+    def __init__(self, plan: "_Plan", left: Variable,
                  right: Variable) -> None:
-        self.planner = planner
+        self.plan = plan
         self.out = (left, right)
 
     def run(self, env: tuple) -> Iterator[tuple]:
-        return (env + (value, value) for value in self.planner.domain)
+        return (env + (value, value) for value in self.plan.domain)
 
     def describe(self) -> str:
         left, right = self.out
@@ -199,17 +201,17 @@ class EnumCheckPlan(PlanNode):
     """Last resort for range-unrestricted variables: enumerate the
     active domain and check (exactly where the semantics requires it)."""
 
-    __slots__ = ("planner", "formula", "check")
+    __slots__ = ("plan", "formula", "check")
 
-    def __init__(self, planner: "QueryPlanner", formula: Formula,
+    def __init__(self, plan: "_Plan", formula: Formula,
                  unbound: Sequence[Variable], check: PlanNode) -> None:
-        self.planner = planner
+        self.plan = plan
         self.formula = formula
         self.out = tuple(unbound)
         self.check = check
 
     def run(self, env: tuple) -> Iterator[tuple]:
-        return (extended for extended in self.planner.completed(
+        return (extended for extended in self.plan.completed(
             iter((env,)), len(self.out)) if _some(self.check.run(extended)))
 
     def describe(self) -> str:
@@ -266,34 +268,33 @@ class OrPlan(PlanNode):
     the missing ones over the domain (active-domain semantics).  One
     getter per branch moves its values into the union's slots."""
 
-    __slots__ = ("planner", "branches")
+    __slots__ = ("plan", "branches")
 
-    def __init__(self, planner: "QueryPlanner", formula: Or,
-                 scope: Scope) -> None:
-        self.planner = planner
+    def __init__(self, plan: "_Plan", formula: Or, scope: Scope) -> None:
+        self.plan = plan
         self.out = tuple(_by_name(formula.free_variables()
                                   - scope.slots.keys()))
         kept = tuple(range(scope.width))
         branches = []
         for part in formula.parts:
-            plan = planner._compile(part, scope)
-            after = scope.bind(plan.out)
+            branch = plan._compile(part, scope)
+            after = scope.bind(branch.out)
             missing = [v for v in self.out if v not in after.slots]
             after = after.bind(missing)
             pick = picker(kept + tuple(after.slots[v] for v in self.out))
-            branches.append((plan, pick, len(missing)))
+            branches.append((branch, pick, len(missing)))
         self.branches = tuple(branches)
 
     def run(self, env: tuple) -> Iterator[tuple]:
         return _distinct(chain.from_iterable(
-            map(pick, self.planner.completed(plan.run(env), missing))
-            for plan, pick, missing in self.branches), not self.out)
+            map(pick, self.plan.completed(branch.run(env), missing))
+            for branch, pick, missing in self.branches), not self.out)
 
     def describe(self) -> str:
         return f"union [{len(self.branches)} branches, deduplicated]"
 
     def children(self) -> tuple[PlanNode, ...]:
-        return tuple(plan for plan, _, _ in self.branches)
+        return tuple(branch for branch, _, _ in self.branches)
 
 
 class ExistsPlan(PlanNode):
@@ -301,14 +302,14 @@ class ExistsPlan(PlanNode):
     slots of their own), project them out, deduplicate the
     projections."""
 
-    __slots__ = ("planner", "formula", "subplan", "pick")
+    __slots__ = ("plan", "formula", "subplan", "pick")
 
-    def __init__(self, planner: "QueryPlanner", formula: Exists,
+    def __init__(self, plan: "_Plan", formula: Exists,
                  scope: Scope) -> None:
-        self.planner = planner
+        self.plan = plan
         self.formula = formula
         inner = scope.without(formula.variables)
-        self.subplan = planner._compile(formula.sub, inner)
+        self.subplan = plan._compile(formula.sub, inner)
         after = inner.bind(self.subplan.out)
         self.out = tuple(_by_name(formula.free_variables()
                                   - scope.slots.keys()))
@@ -316,7 +317,7 @@ class ExistsPlan(PlanNode):
                            + tuple(after.slots[v] for v in self.out))
 
     def run(self, env: tuple) -> Iterator[tuple]:
-        if self.planner.domain_is_empty():
+        if self.plan.domain_is_empty():
             # no witness value exists, even when the body ignores the
             # quantified variables (matches the naive evaluator)
             return iter(())
@@ -336,72 +337,47 @@ class ExistsPlan(PlanNode):
 # ---------------------------------------------------------------------------
 
 class _Plan:
-    """A compiled formula: the root node, and the environment it starts
-    from — the formula's constants (in domain order), then the bound
-    variables by name."""
+    """A formula compiled against one instance: the root node, the
+    environment it starts from — the formula's constants (in domain
+    order), then the bound variables by name — and the evaluation domain
+    it reads: the planner's given one, or else the active domain plus
+    the formula's constants (what :func:`~repro.relational.query.
+    evaluation_domain` returns), built only as far as it is read."""
 
-    __slots__ = ("root", "start", "inputs", "scope")
+    __slots__ = ("instance", "constants", "start", "inputs", "root",
+                 "scope", "_values", "_empty")
 
-    def __init__(self, planner: "QueryPlanner", formula: Formula,
-                 bound: frozenset) -> None:
-        self.start = _domain_order(formula.constants())
+    def __init__(self, instance: DatabaseInstance, formula: Formula,
+                 bound: frozenset, domain: Optional[tuple]) -> None:
+        self.instance = instance
+        self.constants = formula.constants()
+        self._values = domain
+        self._empty: Optional[bool] = None
+        self.start = _domain_order(self.constants)
         self.inputs = tuple(_by_name(bound))
         scope = Scope.of_constants(map(Constant, self.start)).bind(
             self.inputs)
-        self.root = planner._compile(formula, scope)
+        self.root = self._compile(formula, scope)
         self.scope = scope.bind(self.root.out)
 
     def run(self, env: Env) -> Iterator[tuple]:
         return self.root.run(self.start
                              + tuple(env[v] for v in self.inputs))
 
-
-class QueryPlanner:
-    """Compiles formulas into index-backed plans over one instance.
-
-    Reuse one planner for many evaluations against the same instance:
-    compiled plans are cached per ``(formula, bound-variable set)``, and
-    every atom scan shares the instance's lazily-built hash indexes.
-
-    ``domain`` is the evaluation domain; it must cover every constant of
-    every formula handed to this planner (see
-    :func:`repro.relational.query.evaluation_domain`).  Left ``None``, it
-    is that of the instance and the formulas evaluated, built only as far
-    as a plan reads it (see the module docstring).
-    """
-
-    __slots__ = ("instance", "_plans", "_given", "_constants", "_values",
-                 "_size", "_empty")
-
-    def __init__(self, instance: DatabaseInstance,
-                 domain: Optional[tuple] = None) -> None:
-        self.instance = instance
-        self._plans: dict[tuple[Formula, frozenset], _Plan] = {}
-        self._given = domain is not None
-        self._constants: frozenset = frozenset()
-        self._values = None if domain is None else tuple(domain)
-        self._size = self._empty = None
-
     # ------------------------------------------------------------------
     # The evaluation domain, as far as it is read
     # ------------------------------------------------------------------
     @property
     def domain(self) -> tuple:
-        """The evaluation domain's values, in evaluation order."""
+        """The domain's values, in evaluation order."""
         if self._values is None:
             self._values = _domain_order(self.instance.active_domain()
-                                         | self._constants)
+                                         | self.constants)
         return self._values
-
-    def domain_size(self) -> int:
-        if self._size is None:
-            self._size = len(self.instance.active_domain() | self._constants
-                             if self._values is None else self._values)
-        return self._size
 
     def domain_is_empty(self) -> bool:
         if self._empty is None:  # no constant, and no row with a value
-            self._empty = (not self._constants and not any(
+            self._empty = (not self.constants and not any(
                 map(any, self.instance.fact_table().values()))
                 if self._values is None else not self._values)
         return self._empty
@@ -419,18 +395,6 @@ class QueryPlanner:
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-    def plan(self, formula: Formula, bound: frozenset = frozenset()
-             ) -> _Plan:
-        key = (formula, bound)
-        cached = self._plans.get(key)
-        if cached is None:
-            constants = formula.constants()
-            if not self._given and not constants <= self._constants:
-                self._constants |= constants
-                self._values = self._size = self._empty = None
-            cached = self._plans[key] = _Plan(self, formula, bound)
-        return cached
-
     def _compile(self, formula: Formula, scope: Scope) -> PlanNode:
         if isinstance(formula, RelAtom):
             return ScanAtom(self.instance, formula, scope)
@@ -529,7 +493,7 @@ class QueryPlanner:
                 missing = (free - part.free_variables()) - bound
                 branch = self.estimate(part, bound)
                 if missing:
-                    branch *= float(self.domain_size()) ** len(missing)
+                    branch *= float(len(self.domain)) ** len(missing)
                 total += branch
                 if total > _COST_CAP:
                     return _COST_CAP
@@ -543,9 +507,42 @@ class QueryPlanner:
             return 1.0
         if isinstance(formula, Cmp) and formula.op == "=":
             # at least one side bindable or a single domain pass
-            return float(self.domain_size())
-        return min(float(self.domain_size()) ** len(unbound), _COST_CAP)
+            return float(len(self.domain))
+        return min(float(len(self.domain)) ** len(unbound), _COST_CAP)
 
+
+class QueryPlanner:
+    """Compiles formulas into index-backed plans over one instance.
+
+    Reuse one planner for many evaluations against the same instance:
+    compiled plans are cached per ``(formula, bound-variable set)``, and
+    every atom scan shares the instance's lazily-built hash indexes.
+
+    ``domain`` is the evaluation domain; it must cover every constant of
+    every formula handed to this planner (see
+    :func:`repro.relational.query.evaluation_domain`).  Left ``None``,
+    each plan reads that of the instance and its own formula, built only
+    as far as the plan reads it (see the module docstring).
+    """
+
+    __slots__ = ("instance", "domain", "_plans")
+
+    def __init__(self, instance: DatabaseInstance,
+                 domain: Optional[tuple] = None) -> None:
+        self.instance = instance
+        self.domain = None if domain is None else tuple(domain)
+        self._plans: dict[tuple[Formula, frozenset], _Plan] = {}
+
+    def plan(self, formula: Formula, bound: frozenset = frozenset()
+             ) -> _Plan:
+        key = (formula, bound)
+        cached = self._plans.get(key)
+        if cached is None:
+            cached = self._plans[key] = _Plan(self.instance, formula, bound,
+                                              self.domain)
+        return cached
+
+    # ------------------------------------------------------------------
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -573,7 +570,7 @@ class QueryPlanner:
         plan = self.plan(query.formula)
         extra = [v for v in query.head if v not in plan.scope.slots]
         slots = plan.scope.bind(extra).slots
-        rows = self.completed(plan.run({}), len(extra))
+        rows = plan.completed(plan.run({}), len(extra))
         return set(map(picker([slots[v] for v in query.head]), rows))
 
     def explain(self, formula: Formula,

@@ -76,5 +76,6 @@ def test_range_unrestricted_variables_still_build_the_domain(counts, text):
     planner = QueryPlanner(instance)
     answers = planner.answers(query)
     assert counts["active_domain"] >= 1
-    assert planner.domain == evaluation_domain(instance, query.formula)
+    assert planner.plan(query.formula).domain == \
+        evaluation_domain(instance, query.formula)
     assert answers == query.answers(instance, evaluator="naive")

@@ -79,12 +79,12 @@ class TestSharedIndexIsolation:
     def test_parent_index_untouched_by_with_facts(self):
         parent = instance([("a", "b")])
         parent_index = parent.index("R")
-        assert parent.rows_matching("R", {0: "a"}) == [("a", "b")]
+        assert parent.index("R").matching({0: "a"}) == [("a", "b")]
         derived = parent.with_facts([Fact("R", ("a", "c"))])
-        assert sorted(derived.rows_matching("R", {0: "a"})) == \
+        assert sorted(derived.index("R").matching({0: "a"})) == \
             [("a", "b"), ("a", "c")]
         # the parent still answers from its own (uncloned) index
-        assert parent.rows_matching("R", {0: "a"}) == [("a", "b")]
+        assert parent.index("R").matching({0: "a"}) == [("a", "b")]
         assert parent.index("R") is parent_index
         assert derived.index("R") is not parent_index
 
@@ -92,8 +92,8 @@ class TestSharedIndexIsolation:
         parent = instance([("a", "b"), ("a", "c")])
         parent.index("R").column(0)
         derived = parent.without_facts([Fact("R", ("a", "b"))])
-        assert derived.rows_matching("R", {0: "a"}) == [("a", "c")]
-        assert sorted(parent.rows_matching("R", {0: "a"})) == \
+        assert derived.index("R").matching({0: "a"}) == [("a", "c")]
+        assert sorted(parent.index("R").matching({0: "a"})) == \
             [("a", "b"), ("a", "c")]
 
     def test_untouched_relation_shares_the_index_object(self):
@@ -110,7 +110,7 @@ class TestSharedIndexIsolation:
         parent.index("R").column(0)
         plus = parent.with_facts([Fact("R", ("a", "c"))])
         minus = parent.without_facts([Fact("R", ("a", "b"))])
-        assert sorted(plus.rows_matching("R", {0: "a"})) == \
+        assert sorted(plus.index("R").matching({0: "a"})) == \
             [("a", "b"), ("a", "c")]
-        assert minus.rows_matching("R", {0: "a"}) == []
-        assert parent.rows_matching("R", {0: "a"}) == [("a", "b")]
+        assert minus.index("R").matching({0: "a"}) == []
+        assert parent.index("R").matching({0: "a"}) == [("a", "b")]

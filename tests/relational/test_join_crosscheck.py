@@ -96,16 +96,17 @@ def test_corner_matches_naive_over_a_given_domain(name, text):
         query.answers(instance, domain, evaluator="naive")
 
 
-def test_the_lazy_domain_is_the_evaluation_domain():
-    """Read, the planner's own domain is ``evaluation_domain``'s, in its
-    order: the constants of every formula it evaluated join it."""
+def test_each_plan_reads_its_own_formulas_domain():
+    """Read, a plan's domain is ``evaluation_domain``'s for its formula,
+    in its order; what a shared planner planned before does not change
+    it."""
     instance = INSTANCES[1]
     planner = QueryPlanner(instance)
-    first = parse_query("q(X) := ~S(X)")
-    assert planner.answers(first) == first.answers(instance,
-                                                   evaluator="naive")
-    assert planner.domain == evaluation_domain(instance, first.formula)
-    second = parse_query("q(X) := ~R(X, zz)")
-    planner.answers(second)
-    assert planner.domain == evaluation_domain(instance, second.formula)
-    assert planner.domain_size() == len(planner.domain)
+    with_zz = parse_query("q(X) := ~R(X, zz)")
+    without = parse_query("q(X) := ~S(X)")
+    for query in (with_zz, without, with_zz):
+        assert planner.answers(query) == query.answers(instance,
+                                                       evaluator="naive")
+        assert planner.plan(query.formula).domain == \
+            evaluation_domain(instance, query.formula)
+    assert ("zz",) not in planner.answers(without)

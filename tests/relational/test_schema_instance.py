@@ -204,6 +204,19 @@ class TestRestrictCombine:
         with pytest.raises(SchemaError):
             left.combine(right)
 
+    def test_gather_shares_rows_and_built_indexes(self):
+        left = DatabaseInstance(DatabaseSchema.of({"R1": 2, "R2": 1}),
+                                {"R1": [("a", "b")], "R2": [("c",)]})
+        right = DatabaseInstance(DatabaseSchema.of({"S1": 2}),
+                                 {"S1": [("c", "d")]})
+        built = left.index("R1")
+        gathered = DatabaseInstance.gather({"S1": right, "R1": left})
+        assert gathered == left.restrict(["R1"]).combine(right)
+        assert gathered.schema.names == ("S1", "R1")
+        assert gathered.tuples("R1") is left.tuples("R1")
+        assert gathered.index("R1") is built
+        assert DatabaseInstance.gather({}).is_empty()
+
 
 class TestDunder:
     def test_equality_and_hash(self):
@@ -232,36 +245,36 @@ class TestIndexLayer:
 
     def test_rows_matching_exact(self):
         inst = make({"R1": [("a", "b"), ("a", "c"), ("b", "b")]})
-        assert set(inst.rows_matching("R1", {0: "a"})) == \
+        assert set(inst.index("R1").matching({0: "a"})) == \
             {("a", "b"), ("a", "c")}
-        assert set(inst.rows_matching("R1", {0: "a", 1: "b"})) == \
+        assert set(inst.index("R1").matching({0: "a", 1: "b"})) == \
             {("a", "b")}
-        assert inst.rows_matching("R1", {0: "zz"}) == []
-        assert set(inst.rows_matching("R1", {})) == \
+        assert inst.index("R1").matching({0: "zz"}) == []
+        assert set(inst.index("R1").matching({})) == \
             {("a", "b"), ("a", "c"), ("b", "b")}
 
     def test_rows_matching_unknown_relation(self):
         with pytest.raises(InstanceError):
-            make({}).rows_matching("nope", {0: "a"})
+            make({}).index("nope").matching({0: "a"})
 
     def test_with_facts_maintains_built_indexes(self):
         inst = make({"R1": [("a", "b")]})
         inst.index("R1").column(0)  # force the column index to exist
         grown = inst.with_facts([Fact("R1", ("a", "c")),
                                  Fact("R2", ("x", "y"))])
-        assert set(grown.rows_matching("R1", {0: "a"})) == \
+        assert set(grown.index("R1").matching({0: "a"})) == \
             {("a", "b"), ("a", "c")}
-        assert set(grown.rows_matching("R2", {1: "y"})) == {("x", "y")}
+        assert set(grown.index("R2").matching({1: "y"})) == {("x", "y")}
         # the parent instance is untouched
-        assert set(inst.rows_matching("R1", {0: "a"})) == {("a", "b")}
+        assert set(inst.index("R1").matching({0: "a"})) == {("a", "b")}
 
     def test_without_facts_maintains_built_indexes(self):
         inst = make({"R1": [("a", "b"), ("a", "c")]})
         inst.index("R1").column(0)
         shrunk = inst.without_facts([Fact("R1", ("a", "b")),
                                      Fact("R1", ("z", "z"))])  # absent ok
-        assert set(shrunk.rows_matching("R1", {0: "a"})) == {("a", "c")}
-        assert set(inst.rows_matching("R1", {0: "a"})) == \
+        assert set(shrunk.index("R1").matching({0: "a"})) == {("a", "c")}
+        assert set(inst.index("R1").matching({0: "a"})) == \
             {("a", "b"), ("a", "c")}
 
     def test_untouched_relation_shares_index_object(self):
@@ -276,7 +289,7 @@ class TestIndexLayer:
         inst.index("R1")
         restricted = inst.restrict(["R1"])
         assert restricted.index("R1") is inst.index("R1")
-        assert set(restricted.rows_matching("R1", {0: "a"})) == \
+        assert set(restricted.index("R1").matching({0: "a"})) == \
             {("a", "b")}
 
     def test_with_facts_still_validates(self):
