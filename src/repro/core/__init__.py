@@ -25,7 +25,8 @@ The service layer (new in this release):
 * the **answer-method registry** (:mod:`repro.core.methods`) —
   ``model`` / ``asp`` / ``lav`` / ``rewrite`` / ``transitive`` as
   pluggable :class:`AnswerMethod` strategies plus the ``auto`` planner
-  (FO rewriting when it applies, ASP otherwise); extend with
+  (FO rewriting when it applies, ASP within the paper's DEC class, the
+  model-theoretic enumeration otherwise); extend with
   :func:`register_method`;
 * :class:`SystemBuilder` (via :meth:`PeerSystem.builder`) — fluent
   construction shared by examples, JSON ``io``, and the workload

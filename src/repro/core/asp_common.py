@@ -11,6 +11,14 @@ answer a conjunctive query off the models' atom ids — so each subclass
 keeps only its rule builder and two hooks: which atom is a solution atom,
 and the shape of a query atom.
 
+The engine solves the ground program by independent components, and the
+core works per component too: distinct solution parts and the
+Δ-minimality filter within each component, ``solution_count`` as the
+product of their counts, and each query body checked against the
+components its atoms lie in.  The solutions, the cross product, are
+listed only when :meth:`Specification.solution_models` or
+:meth:`Specification.solutions` is called.
+
 The rest of the module translates relational-layer objects (instances, FO
 atoms, constraints) into Datalog-layer objects (facts, rules) under a
 :class:`NameMap`, implementing the rule shapes of Section 3.1:
@@ -25,7 +33,8 @@ atoms, constraints) into Datalog-layer objects (facts, rules) under a
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import count, product
+from math import prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..datalog.engine import AnswerSetEngine
@@ -447,6 +456,8 @@ class Specification:
         self._engine: Optional[AnswerSetEngine] = None
         self._rows: Optional[dict[int, tuple[str, tuple]]] = None
         self._fixed: Optional[dict[str, set[tuple]]] = None
+        self._component_solutions: dict[
+            bool, list[list[frozenset[int]]]] = {}
         self._solution_models: dict[bool, list[frozenset[int]]] = {}
 
     # ------------------------------------------------------------------
@@ -518,18 +529,19 @@ class Specification:
 
     def _solution_rows(self) -> dict[int, tuple[str, tuple]]:
         """``atom id -> (relation, row)`` for every solution atom of a
-        replaced relation true in some stable model.  Built once per
-        distinct atom."""
+        replaced relation true in some model of its component.  Built
+        once per distinct atom."""
         if self._rows is None:
             literal_for = self.engine.ground.table.literal_for
             row_of = self._solution_row
             rows = {}
-            for ident in frozenset().union(*self.engine.id_models()):
-                literal = literal_for(ident)
-                entry = literal.positive and row_of(
-                    literal.predicate, literal.atom.value_tuple())
-                if entry and entry[0] in self._replaced:
-                    rows[ident] = entry
+            for component in self.engine.components():
+                for ident in frozenset().union(*component.models):
+                    literal = literal_for(ident)
+                    entry = literal.positive and row_of(
+                        literal.predicate, literal.atom.value_tuple())
+                    if entry and entry[0] in self._replaced:
+                        rows[ident] = entry
             self._rows = rows
         return self._rows
 
@@ -548,46 +560,60 @@ class Specification:
             self._fixed = fixed
         return self._fixed
 
-    def solution_models(self, *, minimal_only: bool = True
-                        ) -> list[frozenset[int]]:
-        """One stable model (as atom ids) per distinct solution, memoised.
+    def component_solutions(self, *, minimal_only: bool = True
+                            ) -> list[list[frozenset[int]]]:
+        """Per component of the engine
+        (:meth:`~repro.datalog.engine.AnswerSetEngine.components`), one of
+        its models per distinct part of a solution, memoised; the
+        solutions are the unions of one entry per component.
 
-        Models are told apart by their projection onto the solution
-        atoms.  ``minimal_only`` applies the Δ-minimality post-filter that
-        makes the GAV solutions coincide with Definition 4's repairs in
-        all cases (it is a no-op on the paper's DEC class, and on
-        specifications without :attr:`delta_minimal`).  A solution's Δ to
-        the source, restricted to the replaced relations, is its
-        projection's symmetric difference with the atoms of the source
-        rows, plus the source rows no model contains, plus the part the
-        deterministic relations give; every Δ shares the last two, so
-        comparing the id sets decides ``<`` exactly.
+        A component's models are told apart by their projection onto the
+        solution atoms.  ``minimal_only`` applies the Δ-minimality
+        post-filter that makes the GAV solutions coincide with Definition
+        4's repairs in all cases (it is a no-op on the paper's DEC class,
+        and on specifications without :attr:`delta_minimal`).  A
+        solution's Δ to the source, restricted to the replaced relations,
+        is its projection's symmetric difference with the atoms of the
+        source rows, plus the source rows no model contains, plus the
+        part the deterministic relations give; every Δ shares the last
+        two, so comparing the id sets decides ``<`` exactly.  Components
+        share no atom, so a Δ is the disjoint union of its components'
+        parts, and a solution is minimal iff each of its parts is minimal
+        within its component: the filter runs per component.
         """
         minimal_only = minimal_only and self.delta_minimal
-        cached = self._solution_models.get(minimal_only)
-        if cached is not None:
-            return cached
-        models = self.engine.id_models()
-        if len(models) < 2:
-            return models
-        rows = self._solution_rows()
-        ids = frozenset(rows)
-        distinct: dict[frozenset[int], frozenset[int]] = {}
-        for model in models:
-            distinct.setdefault(model & ids, model)
-        models = list(distinct.values())
-        if minimal_only and len(distinct) > 1:
+        cached = self._component_solutions.get(minimal_only)
+        if cached is None:
+            rows = self._solution_rows()
+            ids = frozenset(rows)
             source = frozenset(
                 ident for ident, (relation, row) in rows.items()
-                if row in self.instance.tuples(relation))
-            deltas = [projection ^ source for projection in distinct]
-            # only a strictly smaller Δ can be a strict subset
-            smallest = min(map(len, deltas))
-            models = [model for model, delta in zip(models, deltas)
-                      if len(delta) == smallest
-                      or not any(other < delta for other in deltas)]
-        self._solution_models[minimal_only] = models
-        return models
+                if row in self.instance.tuples(relation)) \
+                if minimal_only else None
+            cached = self._component_solutions[minimal_only] = [
+                _distinct_parts(component.models, ids, source)
+                for component in self.engine.components()]
+        return cached
+
+    def solution_count(self, *, minimal_only: bool = True) -> int:
+        """How many solutions there are: the product of the components'
+        counts (:meth:`component_solutions`), without building it."""
+        return prod(map(len, self.component_solutions(
+            minimal_only=minimal_only)))
+
+    def solution_models(self, *, minimal_only: bool = True
+                        ) -> list[frozenset[int]]:
+        """One stable model (as atom ids) per distinct solution, memoised:
+        the cross product of :meth:`component_solutions`, built only
+        here."""
+        minimal_only = minimal_only and self.delta_minimal
+        cached = self._solution_models.get(minimal_only)
+        if cached is None:
+            cached = self._solution_models[minimal_only] = [
+                frozenset().union(*combination)
+                for combination in product(*self.component_solutions(
+                    minimal_only=minimal_only))]
+        return cached
 
     def solutions(self, *, minimal_only: bool = True
                   ) -> list[DatabaseInstance]:
@@ -643,21 +669,57 @@ class Specification:
         filter.  Supports conjunctive queries (∧/∃/comparisons); richer FO
         queries should be answered against :meth:`solutions` instead.
         """
-        return _holding_answers(self.query_instances(query),
-                                self.engine.id_models(), skeptical)
+        engine = self.engine
+        return _holding_answers(
+            self.query_instances(query),
+            [component.models for component in engine.components()],
+            engine.component_index, skeptical)
+
+
+def _distinct_parts(models: list[frozenset[int]], ids: frozenset[int],
+                    source: Optional[frozenset[int]]
+                    ) -> list[frozenset[int]]:
+    """One of ``models`` (a component's) per distinct projection onto the
+    solution atoms ``ids``; with ``source`` (the atoms of the source
+    rows), only those whose Δ, the projection's symmetric difference with
+    ``source``, no other Δ strictly contains.  The source atoms of other
+    components add the same part to every Δ here, so they change no
+    comparison."""
+    if len(models) < 2:
+        return models
+    distinct: dict[frozenset[int], frozenset[int]] = {}
+    for model in models:
+        distinct.setdefault(model & ids, model)
+    kept = list(distinct.values())
+    if source is not None and len(distinct) > 1:
+        deltas = [projection ^ source for projection in distinct]
+        # only a strictly smaller Δ can be a strict subset
+        smallest = min(map(len, deltas))
+        kept = [model for model, delta in zip(kept, deltas)
+                if len(delta) == smallest
+                or not any(other < delta for other in deltas)]
+    return kept
 
 
 def _holding_answers(instances: Iterable[tuple[tuple, tuple]],
-                     models: Sequence[frozenset[int]],
+                     parts: Sequence[Sequence[frozenset[int]]],
+                     component_of: Sequence[int],
                      skeptical: bool) -> set[tuple]:
     """The answer tuples of ``(answer, body ids)`` instances with a body
     inside every model (``skeptical``) or inside some model; none without
-    models."""
-    if not models:
+    models.
+
+    The models are the unions of one of ``parts[c]`` per component ``c``
+    (``component_of`` maps an atom id to its component, -1 for an atom
+    in none, false everywhere), and they are never listed: a body is
+    checked against the components its atoms lie in only.
+    """
+    if not all(parts):
         return set()
     # a body inside every model settles its tuple at once; only the
-    # others are kept and checked model by model
-    common = frozenset.intersection(*models)
+    # others are kept and checked component by component
+    common = frozenset().union(*(frozenset.intersection(*models)
+                                 for models in parts))
     answers: set[tuple] = set()
     pending: dict[tuple, list[tuple]] = {}
     for answer, body in instances:
@@ -667,13 +729,43 @@ def _holding_answers(instances: Iterable[tuple[tuple, tuple]],
             answers.add(answer)
         else:
             pending.setdefault(answer, []).append(body)
-    quantifier = all if skeptical else any
-    answers.update(
-        answer for answer, bodies in pending.items()
-        if answer not in answers
-        and quantifier(any(model.issuperset(body) for body in bodies)
-                       for model in models))
+    for answer, bodies in pending.items():
+        if answer not in answers and (
+                _in_every_model(bodies, parts, component_of, common)
+                if skeptical else _in_some_model(bodies, parts,
+                                                 component_of)):
+            answers.add(answer)
     return answers
+
+
+def _in_some_model(bodies: list[tuple], parts, component_of) -> bool:
+    """Whether some model holds one of ``bodies``: one body's atoms, in
+    each component they lie in, inside one model of that component."""
+    for body in bodies:
+        wanted: dict[int, list[int]] = {}
+        for atom in body:
+            wanted.setdefault(component_of[atom], []).append(atom)
+        if -1 not in wanted and all(
+                any(model.issuperset(atoms) for model in parts[number])
+                for number, atoms in wanted.items()):
+            return True
+    return False
+
+
+def _in_every_model(bodies: list[tuple], parts, component_of,
+                    common: frozenset[int]) -> bool:
+    """Whether every model holds one of ``bodies``, none of which is
+    inside ``common``.  One such body fails in some model; several may
+    cover each other's gaps, so they are checked over the product of
+    the models of just the components where they leave ``common``."""
+    if len(bodies) < 2:
+        return False
+    touched = sorted({component_of[atom] for body in bodies
+                      for atom in body if atom not in common} - {-1})
+    return all(any(chosen.issuperset(body) for body in bodies)
+               for chosen in (common.union(*combination)
+                              for combination in product(
+                                  *(parts[number] for number in touched))))
 
 
 def _conjunctive_body(formula: Formula,

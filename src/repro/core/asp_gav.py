@@ -70,7 +70,7 @@ from .system import PeerSystem
 from .trust import TrustLevel
 
 __all__ = ["GavSpecification", "AspSolutions", "asp_solutions_for_peer",
-           "asp_peer_consistent_answers"]
+           "asp_peer_consistent_answers", "gav_out_of_class"]
 
 
 class GavSpecification(Specification):
@@ -153,8 +153,9 @@ class GavSpecification(Specification):
         For such systems the builder adds solution-state hard constraints:
         models that sneak an unrepaired violation past the source triggers
         are pruned, so the program never *fabricates* solutions (it may
-        under-approximate; the model-theoretic route stays authoritative
-        there).
+        under-approximate, so the ``asp`` method refuses such a peer, see
+        :func:`gav_out_of_class`, and ``auto`` answers it with the
+        model-theoretic route).
         """
         return inserts_into_triggers(self.repair_decs,
                                      self.context.changeable)
@@ -260,7 +261,11 @@ class AspSolutions:
     one program.  A conjunctive query is answered off its stable models'
     atom ids: the query rule is grounded against the specification's
     table (:meth:`~repro.core.asp_common.Specification.query_instances`)
-    and each ground body is tested against one model per solution.
+    and each ground body is tested against one model per distinct
+    solution part of just the program components its atoms lie in
+    (:meth:`~repro.core.asp_common.Specification.component_solutions`),
+    so the solutions are never listed; ``solution_count`` is the product
+    of the components' counts.
     Iterating decodes the solution instances, in canonical order, on
     first use only.
 
@@ -295,17 +300,9 @@ class AspSolutions:
         (validated against the model-theoretic
         :func:`repro.core.solutions.solutions_for_peer`).
         """
-        less = [e.constraint for e in
-                system.trusted_decs_of(peer, TrustLevel.LESS)]
-        same_decs = system.trusted_decs_of(peer, TrustLevel.SAME)
-        same = [e.constraint for e in same_decs]
+        less, same, own, stage2_changeable = _stages(system, peer)
         local = list(system.peer(peer).local_ics) \
             if include_local_ics else []
-        own = set(system.peer(peer).schema.names)
-        stage2_changeable = set(own)
-        for exchange in same_decs:
-            stage2_changeable |= set(
-                system.peer(exchange.other).schema.names)
         global_instance = system.global_instance()
 
         # the specification program embeds the neighbours' data as facts
@@ -330,7 +327,7 @@ class AspSolutions:
                                       local_ics=local)
             if not same:
                 return result(spec=stage1)
-            if len(stage1.solution_models(minimal_only=minimal_only)) != 1:
+            if stage1.solution_count(minimal_only=minimal_only) != 1:
                 final: dict[DatabaseInstance, None] = {}
                 for base in stage1.solutions(minimal_only=minimal_only):
                     stage2 = GavSpecification(base, same, stage2_changeable,
@@ -373,14 +370,44 @@ class AspSolutions:
             except (SystemError_, SafetyError):
                 pass  # not a conjunctive, safe query: evaluate per instance
             else:
-                models = self.spec.solution_models(
+                parts = self.spec.component_solutions(
                     minimal_only=self._minimal_only)
                 return PCAResult(
-                    _holding_answers(instances, models, skeptical),
-                    len(models))
+                    _holding_answers(instances, parts,
+                                     self.spec.engine.component_index,
+                                     skeptical),
+                    self.spec.solution_count(
+                        minimal_only=self._minimal_only))
         combine = pca_from_solutions if skeptical \
             else possible_from_solutions
         return combine(self.system, self.peer, query, self.instances())
+
+
+def _stages(system: PeerSystem, peer: str
+            ) -> tuple[list[Constraint], list[Constraint], set[str],
+                       set[str]]:
+    """The two stages of Definition 4 for ``peer``: its `less` DECs, its
+    `same` DECs, the relations stage 1 may change (its own) and those
+    stage 2 may change (its own and its `same` neighbours')."""
+    less = [e.constraint for e in
+            system.trusted_decs_of(peer, TrustLevel.LESS)]
+    same_decs = system.trusted_decs_of(peer, TrustLevel.SAME)
+    own = set(system.peer(peer).schema.names)
+    stage2_changeable = set(own)
+    for exchange in same_decs:
+        stage2_changeable |= set(system.peer(exchange.other).schema.names)
+    return less, [e.constraint for e in same_decs], own, stage2_changeable
+
+
+def gav_out_of_class(system: PeerSystem, peer: str) -> bool:
+    """True when a stage of ``peer``'s GAV specification is
+    :attr:`~GavSpecification.out_of_class`: its repair DECs insert into a
+    relation that one of them reads.  The program may then
+    under-approximate the solutions, so the ``asp`` method refuses such a
+    peer.  Decided on the DECs alone, without building a program."""
+    less, same, own, stage2_changeable = _stages(system, peer)
+    return inserts_into_triggers(less, own) \
+        or inserts_into_triggers(same, stage2_changeable)
 
 
 def asp_solutions_for_peer(system: PeerSystem, peer: str, *,

@@ -10,8 +10,9 @@ combined-program semantics of Section 4.3.  Each is packaged here as an
 * new mechanisms can be plugged in with :func:`register_method` without
   touching the session layer;
 * each mechanism declares :meth:`AnswerMethod.supports`, letting the
-  ``auto`` planner pick the cheap FO rewriting when it applies and fall
-  back to ASP otherwise (the method-selection concern of the follow-up
+  ``auto`` planner pick the cheap FO rewriting when it applies, ASP
+  within the paper's DEC class, and the exact model-theoretic enumeration
+  as the last resort (the method-selection concern of the follow-up
   literature on peer data exchange);
 * per-peer solutions are obtained through the calling
   :class:`~repro.core.session.PeerQuerySession`, which memoizes them
@@ -212,9 +213,21 @@ class AspMethod(_SpecificationMethod):
 
     name = "asp"
 
+    def supports(self, system: PeerSystem, peer: str,
+                 query: Optional[Query] = None) -> bool:
+        # the program is exact only within the paper's DEC class; outside
+        # it, it may report fewer solutions than there are
+        from .asp_gav import gav_out_of_class
+        return not gav_out_of_class(system, peer)
+
     def solutions(self, session: "PeerQuerySession", peer: str
                   ) -> "AspSolutions":
         from .asp_gav import AspSolutions
+        if not self.supports(session.system, peer):
+            raise SystemError_(
+                f"a DEC of peer {peer!r} inserts into a relation that a "
+                f"DEC antecedent reads; outside the class the Section 3.1 "
+                f"program answers exactly (use method='model' or 'auto')")
         return AspSolutions.for_peer(
             session.system, peer,
             include_local_ics=session.include_local_ics)
@@ -310,8 +323,8 @@ class TransitiveMethod(_SpecificationMethod):
                                 include_local_ics=session.include_local_ics))
 
 
-#: the planner's preference order: cheap first, general last.
-AUTO_PREFERENCE: tuple[str, ...] = ("rewrite", "asp")
+#: the planner's preference order: cheap first, exact last resort.
+AUTO_PREFERENCE: tuple[str, ...] = ("rewrite", "asp", "model")
 
 
 @register_method
@@ -319,9 +332,11 @@ class AutoMethod(AnswerMethod):
     """The planner: first supported method in :data:`AUTO_PREFERENCE`.
 
     FO rewriting answers with one query evaluation but covers a limited
-    fragment; ASP is general but pays grounding and enumeration.  ``auto``
-    asks each method in order whether it supports the (system, peer,
-    query) combination and delegates to the first that does.
+    fragment; ASP covers the paper's DEC class but pays grounding and
+    search; the model-theoretic enumeration *is* the semantics and
+    answers everything, at the highest cost.  ``auto`` asks each method in
+    order whether it supports the (system, peer, query) combination and
+    delegates to the first that does.
     """
 
     name = "auto"
@@ -338,15 +353,17 @@ class AutoMethod(AnswerMethod):
                 continue
             if candidate.supports(system, peer, query):
                 return candidate
-        # asp supports everything, so this is unreachable unless the
+        # model supports everything, so this is unreachable unless the
         # preference list was customised away from a general method
         raise P2PError(
             f"no method in {AUTO_PREFERENCE} supports peer {peer!r}")
 
     def solutions(self, session: "PeerQuerySession", peer: str
                   ) -> list[DatabaseInstance]:
-        # through the session so the entry is shared with method="asp"
-        return session.solutions(peer, method="asp")
+        # through the session so the entry is shared with the method
+        # selected
+        return session.solutions(peer, method=self.select(
+            session.system, peer, semantics="possible").name)
 
     def certain_answers(self, session: "PeerQuerySession", peer: str,
                         query: Query) -> PCAResult:

@@ -2,10 +2,10 @@
 
 The paper's Definition 5 speaks of *peer consistent answers*; a production
 service needs to say more than "here is a set of tuples": which mechanism
-actually ran (``auto`` may pick FO rewriting or fall back to ASP), whether
-the certifying solutions were enumerated at all (the rewriting route never
-counts them — ``solution_count is None`` means *not computed*, honestly,
-not a fake positive), how long the computation took, and how much data
+actually ran (``auto`` may pick FO rewriting, ASP or the model-theoretic
+enumeration), whether the certifying solutions were enumerated at all
+(the rewriting route never counts them — ``solution_count is None``
+means *not computed*, honestly, not a fake positive), how long the computation took, and how much data
 moved between peers on the way.  :class:`QueryResult` carries all of that;
 :class:`QueryRequest` is the batchable input form consumed by
 :meth:`repro.core.session.PeerQuerySession.answer_many`.
@@ -40,8 +40,8 @@ class QueryRequest:
     ``query`` may be a parsed :class:`~repro.relational.query.Query` or the
     textual form (``"q(X, Y) := R1(X, Y)"``); ``method`` is any registered
     answer method name (default ``"auto"``: FO rewriting when it applies,
-    ASP otherwise); ``semantics`` is ``"certain"`` (Definition 5) or
-    ``"possible"`` (the brave dual).
+    ASP within the paper's DEC class, ``model`` otherwise); ``semantics``
+    is ``"certain"`` (Definition 5) or ``"possible"`` (the brave dual).
     """
 
     peer: str

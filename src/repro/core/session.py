@@ -11,7 +11,8 @@ automatically, while re-binding an identical system — rebuilt, reloaded
 from disk, or built by another process — keeps the warm cache.
 
 The session front door is :meth:`answer` — pick any registered method by
-name (default ``auto``: FO rewriting when it applies, ASP otherwise) and
+name (default ``auto``: FO rewriting when it applies, ASP within the
+paper's DEC class, the model-theoretic enumeration otherwise) and
 get a :class:`~repro.core.results.QueryResult` with full provenance.
 :meth:`answer_many` batches requests; :meth:`explain` certifies individual
 tuples with counter-solutions.
@@ -86,8 +87,9 @@ class PeerQuerySession:
 
         ``method`` defaults to the session's default.  Planner methods
         (``auto``) and methods that do not enumerate solutions
-        (``rewrite``) are normalised to ASP — the general enumerating
-        mechanism — so they share one cache entry instead of crashing or
+        (``rewrite``) are normalised to the enumerating method ``auto``
+        selects for the peer (``asp``, or ``model`` where ``asp`` does not
+        apply), so they share one cache entry instead of crashing or
         duplicating work.  The list is a copy: caller mutation must not
         corrupt the cache.
         """
@@ -103,9 +105,11 @@ class PeerQuerySession:
         only when iterated."""
         name = method or self.default_method
         resolved = get_method(name)
-        if not resolved.enumerates_solutions or resolved.is_planner:
-            name = "asp"
         self.system.peer(peer)  # validate before touching the cache
+        if not resolved.enumerates_solutions or resolved.is_planner:
+            planner = resolved if resolved.is_planner else get_method("auto")
+            name = planner.select(self.system, peer,
+                                  semantics=POSSIBLE).name
         key = (self.system.version(), peer, name, self.include_local_ics)
         cached = self._solutions.get(key)
         if cached is not None:

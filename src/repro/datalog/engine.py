@@ -9,36 +9,168 @@ This is the façade the rest of the library uses.  The pipeline is::
          program's own facts; the deterministic part
          is evaluated exactly and stays a set of
          relations; only the rest gets atom ids
-      └─ solve the rest:
-           bodyless rules only -> the one model, read off the rules
-           otherwise           -> branch & bound        [stable.py]
-      └─ models as sets of atom ids                     id_models()
+      └─ split the rest into components: atoms a rule   split_components()
+         or a complement pair links share one; a
+         bodyless ``:- .`` leaves no model at all
+      └─ solve each component on its own, renumbered    solve_components()
+         into a compact atom table:
+           single atoms defined by facts -> together,
+             one model, read off the rules
+           otherwise -> branch & bound                  [stable.py]
+      └─ per-component models as sets of atom ids       components()
+      └─ their cross product, built only on request     id_models()
       └─ rendered, with the deterministic relations,    answer_sets()
          and sorted only on request
+
+Components share no atom, so by the splitting-set theorem (Lifschitz &
+Turner 1994) the answer sets of the rest are exactly the unions of one
+model per component: independent conflicts are each searched once, and
+``k`` of them with two models each cost ``2k`` leaves, not ``2**k``.
+A stratified program, tables plus facts, is the one case without search.
 
 Skeptical (cautious) and brave query answering follow the paper's usage:
 peer consistent answers are obtained by running a query program "under the
 skeptical answer set semantics" (Section 3.2).  Callers that answer many
 queries over one program ground just the query rule against the already
 grounded program (:func:`~repro.datalog.grounding.ground_rule_over`) and
-test its ground bodies against :meth:`AnswerSetEngine.id_models`; a body
-over deterministic relations alone holds in every model, and no model is
-ever rendered as literals on that route.
+test its ground bodies against the models of just the components their
+atoms lie in (:meth:`AnswerSetEngine.components`); a body over
+deterministic relations alone holds in every model, and no model is ever
+rendered as literals, nor the cross product built, on that route.
 """
 
 from __future__ import annotations
 
+from itertools import islice, product
 from typing import Iterable, Mapping, Optional
 
 from .choice import unfold_choice
-from .grounding import GroundProgram, ground_program
+from .grounding import (
+    AtomTable,
+    GroundProgram,
+    GroundRule,
+    ground_program,
+)
 from .hcf import can_shift, shift_program
 from .program import Program, Rule
 from .stable import StableModelSolver
 from .terms import Atom, Constant, Literal, Variable
 
-__all__ = ["AnswerSetEngine", "answer_sets", "skeptical_answers",
+__all__ = ["AnswerSetEngine", "Component", "split_components",
+           "solve_components", "answer_sets", "skeptical_answers",
            "brave_answers", "has_answer_set"]
+
+
+class Component:
+    """An independent part of a ground program: ``atoms`` (ids of the
+    program's atom table, ascending) and ``models``, its stable models as
+    frozensets of those ids, in the solver's order.  No rule and no
+    complement pair links an atom of one component to an atom of
+    another, so the program's answer sets are exactly the unions of one
+    model per component."""
+
+    __slots__ = ("atoms", "models")
+
+    def __init__(self, atoms: tuple[int, ...],
+                 models: list[frozenset[int]]) -> None:
+        self.atoms = atoms
+        self.models = models
+
+    def __repr__(self) -> str:
+        return (f"Component({len(self.atoms)} atoms, "
+                f"{len(self.models)} models)")
+
+
+def split_components(ground: GroundProgram
+                     ) -> Optional[list[tuple[list[int], list[GroundRule]]]]:
+    """The connected components of ``ground``: a union-find over the
+    atoms of each rule (head and body, so a constraint links its body
+    atoms) and of each complement pair.  Each component is its atoms,
+    ascending, and its rules, in program order; components come in the
+    order of their smallest atom id, and atoms no rule or pair mentions
+    (false in every model) are in none.  None when the program holds the
+    bodyless constraint ``:- .``, which no model satisfies."""
+    parent = list(range(ground.atom_count))
+    used = bytearray(ground.atom_count)
+
+    def find(atom: int) -> int:
+        root = atom
+        while parent[root] != root:
+            root = parent[root]
+        while parent[atom] != root:
+            parent[atom], atom = root, parent[atom]
+        return root
+
+    def link(atoms: tuple[int, ...]) -> None:
+        for atom in atoms:
+            used[atom] = 1
+        if len(atoms) > 1:
+            # the smallest root wins, so a root is its component's
+            # smallest atom
+            roots = set(map(find, atoms))
+            low = min(roots)
+            for root in roots:
+                parent[root] = low
+
+    for rule in ground.rules:
+        atoms = rule.head + rule.pos + rule.naf
+        if not atoms:
+            return None
+        link(atoms)
+    for pair in ground.table.complement_pairs():
+        link(pair)
+    members: dict[int, list[int]] = {}
+    for atom in range(ground.atom_count):
+        if used[atom]:
+            members.setdefault(find(atom), []).append(atom)
+    rules: dict[int, list[GroundRule]] = {root: [] for root in members}
+    for rule in ground.rules:
+        rules[find((rule.head or rule.pos or rule.naf)[0])].append(rule)
+    return [(atoms, rules[root]) for root, atoms in members.items()]
+
+
+def solve_components(ground: GroundProgram, *, shift_hcf: bool = True,
+                     max_models: Optional[int] = None) -> list[Component]:
+    """The stable models of ``ground``, one :class:`Component` at a time.
+
+    A component of one atom defined by facts alone has one model, the
+    atom; all of those are merged into a single first component (a
+    product of one-model parts is their union), so a program of facts
+    is one component and needs no search.  Every other component is
+    renumbered into a compact atom table and program of its own and
+    solved by :class:`~repro.datalog.stable.StableModelSolver`, with at
+    most ``max_models`` models (enough for the first ``max_models`` of
+    the product).  A program holding ``:- .`` is one component without
+    atoms or models.
+    """
+    parts = split_components(ground)
+    if parts is None:
+        return [Component((), [])]
+    literal_for = ground.table.literal_for
+    facts: list[int] = []
+    components: list[Component] = []
+    for atoms, rules in parts:
+        if len(atoms) == 1 and rules and all(
+                rule.is_fact() for rule in rules):
+            facts.append(atoms[0])
+            continue
+        local = {atom: index for index, atom in enumerate(atoms)}.__getitem__
+        table = AtomTable()
+        for atom in atoms:
+            table.add(literal_for(atom))
+        renumbered = [GroundRule(tuple(map(local, rule.head)),
+                                 tuple(map(local, rule.pos)),
+                                 tuple(map(local, rule.naf)))
+                      for rule in rules]
+        solver = StableModelSolver(GroundProgram(table, renumbered),
+                                   shift_hcf=shift_hcf,
+                                   max_models=max_models)
+        components.append(Component(tuple(atoms), [
+            frozenset(map(atoms.__getitem__, model))
+            for model in solver.solve()]))
+    if facts:
+        components.insert(0, Component(tuple(facts), [frozenset(facts)]))
+    return components
 
 
 class AnswerSetEngine:
@@ -53,7 +185,12 @@ class AnswerSetEngine:
             without a :class:`Rule` per row; the grounder copies them.
         shift_hcf: shift disjunctive heads when the program is HCF
             (Section 4.1 optimisation).  Disable only for ablation studies.
-        max_models: optional cap on the number of models computed.
+        max_models: optional cap on the number of models computed (of
+            the product; each component computes at most as many).
+
+    The residual ground program is solved by components
+    (:meth:`components`); the whole list of models, their cross product,
+    is built only when :meth:`id_models` or :meth:`answer_sets` asks.
     """
 
     def __init__(self, program: Program, *,
@@ -71,6 +208,8 @@ class AnswerSetEngine:
         prepared.check_safety()
         self.prepared_program = prepared
         self._ground: Optional[GroundProgram] = None
+        self._components: Optional[list[Component]] = None
+        self._component_index: Optional[list[int]] = None
         self._id_models: Optional[list[frozenset[int]]] = None
         self._models: Optional[list[frozenset[Literal]]] = None
 
@@ -82,17 +221,48 @@ class AnswerSetEngine:
                                           facts=self._facts)
         return self._ground
 
+    def components(self) -> list[Component]:
+        """The residual program's independent components, each with its
+        stable models as frozensets of :attr:`ground`'s atom ids
+        (memoised; :func:`solve_components`).  The program has a model
+        iff every component has one, and its models are the unions of
+        one model per component."""
+        if self._components is None:
+            self._components = solve_components(
+                self.ground, shift_hcf=self._shift_hcf,
+                max_models=self._max_models)
+        return self._components
+
+    @property
+    def component_index(self) -> list[int]:
+        """Per atom id, the index of its component in :meth:`components`;
+        -1 for an atom in none (false in every model)."""
+        if self._component_index is None:
+            index = [-1] * self.ground.atom_count
+            for number, component in enumerate(self.components()):
+                for atom in component.atoms:
+                    index[atom] = number
+            self._component_index = index
+        return self._component_index
+
     def id_models(self) -> list[frozenset[int]]:
         """All answer sets, as frozensets of ids of :attr:`ground`'s atom
-        table, in the solver's order (memoised).  Only the part that can
-        differ between models has ids: the deterministic relations,
-        ``ground.facts``, hold in each of them besides.
+        table (memoised): the cross product of the components' models,
+        at most ``max_models`` of them, sorted by their sorted ids.  Only
+        the part that can differ between models has ids: the
+        deterministic relations, ``ground.facts``, hold in each of them
+        besides.
 
-        The order depends on grounding order, so it is only fit for
+        Ids follow grounding order, so the order is only fit for
         order-free consumers (intersections, unions, counts).
         """
         if self._id_models is None:
-            self._id_models = self._solve_ids(self.ground)
+            models = (frozenset().union(*combination)
+                      for combination in product(*(
+                          component.models
+                          for component in self.components())))
+            self._id_models = sorted(
+                islice(models, self._max_models), key=sorted)
         return self._id_models
 
     def answer_sets(self) -> list[frozenset[Literal]]:
@@ -127,29 +297,13 @@ class AnswerSetEngine:
         self._models = models
         return models
 
-    def _solve_ids(self, ground: GroundProgram) -> list[frozenset[int]]:
-        # The grounder turns a stratified program into tables (plus, at
-        # most, the empty constraint); bodyless rules have one model, and
-        # it needs no search.
-        if all(not rule.pos and not rule.naf and len(rule.head) <= 1
-               for rule in ground.rules):
-            if any(rule.is_constraint() for rule in ground.rules):
-                return []
-            model = frozenset(rule.head[0] for rule in ground.rules)
-            for first, second in ground.table.complement_pairs():
-                if first in model and second in model:
-                    return []
-            return [model]
-        solver = StableModelSolver(ground, shift_hcf=self._shift_hcf,
-                                   max_models=self._max_models)
-        return solver.solve()
-
     # ------------------------------------------------------------------
     # Query answering
     # ------------------------------------------------------------------
     def is_consistent(self) -> bool:
-        """True when the program has at least one answer set."""
-        return bool(self.answer_sets())
+        """True when the program has at least one answer set: when every
+        component has a model."""
+        return all(component.models for component in self.components())
 
     def skeptical_answers(self, query: Atom) -> set[tuple]:
         """Value tuples for the query's variables true in *every* answer set.

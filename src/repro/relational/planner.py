@@ -103,6 +103,11 @@ class PlanNode:
     def run(self, env: tuple) -> Iterator[tuple]:
         raise NotImplementedError
 
+    def rows(self, env: tuple) -> Iterator[tuple]:
+        """The rows of :meth:`run`, perhaps with repeats: for a consumer
+        that deduplicates them itself."""
+        return self.run(env)
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -285,10 +290,13 @@ class OrPlan(PlanNode):
             branches.append((branch, pick, len(missing)))
         self.branches = tuple(branches)
 
-    def run(self, env: tuple) -> Iterator[tuple]:
-        return _distinct(chain.from_iterable(
+    def rows(self, env: tuple) -> Iterator[tuple]:
+        return chain.from_iterable(
             map(pick, self.plan.completed(branch.run(env), missing))
-            for branch, pick, missing in self.branches), not self.out)
+            for branch, pick, missing in self.branches)
+
+    def run(self, env: tuple) -> Iterator[tuple]:
+        return _distinct(self.rows(env), not self.out)
 
     def describe(self) -> str:
         return f"union [{len(self.branches)} branches, deduplicated]"
@@ -316,13 +324,15 @@ class ExistsPlan(PlanNode):
         self.pick = picker(tuple(range(scope.width))
                            + tuple(after.slots[v] for v in self.out))
 
-    def run(self, env: tuple) -> Iterator[tuple]:
+    def rows(self, env: tuple) -> Iterator[tuple]:
         if self.plan.domain_is_empty():
             # no witness value exists, even when the body ignores the
             # quantified variables (matches the naive evaluator)
             return iter(())
-        return _distinct(map(self.pick, self.subplan.run(env)),
-                         not self.out)
+        return map(self.pick, self.subplan.run(env))
+
+    def run(self, env: tuple) -> Iterator[tuple]:
+        return _distinct(self.rows(env), not self.out)
 
     def describe(self) -> str:
         names = ", ".join(v.name for v in self.formula.variables)
@@ -360,9 +370,13 @@ class _Plan:
         self.root = self._compile(formula, scope)
         self.scope = scope.bind(self.root.out)
 
-    def run(self, env: Env) -> Iterator[tuple]:
-        return self.root.run(self.start
-                             + tuple(env[v] for v in self.inputs))
+    def run(self, env: Env, *, distinct: bool = True) -> Iterator[tuple]:
+        """The root's rows from ``env``; with repeats allowed when not
+        ``distinct`` and the root binds something (a root binding
+        nothing still stops at its first row)."""
+        run = self.root.run if distinct or not self.root.out \
+            else self.root.rows
+        return run(self.start + tuple(env[v] for v in self.inputs))
 
     # ------------------------------------------------------------------
     # The evaluation domain, as far as it is read
@@ -570,7 +584,9 @@ class QueryPlanner:
         plan = self.plan(query.formula)
         extra = [v for v in query.head if v not in plan.scope.slots]
         slots = plan.scope.bind(extra).slots
-        rows = plan.completed(plan.run({}), len(extra))
+        # the set below deduplicates, so the root streams its rows as
+        # they come (nested unions and projections still deduplicate)
+        rows = plan.completed(plan.run({}, distinct=False), len(extra))
         return set(map(picker([slots[v] for v in query.head]), rows))
 
     def explain(self, formula: Formula,

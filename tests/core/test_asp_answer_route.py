@@ -9,10 +9,13 @@ references:
 * decode-and-intersect (``pca_from_solutions`` / ``possible_from_solutions``
   over ``asp_solutions_for_peer``), the route this one replaced;
 * the model-theoretic ``peer_consistent_answers`` /
-  ``possible_peer_answers`` (not on out-of-class systems, where the ASP
-  program may under-approximate by design);
+  ``possible_peer_answers``;
 * ``GavSpecification.query_program_answers`` over every answer set, where
   the Δ-minimality filter discards nothing.
+
+Out of the paper's DEC class, where the program may under-approximate,
+``asp`` refuses with the typed ``SystemError_`` instead, and ``auto``
+answers as ``model`` does.
 
 CI runs this file under two hash seeds: answers and counts built from id
 sets must not depend on ``PYTHONHASHSEED``.
@@ -28,7 +31,9 @@ from repro.core import (
     GavSpecification,
     PeerQuerySession,
     PeerSystem,
+    SystemError_,
     asp_solutions_for_peer,
+    get_method,
     pca_from_solutions,
     peer_consistent_answers,
     possible_from_solutions,
@@ -211,8 +216,9 @@ for _seed, (_conflicts, _clean) in enumerate([(1, 0), (2, 3), (3, 5),
         lambda seed=_seed, n=_conflicts, clean=_clean:
         seeded_conflict_system(seed, n, clean))
 
-#: systems whose specification is outside the paper's DEC class
-OUT_OF_CLASS = {"out_of_class"}
+#: systems with a peer whose specification is outside the paper's DEC
+#: class, where ``asp`` refuses
+OUT_OF_CLASS = {"out_of_class", "no_solutions", "cycle"}
 
 
 def _cases():
@@ -255,9 +261,34 @@ def _queries(system, peer):
 DECODED = {"unsafe", "negation", "disjunction"}
 
 
+def _refused_and_answered_by_model(system, peer, where):
+    """Outside the class: ``asp`` raises typed on both semantics, and
+    ``auto`` gives exactly what ``model`` gives."""
+    assert not get_method("asp").supports(system, peer)
+    for label, query in _queries(system, peer).items():
+        for semantics in ("certain", "possible"):
+            session = PeerQuerySession(system)
+            with pytest.raises(SystemError_):
+                session.answer(peer, query, method="asp",
+                               semantics=semantics)
+            auto = session.answer(peer, query, semantics=semantics)
+            model = session.answer(peer, query, method="model",
+                                   semantics=semantics)
+            assert auto.method_used == "model", where + (label,)
+            assert auto.answers == model.answers, where + (label,)
+            assert auto.solution_count == model.solution_count, \
+                where + (label,)
+
+
 @pytest.mark.parametrize("name,peer", list(_cases()))
 def test_id_route_matches_every_reference(name, peer):
     system = SYSTEMS[name]()
+    spec = AspSolutions.for_peer(system, peer).spec
+    if spec is not None and spec.out_of_class:
+        assert name in OUT_OF_CLASS
+        _refused_and_answered_by_model(system, peer, (name, peer))
+        return
+    assert get_method("asp").supports(system, peer)
     decoded = asp_solutions_for_peer(system, peer)
     entry = AspSolutions.for_peer(system, peer)
     spec = entry.spec
@@ -278,14 +309,13 @@ def test_id_route_matches_every_reference(name, peer):
         assert possible.answers == brave.answers, where
         assert possible.solution_count == brave.solution_count, where
 
-        if name not in OUT_OF_CLASS:
-            model = peer_consistent_answers(system, peer, query)
-            assert certain.answers == model.answers, where
-            assert certain.solution_count == model.solution_count, where
-            model_brave = possible_peer_answers(system, peer, query)
-            assert possible.answers == model_brave.answers, where
-            assert possible.solution_count == model_brave.solution_count, \
-                where
+        model = peer_consistent_answers(system, peer, query)
+        assert certain.answers == model.answers, where
+        assert certain.solution_count == model.solution_count, where
+        model_brave = possible_peer_answers(system, peer, query)
+        assert possible.answers == model_brave.answers, where
+        assert possible.solution_count == model_brave.solution_count, \
+            where
 
         if filter_is_noop and label not in DECODED:
             assert spec.query_program_answers(query) == certain.answers, \
@@ -319,6 +349,26 @@ def test_cases_cover_every_route():
     spec = entry("non_minimal", "P").spec
     assert len(spec.solution_models(minimal_only=False)) == 24
     assert len(spec.solution_models()) == 8
+
+
+@pytest.mark.parametrize("name,peer,expected,count", [
+    ("out_of_class", "P", {("k", "1"), ("n", "4")}, 2),
+    ("no_solutions", "P1", set(), 0),
+    ("cycle", "P", set(), 0)])
+def test_auto_answers_out_of_class_systems_exactly(name, peer, expected,
+                                                   count):
+    """The three out-of-class rows: ``auto`` falls back to ``model`` and
+    gets the semantics' answer, where ``asp`` would have reported no
+    solutions on the first; ``asp`` refuses, typed, on all three."""
+    system = SYSTEMS[name]()
+    session = PeerQuerySession(system)
+    result = session.answer(peer, "q(X, Y) := A(X, Y)")
+    assert result.method_used == "model"
+    assert result.answers == expected
+    assert result.solution_count == count
+    assert len(session.solutions(peer)) == count
+    with pytest.raises(SystemError_):
+        session.answer(peer, "q(X, Y) := A(X, Y)", method="asp")
 
 
 def _random_dec(rng):

@@ -68,12 +68,17 @@ class TestContradictorySystems:
         assert result.answers == set()
 
     def test_engine_consistent_behaviour_across_methods(self):
+        """The import inserts into A, which the denial DEC reads: outside
+        the Section 3.1 program's class, so ``asp`` refuses, typed, and
+        ``auto`` answers as ``model`` does."""
         session = PeerQuerySession(self.make_pinned_contradiction())
-        for method in ("model", "asp"):
-            result = session.answer(
-                "P1", parse_query("q(X, Y) := A(X, Y)"), method=method)
+        query = parse_query("q(X, Y) := A(X, Y)")
+        for method in ("model", "auto"):
+            result = session.answer("P1", query, method=method)
             assert result.answers == set()
             assert result.no_solutions
+        with pytest.raises(SystemError_):
+            session.answer("P1", query, method="asp")
 
 
 class TestFootnote1LocalViolations:

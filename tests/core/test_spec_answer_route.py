@@ -7,7 +7,8 @@ here must equal decode-and-intersect over the specification's decoded
 ``solutions()``, and the model-theoretic ``model`` method wherever the
 two semantics coincide.  A conjunctive query over relations the program
 holds decodes no instance; a system outside a method's class raises the
-typed ``SystemError_``.
+typed ``SystemError_``, and where ``asp`` refuses too, ``auto`` answers
+it as ``model`` does.
 
 CI runs this file under two hash seeds: answers and counts built from id
 sets must not depend on ``PYTHONHASHSEED``.
@@ -153,6 +154,19 @@ def test_id_route_matches_every_reference(name, peer, method,
         query = next(iter(_queries(system, peer).values()))
         with pytest.raises(SystemError_):
             PeerQuerySession(system).answer(peer, query, method=method)
+        if not get_method("asp").supports(system, peer):
+            # `asp` refuses too: `auto` answers as `model` does
+            for label, query in _queries(system, peer).items():
+                for semantics in ("certain", "possible"):
+                    session = PeerQuerySession(system)
+                    auto = session.answer(peer, query, semantics=semantics)
+                    model = session.answer(peer, query, method="model",
+                                           semantics=semantics)
+                    where = (name, peer, label, semantics)
+                    assert auto.method_used == "model", where
+                    assert auto.answers == model.answers, where
+                    assert auto.solution_count == model.solution_count, \
+                        where
         return
     assert get_method(method).supports(system, peer)
     assert len(set(decoded)) == len(decoded)

@@ -79,3 +79,36 @@ def test_range_unrestricted_variables_still_build_the_domain(counts, text):
     assert planner.plan(query.formula).domain == \
         evaluation_domain(instance, query.formula)
     assert answers == query.answers(instance, evaluator="naive")
+
+
+def test_a_root_union_is_deduplicated_once(monkeypatch):
+    """``QueryPlanner.answers`` builds a set of the answer tuples, so the
+    rewritten union at the root streams its rows into it without the
+    generator ``_distinct``; a union nested under a projection still
+    deduplicates its own rows."""
+    from repro.relational import planner
+
+    calls = []
+    distinct = planner._distinct
+
+    def counting(rows, closed):
+        calls.append(closed)
+        return distinct(rows, closed)
+
+    monkeypatch.setattr(planner, "_distinct", counting)
+    _, rows = _rewrite_answer({}, 100)
+    assert rows > 100
+    assert calls == []
+
+    instance = DatabaseInstance(DatabaseSchema.of({"R": 2, "S": 2}), {
+        "R": [("a", 1), ("a", 2)], "S": [("a", 1), ("b", 3)]})
+    for text, expected, deduplicated in [
+            ("q(X, Y) := R(X, Y) | S(X, Y)",
+             {("a", 1), ("a", 2), ("b", 3)}, []),
+            ("q(X) := exists Y (R(X, Y) | S(X, Y))", {("a",), ("b",)},
+             [False]),
+            # a root binding nothing still stops at its first row
+            ("q() := exists X Y (R(X, Y) | S(X, Y))", {()}, [False, True])]:
+        calls.clear()
+        assert QueryPlanner(instance).answers(parse_query(text)) == expected
+        assert sorted(calls) == deduplicated
