@@ -37,7 +37,7 @@ from itertools import count, product
 from math import prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from ..datalog.engine import AnswerSetEngine
+from ..datalog.engine import AnswerSetEngine, _holding_answers
 from ..datalog.grounding import ground_rule_over
 from ..datalog.program import Program, Rule
 from ..datalog.terms import (
@@ -699,73 +699,6 @@ def _distinct_parts(models: list[frozenset[int]], ids: frozenset[int],
                 if len(delta) == smallest
                 or not any(other < delta for other in deltas)]
     return kept
-
-
-def _holding_answers(instances: Iterable[tuple[tuple, tuple]],
-                     parts: Sequence[Sequence[frozenset[int]]],
-                     component_of: Sequence[int],
-                     skeptical: bool) -> set[tuple]:
-    """The answer tuples of ``(answer, body ids)`` instances with a body
-    inside every model (``skeptical``) or inside some model; none without
-    models.
-
-    The models are the unions of one of ``parts[c]`` per component ``c``
-    (``component_of`` maps an atom id to its component, -1 for an atom
-    in none, false everywhere), and they are never listed: a body is
-    checked against the components its atoms lie in only.
-    """
-    if not all(parts):
-        return set()
-    # a body inside every model settles its tuple at once; only the
-    # others are kept and checked component by component
-    common = frozenset().union(*(frozenset.intersection(*models)
-                                 for models in parts))
-    answers: set[tuple] = set()
-    pending: dict[tuple, list[tuple]] = {}
-    for answer, body in instances:
-        if answer in answers:
-            continue
-        if common.issuperset(body):
-            answers.add(answer)
-        else:
-            pending.setdefault(answer, []).append(body)
-    for answer, bodies in pending.items():
-        if answer not in answers and (
-                _in_every_model(bodies, parts, component_of, common)
-                if skeptical else _in_some_model(bodies, parts,
-                                                 component_of)):
-            answers.add(answer)
-    return answers
-
-
-def _in_some_model(bodies: list[tuple], parts, component_of) -> bool:
-    """Whether some model holds one of ``bodies``: one body's atoms, in
-    each component they lie in, inside one model of that component."""
-    for body in bodies:
-        wanted: dict[int, list[int]] = {}
-        for atom in body:
-            wanted.setdefault(component_of[atom], []).append(atom)
-        if -1 not in wanted and all(
-                any(model.issuperset(atoms) for model in parts[number])
-                for number, atoms in wanted.items()):
-            return True
-    return False
-
-
-def _in_every_model(bodies: list[tuple], parts, component_of,
-                    common: frozenset[int]) -> bool:
-    """Whether every model holds one of ``bodies``, none of which is
-    inside ``common``.  One such body fails in some model; several may
-    cover each other's gaps, so they are checked over the product of
-    the models of just the components where they leave ``common``."""
-    if len(bodies) < 2:
-        return False
-    touched = sorted({component_of[atom] for body in bodies
-                      for atom in body if atom not in common} - {-1})
-    return all(any(chosen.issuperset(body) for body in bodies)
-               for chosen in (common.union(*combination)
-                              for combination in product(
-                                  *(parts[number] for number in touched))))
 
 
 def _conjunctive_body(formula: Formula,

@@ -42,7 +42,7 @@ rendered as literals, nor the cross product built, on that route.
 from __future__ import annotations
 
 from itertools import islice, product
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .choice import unfold_choice
 from .grounding import (
@@ -50,11 +50,12 @@ from .grounding import (
     GroundProgram,
     GroundRule,
     ground_program,
+    ground_rule_over,
 )
 from .hcf import can_shift, shift_program
 from .program import Program, Rule
 from .stable import StableModelSolver
-from .terms import Atom, Constant, Literal, Variable
+from .terms import Atom, Literal, Variable
 
 __all__ = ["AnswerSetEngine", "Component", "split_components",
            "solve_components", "answer_sets", "skeptical_answers",
@@ -313,59 +314,91 @@ class AnswerSetEngine:
         answers can be certified"; callers may distinguish that case via
         :meth:`is_consistent`).
         """
-        models = self.answer_sets()
-        if not models:
-            return set()
-        per_model = [self._matches(model, query) for model in models]
-        result = per_model[0]
-        for matches in per_model[1:]:
-            result &= matches
-        return result
+        return self._holding(query, skeptical=True)
 
     def brave_answers(self, query: Atom) -> set[tuple]:
         """Value tuples true in *some* answer set."""
-        result: set[tuple] = set()
-        for model in self.answer_sets():
-            result |= self._matches(model, query)
-        return result
+        return self._holding(query, skeptical=False)
 
-    @staticmethod
-    def _matches(model: Iterable[Literal], query: Atom) -> set[tuple]:
-        """Bindings of the query's variable positions against a model.
+    def _holding(self, query: Atom, skeptical: bool) -> set[tuple]:
+        """``ans(vars) :- query`` grounded over :attr:`ground` and tested
+        against the components' models: the answer tuple lists values in
+        order of first appearance of each distinct variable (constants
+        in the query act as filters)."""
+        variables = tuple(dict.fromkeys(
+            arg for arg in query.args if isinstance(arg, Variable)))
+        rule = Rule(head=[Atom("ans", variables)], body=[Literal(query)])
+        return _holding_answers(
+            ground_rule_over(rule, self.ground),
+            [component.models for component in self.components()],
+            self.component_index, skeptical)
 
-        The answer tuple lists values in order of first appearance of each
-        distinct variable (constants in the query act as filters).
-        """
-        variables: list[Variable] = []
-        for arg in query.args:
-            if isinstance(arg, Variable) and arg not in variables:
-                variables.append(arg)
-        result: set[tuple] = set()
-        for literal in model:
-            if not literal.positive or literal.naf:
-                continue
-            if literal.predicate != query.predicate:
-                continue
-            if literal.atom.arity != query.arity:
-                continue
-            binding: dict[Variable, Constant] = {}
-            ok = True
-            for pattern_arg, value in zip(query.args, literal.atom.args):
-                if isinstance(pattern_arg, Constant):
-                    if pattern_arg != value:
-                        ok = False
-                        break
-                else:
-                    assert isinstance(pattern_arg, Variable)
-                    bound = binding.get(pattern_arg)
-                    if bound is None:
-                        binding[pattern_arg] = value  # type: ignore[index]
-                    elif bound != value:
-                        ok = False
-                        break
-            if ok:
-                result.add(tuple(binding[v].value for v in variables))
-        return result
+
+def _holding_answers(instances: Iterable[tuple[tuple, tuple]],
+                     parts: Sequence[Sequence[frozenset[int]]],
+                     component_of: Sequence[int],
+                     skeptical: bool) -> set[tuple]:
+    """The answer tuples of ``(answer, body ids)`` instances with a body
+    inside every model (``skeptical``) or inside some model; none without
+    models.
+
+    The models are the unions of one of ``parts[c]`` per component ``c``
+    (``component_of`` maps an atom id to its component, -1 for an atom
+    in none, false everywhere), and they are never listed: a body is
+    checked against the components its atoms lie in only.
+    """
+    if not all(parts):
+        return set()
+    # a body inside every model settles its tuple at once; only the
+    # others are kept and checked component by component
+    common = frozenset().union(*(frozenset.intersection(*models)
+                                 for models in parts))
+    answers: set[tuple] = set()
+    pending: dict[tuple, list[tuple]] = {}
+    for answer, body in instances:
+        if answer in answers:
+            continue
+        if common.issuperset(body):
+            answers.add(answer)
+        else:
+            pending.setdefault(answer, []).append(body)
+    for answer, bodies in pending.items():
+        if answer not in answers and (
+                _in_every_model(bodies, parts, component_of, common)
+                if skeptical else _in_some_model(bodies, parts,
+                                                 component_of)):
+            answers.add(answer)
+    return answers
+
+
+def _in_some_model(bodies: list[tuple], parts, component_of) -> bool:
+    """Whether some model holds one of ``bodies``: one body's atoms, in
+    each component they lie in, inside one model of that component."""
+    for body in bodies:
+        wanted: dict[int, list[int]] = {}
+        for atom in body:
+            wanted.setdefault(component_of[atom], []).append(atom)
+        if -1 not in wanted and all(
+                any(model.issuperset(atoms) for model in parts[number])
+                for number, atoms in wanted.items()):
+            return True
+    return False
+
+
+def _in_every_model(bodies: list[tuple], parts, component_of,
+                    common: frozenset[int]) -> bool:
+    """Whether every model holds one of ``bodies``, none of which is
+    inside ``common``.  One such body fails in some model; several may
+    cover each other's gaps, so they are checked over the product of
+    the models of just the components where they leave ``common``."""
+    if len(bodies) < 2:
+        return False
+    touched = sorted({component_of[atom] for body in bodies
+                      for atom in body if atom not in common} - {-1})
+    return all(any(chosen.issuperset(body) for body in bodies)
+               for chosen in (common.union(*combination)
+                              for combination in product(
+                                  *(parts[number] for number in touched))))
 
 
 def answer_sets(program: Program, **kwargs) -> list[frozenset[Literal]]:

@@ -17,6 +17,7 @@ from repro.datalog import (
     AnswerSetEngine,
     Program,
     StableModelSolver,
+    parse_atom,
     parse_program,
 )
 from repro.datalog.engine import solve_components, split_components
@@ -196,3 +197,26 @@ def test_max_models_caps_the_product():
     assert len(capped.id_models()) == 3
     assert all(len(c.models) <= 3 for c in capped.components())
     assert capped.is_consistent()
+
+
+def test_cautious_and_brave_answers_never_build_the_product(monkeypatch):
+    """Fifteen independent disjunctions have 2**15 answer sets; cautious
+    and brave answers read each component's two models instead, so
+    neither the product of ids nor its rendering is ever built."""
+    text = " ".join(f"p({i}) v q({i}) :- r({i}). r({i})."
+                    for i in range(15))
+    engine = AnswerSetEngine(parse_program(
+        text + " s(X) :- p(X). s(X) :- q(X)."))
+
+    def refuse(self):
+        raise AssertionError("the cross product was built")
+
+    monkeypatch.setattr(AnswerSetEngine, "id_models", refuse)
+    monkeypatch.setattr(AnswerSetEngine, "answer_sets", refuse)
+    every = {(i,) for i in range(15)}
+    assert engine.skeptical_answers(parse_atom("p(X)")) == set()
+    assert engine.brave_answers(parse_atom("p(X)")) == every
+    assert engine.skeptical_answers(parse_atom("s(X)")) == every
+    assert engine.skeptical_answers(parse_atom("r(3)")) == {()}
+    assert engine.brave_answers(parse_atom("q(15)")) == set()
+    assert len(engine.components()) == 15  # one per disjunction
