@@ -14,16 +14,29 @@ carry a serialized-size estimate (:func:`estimate_bytes`) and the hop
 count the payload travelled, which :meth:`ExchangeLog.stats_since` folds
 into the :class:`~repro.core.results.ExchangeStats` attached to each
 :class:`~repro.core.results.QueryResult`.
+
+A system or network lives as long as its caller keeps answering, so the
+log keeps only the last :data:`LOG_WINDOW` events, under absolute
+positions: a mark taken before an operation still slices exactly that
+operation's events as long as it logged fewer than the window holds.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
-__all__ = ["ExchangeEvent", "ExchangeLog", "estimate_bytes"]
+__all__ = ["ExchangeEvent", "ExchangeLog", "LOG_WINDOW", "estimate_bytes"]
+
+#: how many recent events an :class:`ExchangeLog` keeps (about 27 MB of
+#: events at most).  One answer logs at most a few dozen; the longest
+#: slice anything takes is a serving benchmark's whole measuring window,
+#: 29 673 answers in 12 s on 2 cores, so every slice stays exact
+LOG_WINDOW = 1 << 17
 
 
 def estimate_bytes(rows: Iterable[tuple]) -> int:
@@ -71,36 +84,42 @@ class ExchangeEvent:
 
 
 class ExchangeLog:
-    """An append-only, thread-safe log of :class:`ExchangeEvent`."""
+    """A thread-safe log of the last :data:`LOG_WINDOW` exchange events.
+
+    Positions are absolute: the n-th event ever recorded sits at
+    position n, whether or not the window still holds it."""
 
     def __init__(self) -> None:
-        self._events: list[ExchangeEvent] = []
+        self._events: deque[ExchangeEvent] = deque(maxlen=LOG_WINDOW)
+        self._end = 0  # the position the next event takes
+        self._count = 0  # events recorded since the last clear
+        self._tuples = 0
         self._lock = threading.Lock()
 
     def record(self, requester: str, provider: str, relation: str,
                tuples_transferred: int, purpose: str = "", *,
                bytes_estimate: int = 0, hop: int = 1) -> None:
-        if requester == provider:  # local reads are not exchanges
-            return
-        event = ExchangeEvent(requester, provider, relation,
-                              tuples_transferred, purpose,
-                              bytes_estimate, hop,
-                              timestamp=time.monotonic())
-        with self._lock:
-            self._events.append(event)
+        self.record_event(ExchangeEvent(requester, provider, relation,
+                                        tuples_transferred, purpose,
+                                        bytes_estimate, hop,
+                                        timestamp=time.monotonic()))
 
     def record_event(self, event: ExchangeEvent) -> None:
         if event.requester == event.provider:
-            return
+            return  # local reads are not exchanges
         if event.timestamp == 0.0:
             import dataclasses
             event = dataclasses.replace(event,
                                         timestamp=time.monotonic())
         with self._lock:
             self._events.append(event)
+            self._end += 1
+            self._count += 1
+            self._tuples += event.tuples_transferred
 
     def events(self, requester: Optional[str] = None
                ) -> list[ExchangeEvent]:
+        """The held events (the last :data:`LOG_WINDOW`), oldest first."""
         with self._lock:
             snapshot = list(self._events)
         if requester is None:
@@ -114,18 +133,32 @@ class ExchangeLog:
     def mark(self) -> int:
         """A position token for :meth:`events_since`/:meth:`stats_since`."""
         with self._lock:
-            return len(self._events)
+            return self._end
 
     def events_since(self, mark: int) -> list[ExchangeEvent]:
+        """The events after ``mark`` that the window still holds."""
+        return self._since(mark, exact=False)
+
+    def _since(self, mark: int, exact: bool) -> list[ExchangeEvent]:
         with self._lock:
-            return list(self._events[mark:])
+            count = self._end - mark
+            if count > len(self._events):
+                if exact:
+                    raise ValueError(
+                        f"{count} events were logged since mark {mark}, "
+                        f"more than the {LOG_WINDOW} the log keeps")
+                count = len(self._events)
+            newest = list(islice(reversed(self._events), max(count, 0)))
+        return newest[::-1]
 
     def stats_since(self, mark: int):
         """Aggregate the events after ``mark`` into
         :class:`~repro.core.results.ExchangeStats` — the real logged
-        traffic, not a synthesised count."""
+        traffic, not a synthesised count.  Raises :class:`ValueError`
+        when some of them already left the window, rather than count
+        short."""
         from .results import ExchangeStats
-        events = self.events_since(mark)
+        events = self._since(mark, exact=True)
         return ExchangeStats(
             requests=len(events),
             tuples_transferred=sum(e.tuples_transferred for e in events),
@@ -145,16 +178,19 @@ class ExchangeLog:
         return max(stamps) - min(stamps)
 
     def total_tuples(self) -> int:
+        """Tuples moved by every event since the last clear, held or not."""
         with self._lock:
-            return sum(e.tuples_transferred for e in self._events)
+            return self._tuples
 
     def clear(self) -> None:
         with self._lock:
             self._events.clear()
+            self._count = self._tuples = 0
 
     def __len__(self) -> int:
+        """Events recorded since the last clear, held or not."""
         with self._lock:
-            return len(self._events)
+            return self._count
 
     def __iter__(self) -> Iterator[ExchangeEvent]:
         return iter(self.events())

@@ -157,7 +157,9 @@ class RoutingIndex:
     def ingest_log(self, log: "ExchangeLog") -> None:
         """Mine this node's own new exchange events incrementally."""
         events = log.events_since(self._log_position)
-        self._log_position += len(events)
+        # the log keeps a window, so a position it has passed would
+        # never catch up by counting the events it still holds
+        self._log_position = log.mark()
         mine = [event for event in events
                 if event.requester == self.owner]
         if mine:

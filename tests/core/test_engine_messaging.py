@@ -133,6 +133,43 @@ class TestExchangeLog:
         assert len(log) == 2
 
 
+class TestLogWindow:
+    """The log keeps only the last ``LOG_WINDOW`` events, so a long-lived
+    system stays bounded while each operation's slice stays exact."""
+
+    def test_fresh_sessions_keep_the_log_bounded(self, monkeypatch):
+        from repro.core import ExchangeStats, messaging
+        from repro.workloads import import_star_system
+        monkeypatch.setattr(messaging, "LOG_WINDOW", 64)
+        system = import_star_system(50, 3, seed=1)
+        # every answer fetches the three neighbours' relations afresh
+        per_answer = ExchangeStats(requests=3, tuples_transferred=93,
+                                   bytes_estimate=1278, max_hops=1)
+        for _ in range(201):
+            result = PeerQuerySession(system).answer(
+                "P0", "q(X, Y) := R0(X, Y)", method="rewrite")
+            assert result.exchange == per_answer
+            assert len(system.exchange_log.events()) <= 64
+        assert len(system.exchange_log) == 603
+        assert system.exchange_log.total_tuples() == 201 * 93
+
+    def test_a_mark_older_than_the_window(self, monkeypatch):
+        from repro.core import messaging
+        monkeypatch.setattr(messaging, "LOG_WINDOW", 4)
+        log = ExchangeLog()
+        log.record("P1", "P2", "R2", 1)
+        mark = log.mark()
+        for index in range(5):
+            log.record("P1", "P3", "R3", index)
+        assert log.mark() == mark + 5
+        # slicing returns what the window holds; counting refuses
+        assert [e.tuples_transferred for e in log.events_since(mark)] \
+            == [1, 2, 3, 4]
+        with pytest.raises(ValueError):
+            log.stats_since(mark)
+        assert log.stats_since(mark + 1).tuples_transferred == 10
+
+
 class TestExchangeStatsWiring:
     def test_session_result_carries_real_logged_traffic(self):
         from repro.core import PeerQuerySession, estimate_bytes
