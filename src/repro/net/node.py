@@ -8,22 +8,44 @@ ICs), its own facts — owned by a versioned
 DECs *it owns* (Σ(P, ·)), and its own trust edges.  Everything else is
 learned by exchanging protocol messages with neighbours.
 
-Serving side — :meth:`PeerNode.handle` answers two request shapes from
-its local state alone:
+Serving side — :meth:`PeerNode.handle` answers from local state alone: a
+:class:`~repro.net.protocol.FetchRelation` with the relation's rows (a
+*versioned delta* — insertions and deletions since that version — when
+the requester names a ``known_version`` the store still holds the chain
+for), an :class:`~repro.net.protocol.AnswerQuery` with a whole
+:class:`~repro.core.results.QueryResult`, and a
+:class:`~repro.net.protocol.PeerQuery` (``kind="subsystem"``) with a
+description of the node's accessible sub-network, gathered hop by hop.
 
-* :class:`~repro.net.protocol.FetchRelation` → the relation's tuples;
-  when the requester names a ``known_version`` the store still retains
-  the delta chain for, the reply is a *versioned delta* (insertions and
-  deletions since that version) instead of the full relation;
-* :class:`~repro.net.protocol.PeerQuery` (``kind="subsystem"``) → a
-  description of the node's accessible sub-network, gathered hop-by-hop:
-  the node describes itself, asks each unvisited DEC-neighbour for *its*
-  sub-network (fanned out concurrently through the network router), then
-  fetches the neighbours' relation contents — so distant peers' data is
-  relayed through intermediates, never pulled from a global store.
-  Fetches remember the rows and content version they last saw per
-  neighbour relation, so a re-gather after a sync ships deltas instead
-  of full relations.
+The gather is Example 2's "P1 will first issue a query to P2 to retrieve
+the tuples in R2; next, a query is issued to P3", relayed: distant
+peers' data reaches the requester through intermediates, never from a
+global store.  :meth:`PeerNode._gather` drives it in phases, one method
+each:
+
+1. *subtree prune* (tier B) — a query-scoped gather skips, without a
+   message, each neighbour whose stored subtree aggregate proves its
+   whole branch irrelevant;
+2. *subsystem fan-out* — every other unvisited neighbour describes (and
+   relays) its own sub-network, concurrently;
+3. *reply integration* — full replies (their ``{"same": fp}`` markers
+   for unmoved relayed instances expanded), ``unchanged``
+   acknowledgements of a cached payload, and ``irrelevant``
+   acknowledgements of a whole subtree (tier A);
+4. the *merge*, in canonical neighbour order;
+5. *fetch planning* — one fetch per direct-neighbour relation, naming
+   the version last seen, minus those a same-gather confirmation makes
+   unnecessary (cached rows, an empty or a disjoint digest);
+6. *fetch integration* — deltas applied to the cached rows, full
+   replies replacing them;
+7. the *aggregate build* — the subtree digest handed back up.
+
+Every decision that reads routing state is a
+:class:`~repro.routing.index.RoutingIndex` method.  A node without
+routing consults :data:`~repro.routing.index.FLOODING` instead, which
+knows and learns nothing: flooding is the same phases with nothing
+elided, and every contacted neighbour receives at least one message in
+both modes.
 
 Answering side — :meth:`PeerNode.answer` materialises the gathered
 sub-network as a local view :class:`~repro.core.system.PeerSystem` and
@@ -63,8 +85,9 @@ import dataclasses
 import json
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Union
 
 from ..core.results import CERTAIN, ExchangeStats, QueryRequest, QueryResult
 from ..core.session import PeerQuerySession
@@ -85,11 +108,12 @@ from ..routing import (
     NeighbourDigests,
     RoutingIndex,
     SubtreeDigest,
-    aggregate_bytes,
     build_subtree,
-    digest_bytes,
     subsystem_fingerprint,
 )
+from ..routing.aggregate import prune_safe
+from ..routing.digest import digests_at
+from ..routing.index import FLOODING, distinct_decs
 from ..obs.trace import Span, TraceContext, new_id
 from ..storage.durable import write_json_atomic
 from .errors import (
@@ -139,21 +163,38 @@ def _serve_span_name(message: Message) -> str:
     return f"serve:{type(message).__name__.lower()}"
 
 
-def _dec_key(dec: DataExchange) -> object:
-    """A content key for deduplicating relayed DECs.
+def _no_subsystem(stats: ExchangeStats) -> dict:
+    """What a pruned subtree contributes: nothing but its cost."""
+    return {"peers": {}, "instances": {}, "decs": [], "trust": [],
+            "stats": stats}
 
-    Serialisable constraints key on their canonical dict form (stable
-    across processes, so wire-decoded copies of one DEC collapse);
-    exotic constraint classes outside the io codec fall back to object
-    identity — exactly the old in-process behaviour.
-    """
-    from ..core.io import constraint_to_dict
-    try:
-        return (dec.owner, dec.other,
-                json.dumps(constraint_to_dict(dec.constraint),
-                           sort_keys=True))
-    except Exception:
-        return (dec.owner, dec.other, id(dec))
+
+class _Gather:
+    """One gather's working state, threaded through its phases."""
+
+    def __init__(self, index, version: str, claimed: tuple,
+                 pending: list, constants: tuple,
+                 trace: TraceContext) -> None:
+        self.index = index  # the node's RoutingIndex, or FLOODING
+        self.version = version  # the system version the gather began at
+        self.claimed = claimed  # visited, this node and its pending
+        self.pending = pending  # the unvisited neighbours, sorted
+        self.constants = constants
+        self.trace = trace
+        # cache contexts key on the claimed *set*, which is what child
+        # gathers see.  A scoped gather prunes subtrees out of its
+        # payload, so its cached payloads must never serve an unscoped
+        # (or differently scoped) gather: the constants join the key
+        self.context = frozenset(claimed) | frozenset(
+            ("constant", value) for value in constants)
+        self.skipped: set[str] = set()  # subtrees pruned, tier A or B
+        self.aggregates: dict[str, Optional[SubtreeDigest]] = {}
+        self.subs: dict[str, Mapping] = {}
+        self.confirmed: dict[str, str] = {}  # version a reply stamped
+        self.fetched: dict[str, set] = {}  # versions fetches returned
+        self.stats = ExchangeStats()
+        self.pruned = 0  # messages elided
+        self.subtrees = 0  # subtrees pruned
 
 
 class PeerNode:
@@ -289,22 +330,33 @@ class PeerNode:
             return self._dispatch(message)
         ctx = TraceContext(message.trace_id, message.span_id,
                            message.parent_span_id)
-        span_id = new_id()
-        previous = getattr(self._trace_ctx, "ctx", None)
-        self._trace_ctx.ctx = ctx.descend(span_id)
-        start = time.monotonic()
-        try:
+        with self._span(recorder, ctx, _serve_span_name(message)):
             reply = self._dispatch(message)
-        finally:
-            self._trace_ctx.ctx = previous
-        recorder.record(Span(ctx.trace_id, span_id, ctx.span_id,
-                             _serve_span_name(message), self.name,
-                             start, time.monotonic() - start))
         spans = recorder.drain(ctx.trace_id)
         if spans and isinstance(reply, (Answer, Failure)):
             reply = dataclasses.replace(reply,
                                         spans=reply.spans + spans)
         return reply
+
+    @contextmanager
+    def _span(self, recorder, ctx: TraceContext,
+              name: str) -> Iterator[list]:
+        """Run the body as a span ``name`` under ``ctx``: the body sees
+        the span as its current trace context, and on success the span
+        is recorded and its duration (seconds) left in the yielded
+        list."""
+        span_id = new_id()
+        previous = getattr(self._trace_ctx, "ctx", None)
+        self._trace_ctx.ctx = ctx.descend(span_id)
+        start = time.monotonic()
+        duration: list = []
+        try:
+            yield duration
+        finally:
+            self._trace_ctx.ctx = previous
+        duration.append(time.monotonic() - start)
+        recorder.record(Span(ctx.trace_id, span_id, ctx.span_id, name,
+                             self.name, start, duration[0]))
 
     def _current_trace(self) -> TraceContext:
         return getattr(self._trace_ctx, "ctx", None) or _UNTRACED
@@ -365,9 +417,7 @@ class PeerNode:
         # version — a steady-state empty-delta probe carries none
         digests = None
         if self.routing is not None and message.known_version != current:
-            digests = self._own_digests()
-            if digests is not None and digests.version != current:
-                digests = None  # raced a concurrent sync; don't mislead
+            digests = digests_at(self._own_digests(), current)
         if chain is not None:
             inserted, deleted = merge_relation_rows(
                 chain, message.relation)
@@ -412,24 +462,19 @@ class PeerNode:
             return self._failure(
                 message, "unsupported-message",
                 f"unknown PeerQuery kind {message.kind!r}")
-        constants = (tuple(message.constants)
-                     if self.routing is not None else ())
-        if self.network is not None:
-            # a served gather is an operation of its own: the *serving*
-            # node's network budget bounds it (the requester's budget
-            # bounds its wait independently)
-            with self.network.operation_deadline():
-                payload = self._gather(message.hop_budget,
-                                       message.visited, constants)
-        else:
+        routed = self.routing is not None
+        constants = tuple(message.constants) if routed else ()
+        # a served gather is an operation of its own: the *serving*
+        # node's network budget bounds it (the requester's budget
+        # bounds its wait independently)
+        with self._attached().operation_deadline():
             payload = self._gather(message.hop_budget, message.visited,
                                    constants)
         aggregate = payload.pop("aggregate", None)
         version = ""
-        digests = None
-        attach = None
+        digests = attach = None
         aggregate_token = ""
-        if self.routing is not None:
+        if routed:
             if aggregate is not None:
                 # always stamp the current subtree token; ship the bits
                 # only when the requester's quoted token is behind AND
@@ -456,9 +501,7 @@ class PeerNode:
                         aggregate_token=aggregate_token)
             version = self.store.version()
             if message.digest_version != version:
-                digests = self._own_digests()
-                if digests is not None and digests.version != version:
-                    digests = None  # raced a concurrent sync
+                digests = digests_at(self._own_digests(), version)
             token = subsystem_fingerprint(payload)
             if token and message.known_subsystem == token:
                 # the requester's cached copy of this payload is still
@@ -498,45 +541,8 @@ class PeerNode:
     # ------------------------------------------------------------------
     # Query-relevance scoping (multi-hop subtree pruning)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _prune_safe_parts(local_ics, decs, trust) -> bool:
-        """Whether one peer's static shape is *prune-safe*.
-
-        Prune-safe means its data can only flow through the system as
-        monotone, key-preserving row shipping: every owned DEC is a
-        full identity :class:`~repro.relational.constraints.
-        InclusionDependency` (same positions on both sides, covering
-        every column — no existential witnesses, first column intact),
-        every owned trust edge is ``less`` (imports union, nothing is
-        repaired against the importer), and there are no local ICs
-        (nothing deletes or couples tuples after import).  Under these
-        conditions a query selecting on first-column constants depends
-        only on rows keyed by those constants, so a subtree digest
-        disjoint from them licenses omitting the subtree."""
-        from ..relational.constraints import InclusionDependency
-        if tuple(local_ics):
-            return False
-        for _owner, level, _other in trust:
-            if str(level) != "less":
-                return False
-        for dec in decs:
-            constraint = dec.constraint
-            if not isinstance(constraint, InclusionDependency):
-                return False
-            positions = constraint.child_positions
-            if (not positions
-                    or positions != constraint.parent_positions
-                    or positions != tuple(range(len(positions)))
-                    or len(positions) != len(
-                        constraint.antecedent[0].terms)
-                    or len(positions) != len(
-                        constraint.consequent[0].terms)):
-                return False
-        return True
-
     def _prune_safe_own(self) -> bool:
-        return self._prune_safe_parts(self.peer.local_ics, self.decs,
-                                      self.trust_edges)
+        return prune_safe(self.peer.local_ics, self.decs, self.trust_edges)
 
     def _relevance(self, formula) -> Optional[tuple[frozenset,
                                                     frozenset]]:
@@ -612,16 +618,9 @@ class PeerNode:
         if self.routing is None:
             return ()
         known = self._known_subsystem_peers
-        if not known or not self._prune_safe_own():
+        if (not known or not self._prune_safe_own()
+                or not self.routing.all_prune_safe(known - {self.name})):
             return ()
-        for name in known:
-            if name == self.name:
-                continue
-            description = self.routing.description(name)
-            if description is None or not self._prune_safe_parts(
-                    description.peer.local_ics, description.decs,
-                    description.trust):
-                return ()
         result = self._relevance(parsed.formula)
         if result is None:
             return ()
@@ -631,39 +630,17 @@ class PeerNode:
         return tuple(sorted(constants,
                             key=lambda v: (type(v).__name__, str(v))))
 
-    @staticmethod
-    def _subtree_covered(index: RoutingIndex, child: str, claimed: set,
-                         aggregate: SubtreeDigest) -> bool:
-        """Whether ``aggregate`` covers everything reachable through
-        ``child`` *in this gather's context*.
-
-        An aggregate's ``peers`` describe the subtree as it looked from
-        the context that built it; a different ``visited`` set changes
-        what is reachable through the same neighbour.  The walk follows
-        static DEC targets (descriptions never go stale), stops at
-        peers this gather already claims (another branch gathers them),
-        and fails closed on any peer the aggregate does not cover or
-        the index cannot describe."""
-        covered = set(aggregate.peers)
-        seen = {child}
-        frontier = [child]
-        while frontier:
-            current = frontier.pop()
-            if current not in covered:
-                return False
-            description = index.description(current)
-            if description is None:
-                return False
-            for target in description.targets:
-                if target in claimed or target in seen:
-                    continue
-                seen.add(target)
-                frontier.append(target)
-        return True
-
     # ------------------------------------------------------------------
     # The hop-by-hop sub-network gather
     # ------------------------------------------------------------------
+    def _attached(self) -> "PeerNetwork":
+        """The network this node is registered on; a detached node
+        cannot gather."""
+        if self.network is None:
+            raise ProtocolError(
+                f"node {self.name!r} is not attached to a network")
+        return self.network
+
     def _gather(self, hop_budget: int, visited: tuple[str, ...],
                 constants: tuple = ()) -> dict:
         """Describe this node's accessible sub-network.
@@ -681,50 +658,24 @@ class PeerNode:
         Claiming covers ancestors and the current node's own pending
         neighbours only, so a peer reachable through two *non-sibling*
         branches of a diamond is gathered once per branch — duplicated
-        traffic (merged away below), accepted to keep branches fully
-        concurrent with no cross-branch coordination; stacked diamonds
-        amplify it, so very dense graphs should prefer a wider
-        ``hop_budget``-bounded topology or a routing layer.
-
-        With :attr:`routing` enabled, the gather consults the learned
-        :class:`~repro.routing.index.RoutingIndex` to elide provably
-        redundant messages — synthesizing leaf-context subsystem
-        replies from static descriptions, substituting token-confirmed
-        cached payloads for ``unchanged`` acknowledgements, and
-        skipping fetches whose cached rows (or digest-proven emptiness)
-        are confirmed current *in this same gather*.  Every pending
-        neighbour still receives at least one message, and anything
-        unconfirmed falls back to the flooding behaviour, so answers
-        and fault observability are identical in both modes.
+        traffic (merged away in the view), accepted to keep branches
+        fully concurrent with no cross-branch coordination.
 
         ``constants`` scopes the gather to a query (see
         :meth:`_scope_constants`; always empty unless every safety gate
-        passed at the querying root).  A scoped gather may skip *whole
-        subtrees*: zero-message when a stored
-        :class:`~repro.routing.aggregate.SubtreeDigest` is current at
-        this system version, safe, disjoint from the constants, and
-        covers the neighbour's reachable set in this context; and by a
-        tiny ``{"irrelevant": True}`` acknowledgement when the
-        contacted neighbour itself proves the same from its fresh
-        aggregate against the token this node quoted.  Either way the
-        gather also *builds* the aggregate it hands back up
-        (``payload["aggregate"]``, popped by callers): its own full
-        store digests unioned with every child subtree's — a scoped
-        gather still aggregates full content, so tokens stamp
+        passed at the querying root), which lets the phases prune whole
+        subtrees.  With routing on, the payload also carries the
+        ``aggregate`` this node hands back up (popped by callers): its
+        own full store digests unioned with every child subtree's — a
+        scoped gather still aggregates full content, so tokens stamp
         identically at any scope.
         """
-        if self.network is None:
-            raise ProtocolError(
-                f"node {self.name!r} is not attached to a network")
-        trace = self._current_trace()
-        index = self.routing
-        if index is None:
-            constants = ()
-        else:
-            index.ingest_log(self.network.exchange_log)
-        version_at_start = self._version
-        covered = set(visited) | {self.name}
-        pending = [n for n in self.neighbours() if n not in covered]
+        index = self.routing or FLOODING
+        index.ingest_log(self._attached().exchange_log)
+        claimed = (*visited, self.name)
+        pending = [name for name in self.neighbours() if name not in claimed]
+        g = _Gather(index, self._version, (*claimed, *pending), pending,
+                    constants, self._current_trace())
         payload: dict = {
             "peers": {self.name: self.peer},
             "instances": {},
@@ -732,297 +683,220 @@ class PeerNode:
             "trust": list(self.trust_edges),
             "stats": ExchangeStats(),
         }
-        if not pending:
-            if index is not None:
-                payload["aggregate"] = build_subtree(
-                    self.name, self._own_digests(), (),
-                    safe_root=self._prune_safe_own(),
-                    version=version_at_start)
-            return payload
-        if hop_budget <= 0:
-            raise HopBudgetExceeded(
-                f"hop budget exhausted at {self.name!r} with unexplored "
-                f"neighbours {pending}", peer=self.name)
-        claimed = tuple(visited) + (self.name,) + tuple(pending)
-        # productivity ordering permutes claimed across gathers; cache
-        # contexts key on the *set*, which is what child gathers see.
-        # A scoped gather prunes subtrees out of its payload, so its
-        # cached payloads must never serve an unscoped (or differently
-        # scoped) gather: the constants become part of the context key.
-        context = frozenset(claimed)
-        if constants:
-            context = context | frozenset(
-                ("constant", value) for value in constants)
-        pruned = 0
-        subtrees_pruned = 0
+        if pending:
+            if hop_budget <= 0:
+                raise HopBudgetExceeded(
+                    f"hop budget exhausted at {self.name!r} with "
+                    f"unexplored neighbours {pending}", peer=self.name)
+            tier_b = self._prune_subtrees(g)
+            self._fan_out_subsystems(g, hop_budget - 1)
+            self._merge(g, payload)
+            fetches, bases, rows = self._plan_fetches(g, payload["peers"])
+            self._integrate_fetches(g, payload, fetches, bases, rows)
+            payload["stats"] = g.stats + ExchangeStats(
+                max_hops=1, neighbours_pruned=g.pruned,
+                neighbours_contacted=len(pending) - tier_b,
+                subtrees_pruned=g.subtrees)
+        if self.routing is not None:
+            payload["aggregate"] = self._subtree_aggregate(g)
+        return payload
 
-        # tier B — zero-message subtree prunes: a stored aggregate
-        # current at this exact system version, safe all the way down,
-        # disjoint from the query constants, and covering the
-        # neighbour's reachable set in this context proves the whole
-        # branch cannot contribute; the neighbour stays claimed (its
-        # subtree is accounted irrelevant, not someone else's job).
-        skipped: set[str] = set()
-        child_aggs: dict[str, Optional[SubtreeDigest]] = {}
-        tier_b = 0
-        claimed_set = set(claimed)
-        if index is not None and constants:
-            for neighbour in pending:
-                held = index.prunable_subtree(neighbour, constants,
-                                              version_at_start)
-                if held is None or not self._subtree_covered(
-                        index, neighbour, claimed_set, held):
-                    continue
-                skipped.add(neighbour)
-                child_aggs[neighbour] = held
-                tier_b += 1
-                subtrees_pruned += 1
+    @staticmethod
+    def _prune_subtrees(g: _Gather) -> int:
+        """Tier B — zero-message subtree prunes: a stored aggregate
+        current at this exact system version, safe all the way down,
+        disjoint from the query constants, and covering the neighbour's
+        reachable set in this context proves the whole branch cannot
+        contribute (:meth:`RoutingIndex.prune_subtrees`).  The neighbour
+        stays claimed: its subtree is accounted irrelevant, not someone
+        else's job.  Returns how many were pruned."""
+        pruned = g.index.prune_subtrees(g.pending, g.constants, g.version,
+                                        frozenset(g.claimed))
+        g.skipped.update(pruned)
+        g.aggregates.update(pruned)
+        g.subtrees += len(pruned)
+        return len(pruned)
 
-        # phase 1 — concurrent fan-out: each unvisited neighbour
-        # describes (and relays) its own sub-network.  A routed gather
-        # synthesizes the reply of any neighbour whose DEC targets are
-        # all claimed (its gather would find nothing pending and answer
-        # from static state alone) and contacts the rest in descending
-        # learned-productivity order, quoting the digest version and
-        # subsystem token it already holds.
-        subs: dict[str, Mapping] = {}
-        contact: list[str] = []
-        for neighbour in pending:
-            if neighbour in skipped:
-                subs[neighbour] = {"peers": {}, "instances": {},
-                                   "decs": [], "trust": [],
-                                   "stats": ExchangeStats()}
-                continue
-            synthesized = (index.synthesize(neighbour, context)
-                           if index is not None else None)
-            if synthesized is not None:
-                subs[neighbour] = synthesized
-                pruned += 1
+    def _fan_out_subsystems(self, g: _Gather, hop_budget: int) -> None:
+        """Concurrent fan-out: each unvisited neighbour describes (and
+        relays) its own sub-network.  A pruned subtree contributes
+        nothing, and a neighbour whose DEC targets are all claimed has
+        its reply synthesized from its static description (its own
+        gather would find nothing pending); the rest are asked in the
+        index's order, quoting what the index holds for them."""
+        contact = []
+        for neighbour in g.pending:
+            if neighbour in g.skipped:
+                g.subs[neighbour] = _no_subsystem(ExchangeStats())
+            elif (sub := g.index.synthesize(neighbour, g.context)) is not None:
+                g.subs[neighbour] = sub
+                g.pruned += 1
             else:
                 contact.append(neighbour)
-        order = index.order(contact) if index is not None else contact
-        held: dict[str, dict] = {}
-        quoted_aggs: dict[str, SubtreeDigest] = {}
-        queries = []
+        order = g.index.order(contact)
+        queries, held = [], []
         for neighbour in order:
-            digest_version = known_subsystem = ""
-            known_instances = None
-            aggregate_token = ""
-            if index is not None:
-                digest_version = index.digest_version(neighbour)
-                known_subsystem, entry = index.recall_subsystem(
-                    neighbour, context)
-                if entry is not None:
-                    held[neighbour] = entry
-                    # claim the relayed instances we hold, so a changed
-                    # reply can dedup the ones that did not move
-                    known_instances = {
-                        name: instance.fingerprint()
-                        for name, instance
-                        in entry["instances"].items()} or None
-                else:
-                    known_subsystem = ""
-                quoted = index.aggregate_for(neighbour)
-                if quoted is not None:
-                    # quote the subtree token we hold: a current child
-                    # omits the aggregate bits (and may acknowledge the
-                    # whole subtree irrelevant under a scoped gather)
-                    aggregate_token = quoted.token
-                    quoted_aggs[neighbour] = quoted
+            hints, entry, quoted = g.index.query_hints(neighbour, g.context)
+            held.append((entry, quoted))
             queries.append(PeerQuery(
-                sender=self.name, target=neighbour,
-                hop_budget=hop_budget - 1, visited=claimed,
-                digest_version=digest_version,
-                known_subsystem=known_subsystem,
-                known_instances=known_instances,
-                constants=constants,
-                aggregate_token=aggregate_token,
-                **self._trace_fields(trace)))
-        subsystem_answers = dict(zip(
-            order, self.network.fan_out(self.name, queries)))
-        stats = payload["stats"]
-        stats += ExchangeStats(requests=len(queries))
-        fresh_versions: dict[str, str] = {}
-        routing_overhead = 0
-        for neighbour in order:
-            answer = subsystem_answers[neighbour]
-            sub = answer.payload
-            if index is not None:
-                if answer.digests is not None:
-                    index.observe_digests(answer.digests)
-                    # piggybacked routing state is paid-for traffic:
-                    # account it like any other payload bytes
-                    routing_overhead += digest_bytes(answer.digests)
-                if answer.version:
-                    fresh_versions[neighbour] = answer.version
-                if answer.aggregate is not None:
-                    index.observe_aggregate(neighbour, answer.aggregate)
-                    routing_overhead += aggregate_bytes(answer.aggregate)
-                    child_aggs[neighbour] = answer.aggregate
-                elif answer.aggregate_token:
-                    # the child quoted our token back as current:
-                    # re-stamp the stored aggregate to this version
-                    child_aggs[neighbour] = index.confirm_aggregate(
-                        neighbour, answer.aggregate_token,
-                        version_at_start)
-            if isinstance(sub, Mapping) and sub.get("irrelevant"):
-                if quoted_aggs.get(neighbour) is None:
-                    raise ProtocolError(
-                        f"{neighbour!r} acknowledged a subtree "
-                        f"aggregate {self.name!r} never sent")
-                # tier A — the contacted child proved its whole subtree
-                # disjoint from the query constants against the token
-                # we quoted: skip its relayed payload and its fetches
-                sub = {"peers": {}, "instances": {}, "decs": [],
-                       "trust": [], "stats": sub["stats"]}
-                skipped.add(neighbour)
-                subtrees_pruned += 1
-            elif isinstance(sub, Mapping) and sub.get("unchanged"):
-                entry = held.get(neighbour)
-                if entry is None:
-                    raise ProtocolError(
-                        f"{neighbour!r} acknowledged a subsystem token "
-                        f"{self.name!r} never sent")
-                sub = {**entry, "stats": sub["stats"]}
-                pruned += 1
-            else:
-                sub = self._restore_instances(neighbour, sub,
-                                              held.get(neighbour))
-                if index is not None:
-                    index.learn_topology(sub)
-                    token = subsystem_fingerprint(sub)
-                    if token:
-                        index.remember_subsystem(neighbour, context,
-                                                 token, sub)
-            subs[neighbour] = sub
-        for neighbour in pending:  # canonical order, mode-independent
-            sub = subs[neighbour]
+                sender=self.name, target=neighbour, hop_budget=hop_budget,
+                visited=g.claimed, constants=g.constants, **hints,
+                **self._trace_fields(g.trace)))
+        answers = self.network.fan_out(self.name, queries)
+        g.stats += ExchangeStats(requests=len(queries))
+        for neighbour, answer, (entry, quoted) in zip(order, answers, held):
+            g.subs[neighbour] = self._integrate_reply(g, neighbour, answer,
+                                                      entry, quoted)
+
+    def _integrate_reply(self, g: _Gather, neighbour: str, answer: Answer,
+                         entry: Optional[Mapping],
+                         quoted: Optional[SubtreeDigest]) -> Mapping:
+        """One subsystem reply, as the sub-network it stands for.
+
+        ``irrelevant`` (tier A: the child proved its whole subtree
+        disjoint from the query constants against the aggregate token
+        ``quoted``) stands for nothing, and the neighbour's fetches are
+        skipped; ``unchanged`` stands for the cached payload ``entry``
+        whose token was quoted; a full reply has its ``{"same": fp}``
+        markers expanded from ``entry`` and is learned by the index.
+        """
+        overhead, g.aggregates[neighbour] = g.index.observe_reply(
+            neighbour, answer, g.version)
+        g.stats += ExchangeStats(bytes_estimate=overhead)
+        if answer.version:
+            g.confirmed[neighbour] = answer.version
+        sub = answer.payload
+        if isinstance(sub, Mapping) and sub.get("irrelevant"):
+            if quoted is None:
+                raise ProtocolError(
+                    f"{neighbour!r} acknowledged a subtree aggregate "
+                    f"{self.name!r} never sent")
+            g.skipped.add(neighbour)
+            g.subtrees += 1
+            return _no_subsystem(sub["stats"])
+        if isinstance(sub, Mapping) and sub.get("unchanged"):
+            if entry is None:
+                raise ProtocolError(
+                    f"{neighbour!r} acknowledged a subsystem token "
+                    f"{self.name!r} never sent")
+            g.pruned += 1
+            return {**entry, "stats": sub["stats"]}
+        sub = self._restore_instances(neighbour, sub, entry)
+        g.index.learn_subsystem(neighbour, g.context, sub)
+        return sub
+
+    @staticmethod
+    def _merge(g: _Gather, payload: dict) -> None:
+        """Union the sub-networks into ``payload`` in canonical,
+        mode-independent neighbour order; relayed data travelled one hop
+        further to reach this node."""
+        for neighbour in g.pending:
+            sub = g.subs[neighbour]
             payload["peers"].update(sub["peers"])
             payload["instances"].update(sub["instances"])
             payload["decs"].extend(sub["decs"])
             payload["trust"].extend(sub["trust"])
-            # relayed data travelled one hop further to reach us
-            sub_stats: ExchangeStats = sub["stats"]
-            stats += dataclasses.replace(
-                sub_stats,
-                max_hops=sub_stats.max_hops + 1 if sub_stats.max_hops
-                else 0)
+            hops = sub["stats"].max_hops
+            g.stats += dataclasses.replace(
+                sub["stats"], max_hops=hops + 1 if hops else 0)
 
-        # phase 2 — concurrent fan-out: pull each direct neighbour's
-        # relation contents (deeper peers' data arrived relayed above).
-        # Each fetch names the content version this node last saw for
-        # that relation, so providers reply with versioned deltas when
-        # they still hold the chain — full relations otherwise.  A
-        # routed gather elides a fetch only on a same-gather version
-        # confirmation: cached rows already at the confirmed version,
-        # or a digest at the confirmed version proving the relation
-        # empty — never on an unconfirmed (possibly stale) digest.
-        fetches = []
-        bases: list[Optional[frozenset]] = []
-        data: dict[str, dict[str, frozenset]] = {n: {} for n in pending}
-        for neighbour in pending:
-            if neighbour in skipped:
+    def _plan_fetches(self, g: _Gather, peers: Mapping
+                      ) -> tuple[list, list, dict]:
+        """One fetch per relation of each direct neighbour whose subtree
+        was not pruned (deeper peers' data arrived relayed), naming the
+        content version this node last saw so the provider can reply
+        with a delta.  Fetches :meth:`_elided_rows` proves unnecessary
+        are not sent.  Returns the fetches, the cached rows each one's
+        delta applies to, and the rows known so far per neighbour."""
+        fetches, bases = [], []
+        rows: dict[str, dict[str, frozenset]] = {n: {} for n in g.pending}
+        for neighbour in g.pending:
+            if neighbour in g.skipped:
                 continue
-            confirmed = fresh_versions.get(neighbour, "")
-            digests = (index.digests_for(neighbour)
-                       if index is not None and confirmed else None)
-            if digests is not None and digests.version != confirmed:
-                digests = None
-            for relation in sorted(
-                    payload["peers"][neighbour].schema.names):
+            confirmed = g.confirmed.get(neighbour, "")
+            digests = g.index.confirmed_digests(neighbour, confirmed)
+            for relation in sorted(peers[neighbour].schema.names):
                 with self._fetch_lock:
                     cached = self._fetched.get((neighbour, relation))
-                if confirmed and cached and cached[0] == confirmed:
-                    data[neighbour][relation] = cached[1]
-                    pruned += 1
+                known = self._elided_rows(g.constants, neighbour, relation,
+                                          confirmed, digests, cached)
+                if known is not None:
+                    rows[neighbour][relation] = known
+                    g.pruned += 1
                     continue
-                if digests is not None:
-                    digest = digests.digest_for(relation)
-                    if digest is not None and digest.row_count == 0:
-                        empty = frozenset()
-                        with self._fetch_lock:
-                            self._fetched[(neighbour, relation)] = \
-                                (confirmed, empty)
-                        data[neighbour][relation] = empty
-                        pruned += 1
-                        continue
-                    if (constants and digest is not None
-                            and digest.disjoint_from(constants)):
-                        # relevance elision: the confirmed-fresh digest
-                        # proves no row keyed by a query constant, and
-                        # the scoped view only needs those.  The fetch
-                        # cache is NOT updated — it must keep holding
-                        # the relation's *actual* rows, not the scoped
-                        # emptiness
-                        data[neighbour][relation] = frozenset()
-                        pruned += 1
-                        continue
                 fetches.append(FetchRelation(
                     sender=self.name, target=neighbour,
                     relation=relation, purpose="subsystem gather",
                     known_version=cached[0] if cached else "",
-                    **self._trace_fields(trace)))
+                    **self._trace_fields(g.trace)))
                 bases.append(cached[1] if cached else None)
-        fetch_answers = self.network.fan_out(self.name, fetches)
+        return fetches, bases, rows
+
+    def _elided_rows(self, constants: tuple, neighbour: str, relation: str,
+                     confirmed: str, digests: Optional[NeighbourDigests],
+                     cached: Optional[tuple]) -> Optional[frozenset]:
+        """The rows a fetch would bring, when this gather already proves
+        them — else ``None``.  Only a same-gather version confirmation
+        counts, never a possibly stale digest: cached rows at the
+        ``confirmed`` version; the empty relation a ``digests`` at that
+        version proves empty; or, for a scoped gather, no rows at all
+        when that digest holds no row keyed by a query constant (the
+        scoped view needs only those; the fetch cache keeps the
+        relation's actual rows)."""
+        if confirmed and cached and cached[0] == confirmed:
+            return cached[1]
+        digest = (digests.digest_for(relation)
+                  if digests is not None else None)
+        if digest is None:
+            return None
+        if digest.row_count == 0:
+            with self._fetch_lock:
+                self._fetched[(neighbour, relation)] = (confirmed,
+                                                        frozenset())
+            return frozenset()
+        if constants and digest.disjoint_from(constants):
+            return frozenset()
+        return None
+
+    def _integrate_fetches(self, g: _Gather, payload: dict, fetches: list,
+                           bases: list, rows: dict) -> None:
+        """Send the fetches concurrently, apply each reply
+        (:meth:`_integrate_fetch`), and add every unpruned neighbour's
+        instance to ``payload``."""
+        answers = self.network.fan_out(self.name, fetches)
         tuples_moved = bytes_moved = 0
-        fetched_versions: dict[str, set] = {}
-        for request, base, answer in zip(fetches, bases, fetch_answers):
-            if index is not None and answer.digests is not None:
-                index.observe_digests(answer.digests)
-                routing_overhead += digest_bytes(answer.digests)
-            rows, moved = self._integrate_fetch(request, base, answer)
-            data[request.target][request.relation] = rows
+        for request, base, answer in zip(fetches, bases, answers):
+            bytes_moved += (g.index.observe_digests(answer.digests)
+                            + answer.bytes_estimate)
+            relation_rows, moved = self._integrate_fetch(request, base,
+                                                         answer)
+            rows[request.target][request.relation] = relation_rows
             tuples_moved += moved
-            bytes_moved += answer.bytes_estimate
-            fetched_versions.setdefault(request.target,
-                                        set()).add(answer.version)
-        for neighbour in pending:
-            if neighbour in skipped:
-                continue
-            payload["instances"][neighbour] = DatabaseInstance(
-                payload["peers"][neighbour].schema, data[neighbour])
-        if index is not None:
-            # synthesized (leaf-context) neighbours never answer a
-            # PeerQuery, so no aggregate arrives for them; build their
-            # singleton aggregate from the digests their own fetch
-            # replies just confirmed, or the subtree chain above this
-            # node could never form over warm paths
-            for neighbour in pending:
-                if child_aggs.get(neighbour) is not None:
-                    continue
-                description = index.description(neighbour)
-                if (description is None
-                        or not description.targets <= claimed_set):
-                    continue
-                versions = fetched_versions.get(neighbour)
-                if versions is None or len(versions) != 1:
-                    continue
-                confirmed = next(iter(versions))
-                digests = index.digests_for(neighbour)
-                if (not confirmed or digests is None
-                        or digests.version != confirmed):
-                    continue
-                singleton = build_subtree(
-                    neighbour, digests, (),
-                    safe_root=self._prune_safe_parts(
-                        description.peer.local_ics, description.decs,
-                        description.trust),
-                    version=version_at_start)
-                if singleton is not None:
-                    child_aggs[neighbour] = singleton
-                    index.observe_aggregate(neighbour, singleton)
-            payload["aggregate"] = build_subtree(
-                self.name, self._own_digests(),
-                [child_aggs.get(neighbour) for neighbour in pending],
-                safe_root=self._prune_safe_own(),
-                version=version_at_start)
-        payload["stats"] = stats + ExchangeStats(
-            requests=len(fetches), tuples_transferred=tuples_moved,
-            bytes_estimate=bytes_moved + routing_overhead, max_hops=1,
-            neighbours_pruned=pruned,
-            neighbours_contacted=len(pending) - tier_b,
-            subtrees_pruned=subtrees_pruned)
-        return payload
+            g.fetched.setdefault(request.target, set()).add(answer.version)
+        g.stats += ExchangeStats(requests=len(fetches),
+                                 tuples_transferred=tuples_moved,
+                                 bytes_estimate=bytes_moved)
+        for neighbour in g.pending:
+            if neighbour not in g.skipped:
+                payload["instances"][neighbour] = DatabaseInstance(
+                    payload["peers"][neighbour].schema, rows[neighbour])
+
+    def _subtree_aggregate(self, g: _Gather) -> Optional[SubtreeDigest]:
+        """The aggregate this node hands back up: its own store digests
+        unioned with every child subtree's.  A neighbour whose reply was
+        synthesized sends no aggregate; its one-peer aggregate comes
+        from the digests its fetch replies just confirmed
+        (:meth:`RoutingIndex.singleton_aggregate`)."""
+        claimed = frozenset(g.claimed)
+        for neighbour in g.pending:
+            versions = g.fetched.get(neighbour, ())
+            if g.aggregates.get(neighbour) is None and len(versions) == 1:
+                g.aggregates[neighbour] = g.index.singleton_aggregate(
+                    neighbour, claimed, next(iter(versions)), g.version)
+        return build_subtree(
+            self.name, self._own_digests(),
+            [g.aggregates.get(neighbour) for neighbour in g.pending],
+            safe_root=self._prune_safe_own(), version=g.version)
 
     def _restore_instances(self, neighbour: str, sub: Mapping,
                            entry: Optional[Mapping]) -> Mapping:
@@ -1135,24 +1009,16 @@ class PeerNode:
             key = self._view_key(constants)
             held = self._views.get(key)
             if held is None:
-                hop_budget = (self.network.hop_budget
-                              if self.network is not None else 8)
-                if self.network is not None:
-                    with self.network.operation_deadline():
-                        payload = self._gather(hop_budget, (), key)
-                else:
-                    payload = self._gather(hop_budget, (), key)
-                payload.pop("aggregate", None)
+                network = self._attached()
+                with network.operation_deadline():
+                    payload = self._gather(network.hop_budget, (), key)
                 payload["instances"][self.name] = self.instance
                 peers = payload["peers"]
                 # branches that race to the same peer through a diamond
                 # may relay its DECs twice; the merge dedups by content
                 # (identity is not enough once DECs cross a wire
                 # transport, where every branch decodes fresh objects)
-                seen: set = set()
-                decs = [dec for dec in payload["decs"]
-                        if (key2 := _dec_key(dec)) not in seen
-                        and not seen.add(key2)]
+                decs = distinct_decs(payload["decs"])
                 if key:
                     # a scoped view omits pruned subtrees, so DECs
                     # pointing into them must go too (the system
@@ -1253,38 +1119,17 @@ class PeerNode:
         """The traced answer path: an ``answer`` span with ``gather``
         and ``eval`` children, plus every span the gather's requests
         produced, drained into the result's trace."""
-        answer_id = new_id()
-        inner = ctx.descend(answer_id)
-        previous = getattr(self._trace_ctx, "ctx", None)
-        answer_start = time.monotonic()
-        try:
-            gather_id = new_id()
-            self._trace_ctx.ctx = inner.descend(gather_id)
-            gather_start = time.monotonic()
-            try:
+        with self._span(recorder, ctx, "answer") as total_s:
+            inner = self._current_trace()
+            with self._span(recorder, inner, "gather") as gather_s:
                 gather_cost = self._view_and_cost(constants)[1]
-            finally:
-                gather_s = time.monotonic() - gather_start
-                self._trace_ctx.ctx = inner
-            recorder.record(Span(ctx.trace_id, gather_id, answer_id,
-                                 "gather", self.name, gather_start,
-                                 gather_s))
-            eval_start = time.monotonic()
-            result = self._view_session(constants).answer(
-                self.name, parsed, method=method, semantics=semantics)
-            eval_s = time.monotonic() - eval_start
-            recorder.record(Span(ctx.trace_id, new_id(), answer_id,
-                                 "eval", self.name, eval_start, eval_s))
-        finally:
-            self._trace_ctx.ctx = previous
-        total_s = time.monotonic() - answer_start
-        recorder.record(Span(ctx.trace_id, answer_id, ctx.span_id,
-                             "answer", self.name, answer_start,
-                             total_s))
+            with self._span(recorder, inner, "eval") as eval_s:
+                result = self._view_session(constants).answer(
+                    self.name, parsed, method=method, semantics=semantics)
         spans = recorder.drain(ctx.trace_id)
-        timings = {"gather_s": round(gather_s, 6),
-                   "eval_s": round(eval_s, 6),
-                   "total_s": round(total_s, 6)}
+        timings = {"gather_s": round(gather_s[0], 6),
+                   "eval_s": round(eval_s[0], 6),
+                   "total_s": round(total_s[0], 6)}
         return gather_cost, result, spans, timings
 
     def explain(self, query: Union[Query, str],
@@ -1307,42 +1152,35 @@ class PeerNode:
         )
 
     def _load_persisted(self) -> None:
-        answers_path = self.data_dir / "answers.json"
-        if answers_path.is_file():
+        for entry in self._persisted_entries("answers.json"):
             try:
-                with open(answers_path, encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                payload = {}
-            for entry in payload.get("entries", []):
-                try:
-                    # include_local_ics changes what a key *means*: an
-                    # entry computed under the other setting is kept
-                    # (and re-persisted), never served.  Fields outside
-                    # _ANSWER_FIELDS (older files name the FO engine
-                    # that computed the entry) change nothing and are
-                    # dropped
-                    entry = {field: entry[field]
-                             for field in _ANSWER_FIELDS}
-                    key = tuple(entry[field] for field in _ANSWER_KEY)
-                    self._persisted[key] = entry
-                except (KeyError, TypeError):
-                    continue  # skip malformed entries, keep the rest
-        fetched_path = self.data_dir / "fetched.json"
-        if fetched_path.is_file():
+                # include_local_ics changes what a key *means*: an
+                # entry computed under the other setting is kept (and
+                # re-persisted), never served.  Fields outside
+                # _ANSWER_FIELDS (older files name the FO engine that
+                # computed the entry) change nothing and are dropped
+                entry = {field: entry[field] for field in _ANSWER_FIELDS}
+                key = tuple(entry[field] for field in _ANSWER_KEY)
+                self._persisted[key] = entry
+            except (KeyError, TypeError):
+                continue  # skip malformed entries, keep the rest
+        for entry in self._persisted_entries("fetched.json"):
             try:
-                with open(fetched_path, encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                payload = {}
-            for entry in payload.get("entries", []):
-                try:
-                    rows = frozenset(tuple(row)
-                                     for row in entry["rows"])
-                    self._fetched[(entry["peer"], entry["relation"])] = \
-                        (entry["version"], rows)
-                except (KeyError, TypeError):
-                    continue
+                rows = frozenset(tuple(row) for row in entry["rows"])
+                self._fetched[(entry["peer"], entry["relation"])] = \
+                    (entry["version"], rows)
+            except (KeyError, TypeError):
+                continue
+
+    def _persisted_entries(self, name: str) -> list:
+        """The ``entries`` of one persisted JSON file under the data
+        directory; none when it is missing or unreadable."""
+        try:
+            with open(self.data_dir / name, encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except (OSError, json.JSONDecodeError):
+            return []
+        return payload.get("entries", [])
 
     def _persist_answers(self) -> None:
         if self.data_dir is None:

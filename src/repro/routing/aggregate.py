@@ -48,8 +48,44 @@ __all__ = [
     "SubtreeDigest",
     "aggregate_bytes",
     "build_subtree",
+    "prune_safe",
     "subtree_token",
 ]
+
+
+def prune_safe(local_ics, decs, trust) -> bool:
+    """Whether one peer's static shape is *prune-safe*.
+
+    Prune-safe means its data can only flow through the system as
+    monotone, key-preserving row shipping: every owned DEC is a full
+    identity :class:`~repro.relational.constraints.InclusionDependency`
+    (same positions on both sides, covering every column — no
+    existential witnesses, first column intact), every owned trust edge
+    is ``less`` (imports union, nothing is repaired against the
+    importer), and there are no local ICs (nothing deletes or couples
+    tuples after import).  Under these conditions a query selecting on
+    first-column constants depends only on rows keyed by those
+    constants, so a subtree digest disjoint from them licenses omitting
+    the subtree."""
+    from ..relational.constraints import InclusionDependency
+    if tuple(local_ics):
+        return False
+    for _owner, level, _other in trust:
+        if str(level) != "less":
+            return False
+    for dec in decs:
+        constraint = dec.constraint
+        if not isinstance(constraint, InclusionDependency):
+            return False
+        positions = constraint.child_positions
+        if (not positions
+                or positions != constraint.parent_positions
+                or positions != tuple(range(len(positions)))
+                or len(positions) != len(constraint.antecedent[0].terms)
+                or len(positions) != len(
+                    constraint.consequent[0].terms)):
+            return False
+    return True
 
 
 def subtree_token(root: str, peers: Sequence[str], safe: bool,

@@ -43,6 +43,7 @@ __all__ = [
     "NeighbourDigests",
     "adaptive_nbits",
     "digest_bytes",
+    "digests_at",
 ]
 
 #: minimum bit-array width; 128 bits keeps a digest smaller than two
@@ -242,6 +243,15 @@ class NeighbourDigests:
         return cls(peer=data["peer"], version=data["version"],
                    relations=tuple(RelationDigest.from_dict(entry)
                                    for entry in data["relations"]))
+
+
+def digests_at(digests: Optional[NeighbourDigests],
+               version: str) -> Optional[NeighbourDigests]:
+    """``digests`` if they were taken at ``version``; ``None`` when there
+    are none, no version to check against, or a sync raced the read."""
+    if digests is None or not version or digests.version != version:
+        return None
+    return digests
 
 
 def digest_bytes(digests: Optional[NeighbourDigests]) -> int:

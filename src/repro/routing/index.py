@@ -33,6 +33,14 @@ requires either a static description (leaf synthesis) or a same-gather
 version confirmation (fetch elision); anything missing, stale, or
 version-mismatched degrades to contacting the neighbour exactly as the
 flooding gather would.
+
+Every gather decision that reads this state is a method here
+(:meth:`RoutingIndex.prune_subtrees`, :meth:`~RoutingIndex.synthesize`,
+:meth:`~RoutingIndex.query_hints`, :meth:`~RoutingIndex.observe_reply`,
+:meth:`~RoutingIndex.confirmed_digests`,
+:meth:`~RoutingIndex.singleton_aggregate`, ...).  A node without
+routing asks :data:`FLOODING` the same questions, and it always answers
+"contact the neighbour".
 """
 
 from __future__ import annotations
@@ -42,19 +50,21 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from ..core.results import ExchangeStats
 from ..obs.metrics import MetricsRegistry
-from .aggregate import SubtreeDigest
-from .digest import NeighbourDigests
+from .aggregate import (SubtreeDigest, aggregate_bytes, build_subtree,
+                        prune_safe)
+from .digest import NeighbourDigests, digest_bytes, digests_at
 from .stats import DEFAULT_DECAY, TrafficStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.messaging import ExchangeLog
     from ..core.system import Peer
 
-__all__ = ["RoutingIndex", "PeerDescription", "subsystem_fingerprint"]
+__all__ = ["RoutingIndex", "PeerDescription", "FLOODING", "distinct_decs",
+           "subsystem_fingerprint"]
 
 #: cached subsystem payloads per index (LRU) — one per (child, context)
 _MAX_CACHED_PAYLOADS = 16
@@ -105,17 +115,26 @@ def subsystem_fingerprint(payload: Mapping) -> str:
     return "sub-" + digest.hexdigest()[:16]
 
 
-def _dec_content_key(dec) -> object:
-    """Content key for deduplicating relayed DECs (mirrors the view
-    merge in :mod:`repro.net.node`); exotic constraints fall back to
-    identity."""
+def distinct_decs(decs: Iterable) -> list:
+    """``decs`` without content duplicates, first occurrence kept.
+
+    Serialisable constraints key on their canonical dict form (stable
+    across processes, so wire-decoded copies of one DEC collapse); exotic
+    constraint classes outside the io codec fall back to identity."""
     from ..core.io import constraint_to_dict
-    try:
-        return (dec.owner, dec.other,
-                json.dumps(constraint_to_dict(dec.constraint),
-                           sort_keys=True))
-    except Exception:
-        return (dec.owner, dec.other, id(dec))
+    seen: set = set()
+    kept = []
+    for dec in decs:
+        try:
+            key = (dec.owner, dec.other,
+                   json.dumps(constraint_to_dict(dec.constraint),
+                              sort_keys=True))
+        except Exception:
+            key = (dec.owner, dec.other, id(dec))
+        if key not in seen:
+            seen.add(key)
+            kept.append(dec)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -132,6 +151,12 @@ class PeerDescription:
     decs: tuple
     trust: tuple
     targets: frozenset
+
+    @property
+    def safe(self) -> bool:
+        """Whether the peer is prune-safe (:func:`~repro.routing.
+        aggregate.prune_safe`)."""
+        return prune_safe(self.peer.local_ics, self.decs, self.trust)
 
 
 class RoutingIndex:
@@ -166,9 +191,31 @@ class RoutingIndex:
             with self._lock:
                 self.traffic.ingest(mine)
 
-    def observe_digests(self, digests: NeighbourDigests) -> None:
+    def observe_digests(self, digests: Optional[NeighbourDigests]) -> int:
+        """Store piggybacked digests, if any; the bytes they cost."""
+        if digests is None:
+            return 0
         with self._lock:
             self._digests[digests.peer] = digests
+        return digest_bytes(digests)
+
+    def observe_reply(self, child: str, answer, version: str
+                      ) -> tuple[int, Optional[SubtreeDigest]]:
+        """Learn what a subsystem reply from ``child`` piggybacked: its
+        digests, and either a fresh subtree aggregate or the quoted token
+        confirmed current (:meth:`confirm_aggregate` at ``version``).
+        Returns the routing bytes the reply carried — paid-for traffic,
+        accounted like any other payload — and the child's aggregate,
+        ``None`` when unknown."""
+        overhead = self.observe_digests(answer.digests)
+        if answer.aggregate is not None:
+            self.observe_aggregate(child, answer.aggregate)
+            return (overhead + aggregate_bytes(answer.aggregate),
+                    answer.aggregate)
+        if answer.aggregate_token:
+            return overhead, self.confirm_aggregate(
+                child, answer.aggregate_token, version)
+        return overhead, None
 
     def observe_aggregate(self, child: str,
                           aggregate: SubtreeDigest) -> None:
@@ -216,12 +263,8 @@ class RoutingIndex:
             for name, peer in payload["peers"].items():
                 if name == self.owner or name in self._descriptions:
                     continue
-                seen: set = set()
-                decs = tuple(
-                    dec for dec in payload["decs"]
-                    if dec.owner == name
-                    and (key := _dec_content_key(dec)) not in seen
-                    and not seen.add(key))
+                decs = tuple(distinct_decs(
+                    dec for dec in payload["decs"] if dec.owner == name))
                 trust_seen: set = set()
                 trust = tuple(
                     edge for edge in payload["trust"]
@@ -245,6 +288,15 @@ class RoutingIndex:
             while len(self._payloads) > self._max_payloads:
                 self._payloads.popitem(last=False)
 
+    def learn_subsystem(self, child: str, context: frozenset,
+                        payload: Mapping) -> None:
+        """Mine one full subsystem reply: the static descriptions it
+        carries, and the payload itself under its content token."""
+        self.learn_topology(payload)
+        token = subsystem_fingerprint(payload)
+        if token:
+            self.remember_subsystem(child, context, token, payload)
+
     # ------------------------------------------------------------------
     # Consulting
     # ------------------------------------------------------------------
@@ -257,47 +309,129 @@ class RoutingIndex:
         with self._lock:
             return self._digests.get(peer)
 
-    def aggregate_for(self, child: str) -> Optional[SubtreeDigest]:
-        with self._lock:
-            return self._aggregates.get(child)
+    def confirmed_digests(self, peer: str, version: str
+                          ) -> Optional[NeighbourDigests]:
+        """The digests held for ``peer`` if taken at ``version`` — the
+        version its reply confirmed in this gather."""
+        return digests_at(self.digests_for(peer), version)
 
-    def aggregate_token(self, child: str) -> str:
-        """The stored subtree token to quote when contacting ``child``
-        (empty when no aggregate is held)."""
-        with self._lock:
-            held = self._aggregates.get(child)
-            return held.token if held is not None else ""
+    def prune_subtrees(self, pending: Sequence[str], constants,
+                       version: str, claimed: frozenset
+                       ) -> dict[str, SubtreeDigest]:
+        """Tier B: the neighbours among ``pending`` whose whole subtree a
+        gather over ``constants`` may skip without a message, each with
+        the stored aggregate that proves it.  Every leg is independently
+        conservative:
 
-    def prunable_subtree(self, child: str, constants,
-                         version: str) -> Optional[SubtreeDigest]:
-        """The aggregate licensing a **zero-message** prune of
-        ``child``'s subtree for a query over ``constants`` — or ``None``.
-
-        Requires all three legs, each independently conservative:
-
-        * the stored aggregate's ``version`` equals the requester's
-          *current* system version (syncs stamp every node, so any data
-          change anywhere reverts this and forces a contact — which is
-          also what keeps down-peer detection on the contacted paths);
+        * the aggregate's ``version`` equals the requester's *current*
+          system version (syncs stamp every node, so any data change
+          anywhere reverts this and forces a contact — which is also
+          what keeps down-peer detection on the contacted paths);
         * the subtree is ``safe`` (identity inclusions, ``less`` trust,
           no local ICs all the way down);
         * the aggregated digests are disjoint from every query constant
-          (no-false-negatives: a ``True`` is a proof of absence).
+          (no-false-negatives: a ``True`` is a proof of absence);
+        * the aggregate covers everything reachable through the
+          neighbour in this gather's context (:meth:`_covers`).
         """
         if not version or not constants:
-            return None
+            return {}
         with self._lock:
-            held = self._aggregates.get(child)
-        if held is None or held.version != version or not held.safe:
+            held = [(child, self._aggregates.get(child)) for child in pending]
+        pruned = {}
+        for child, aggregate in held:
+            if (aggregate is None or aggregate.version != version
+                    or not aggregate.safe
+                    or not aggregate.disjoint_from(constants)):
+                continue
+            self.metrics.inc("routing.subtree_prunes")
+            if self._covers(child, claimed, aggregate):
+                pruned[child] = aggregate
+        return pruned
+
+    def _covers(self, child: str, claimed: frozenset,
+                aggregate: SubtreeDigest) -> bool:
+        """Whether ``aggregate`` covers everything reachable through
+        ``child`` *in this gather's context*.
+
+        An aggregate's ``peers`` describe the subtree as it looked from
+        the context that built it; a different ``visited`` set changes
+        what is reachable through the same neighbour.  The walk follows
+        static DEC targets (descriptions never go stale), stops at peers
+        this gather already claims (another branch gathers them), and
+        fails closed on any peer the aggregate does not cover or the
+        index cannot describe."""
+        covered = set(aggregate.peers)
+        seen = {child}
+        frontier = [child]
+        while frontier:
+            current = frontier.pop()
+            description = self.description(current)
+            if current not in covered or description is None:
+                return False
+            for target in description.targets:
+                if target not in claimed and target not in seen:
+                    seen.add(target)
+                    frontier.append(target)
+        return True
+
+    def singleton_aggregate(self, child: str, claimed: frozenset,
+                            version: str, stamp: str
+                            ) -> Optional[SubtreeDigest]:
+        """The one-peer aggregate of a neighbour whose DEC targets are
+        all ``claimed``, built from the digests its fetch replies just
+        confirmed at ``version``, stamped ``stamp`` and stored.
+
+        Such a neighbour's subsystem reply is synthesized, so no
+        aggregate arrives for it; without this one the subtree chain
+        above the gathering node could never form over warm paths."""
+        description = self.description(child)
+        digests = self.confirmed_digests(child, version)
+        if (description is None or digests is None
+                or not description.targets <= claimed):
             return None
-        if not held.disjoint_from(constants):
-            return None
-        self.metrics.inc("routing.subtree_prunes")
-        return held
+        singleton = build_subtree(child, digests, (),
+                                  safe_root=description.safe,
+                                  version=stamp)
+        if singleton is not None:
+            self.observe_aggregate(child, singleton)
+        return singleton
 
     def description(self, peer: str) -> Optional[PeerDescription]:
         with self._lock:
             return self._descriptions.get(peer)
+
+    def all_prune_safe(self, peers: Iterable[str]) -> bool:
+        """Whether every one of ``peers`` is described and prune-safe."""
+        for name in peers:
+            description = self.description(name)
+            if description is None or not description.safe:
+                return False
+        return True
+
+    def query_hints(self, child: str, context: frozenset
+                    ) -> tuple[dict, Optional[dict],
+                               Optional[SubtreeDigest]]:
+        """What a subsystem query to ``child`` quotes, as
+        :class:`~repro.net.protocol.PeerQuery` fields: the digest
+        version held for it; the token of the payload cached for this
+        context, with the fingerprints of the relayed instances it
+        holds (a changed reply can then dedup the ones that did not
+        move); and the subtree token of its stored aggregate (a current
+        child omits the aggregate bits, and may acknowledge a scoped
+        gather's whole subtree irrelevant).  Returns the fields, the
+        cached payload and the quoted aggregate."""
+        token, entry = self.recall_subsystem(child, context)
+        with self._lock:
+            quoted = self._aggregates.get(child)
+        hints = {"digest_version": self.digest_version(child),
+                 "known_subsystem": token, "known_instances": None,
+                 "aggregate_token": "" if quoted is None else quoted.token}
+        if entry is not None:
+            hints["known_instances"] = {
+                name: instance.fingerprint()
+                for name, instance in entry["instances"].items()} or None
+        return hints, entry, quoted
 
     def recall_subsystem(self, child: str, context: frozenset
                          ) -> tuple[str, Optional[dict]]:
@@ -354,3 +488,40 @@ class RoutingIndex:
                     f"digests={sorted(self._digests)}, "
                     f"descriptions={sorted(self._descriptions)}, "
                     f"payloads={len(self._payloads)})")
+
+
+class _Flooding:
+    """The index a gather without routing consults.  It knows nothing and
+    learns nothing, so every neighbour is contacted and every relation
+    fetched: the flooding gather is the routed one over this index."""
+
+    def ingest_log(self, log) -> None:
+        pass
+
+    def prune_subtrees(self, pending, constants, version, claimed) -> dict:
+        return {}
+
+    def synthesize(self, peer, claimed) -> None:
+        return None
+
+    def order(self, peers) -> list:
+        return list(peers)
+
+    def query_hints(self, child, context) -> tuple:
+        return {}, None, None
+
+    def observe_reply(self, child, answer, version) -> tuple:
+        return 0, None
+
+    def observe_digests(self, digests) -> int:
+        return 0
+
+    def learn_subsystem(self, child, context, payload) -> None:
+        pass
+
+    def confirmed_digests(self, peer, version) -> None:
+        return None
+
+
+#: the shared, stateless index of every node that floods
+FLOODING = _Flooding()
