@@ -99,18 +99,23 @@ class ExchangeLog:
     def record(self, requester: str, provider: str, relation: str,
                tuples_transferred: int, purpose: str = "", *,
                bytes_estimate: int = 0, hop: int = 1) -> None:
-        self.record_event(ExchangeEvent(requester, provider, relation,
-                                        tuples_transferred, purpose,
-                                        bytes_estimate, hop,
-                                        timestamp=time.monotonic()))
+        if requester == provider:  # local reads are not exchanges
+            return
+        self._append(ExchangeEvent(requester, provider, relation,
+                                   tuples_transferred, purpose,
+                                   bytes_estimate, hop,
+                                   timestamp=time.monotonic()))
 
     def record_event(self, event: ExchangeEvent) -> None:
         if event.requester == event.provider:
-            return  # local reads are not exchanges
+            return
         if event.timestamp == 0.0:
             import dataclasses
             event = dataclasses.replace(event,
                                         timestamp=time.monotonic())
+        self._append(event)
+
+    def _append(self, event: ExchangeEvent) -> None:
         with self._lock:
             self._events.append(event)
             self._end += 1

@@ -30,8 +30,10 @@ A stratified program, tables plus facts, is the one case without search.
 
 Skeptical (cautious) and brave query answering follow the paper's usage:
 peer consistent answers are obtained by running a query program "under the
-skeptical answer set semantics" (Section 3.2).  Callers that answer many
-queries over one program ground just the query rule against the already
+skeptical answer set semantics" (Section 3.2).  The engine's own
+:meth:`~AnswerSetEngine.skeptical_answers` and
+:meth:`~AnswerSetEngine.brave_answers`, like callers that answer many
+queries over one program, ground just the query rule against the already
 grounded program (:func:`~repro.datalog.grounding.ground_rule_over`) and
 test its ground bodies against the models of just the components their
 atoms lie in (:meth:`AnswerSetEngine.components`); a body over

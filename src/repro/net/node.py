@@ -192,7 +192,9 @@ class _Gather:
         self.subs: dict[str, Mapping] = {}
         self.confirmed: dict[str, str] = {}  # version a reply stamped
         self.fetched: dict[str, set] = {}  # versions fetches returned
-        self.stats = ExchangeStats()
+        self.stats = ExchangeStats()  # what the merged subtrees cost
+        # what this node's own messages cost
+        self.requests = self.tuples = self.bytes = 0
         self.pruned = 0  # messages elided
         self.subtrees = 0  # subtrees pruned
 
@@ -670,7 +672,7 @@ class PeerNode:
         scoped gather still aggregates full content, so tokens stamp
         identically at any scope.
         """
-        index = self.routing or FLOODING
+        index = FLOODING if self.routing is None else self.routing
         index.ingest_log(self._attached().exchange_log)
         claimed = (*visited, self.name)
         pending = [name for name in self.neighbours() if name not in claimed]
@@ -694,7 +696,9 @@ class PeerNode:
             fetches, bases, rows = self._plan_fetches(g, payload["peers"])
             self._integrate_fetches(g, payload, fetches, bases, rows)
             payload["stats"] = g.stats + ExchangeStats(
-                max_hops=1, neighbours_pruned=g.pruned,
+                requests=g.requests, tuples_transferred=g.tuples,
+                bytes_estimate=g.bytes, max_hops=1,
+                neighbours_pruned=g.pruned,
                 neighbours_contacted=len(pending) - tier_b,
                 subtrees_pruned=g.subtrees)
         if self.routing is not None:
@@ -743,7 +747,7 @@ class PeerNode:
                 visited=g.claimed, constants=g.constants, **hints,
                 **self._trace_fields(g.trace)))
         answers = self.network.fan_out(self.name, queries)
-        g.stats += ExchangeStats(requests=len(queries))
+        g.requests += len(queries)
         for neighbour, answer, (entry, quoted) in zip(order, answers, held):
             g.subs[neighbour] = self._integrate_reply(g, neighbour, answer,
                                                       entry, quoted)
@@ -762,7 +766,7 @@ class PeerNode:
         """
         overhead, g.aggregates[neighbour] = g.index.observe_reply(
             neighbour, answer, g.version)
-        g.stats += ExchangeStats(bytes_estimate=overhead)
+        g.bytes += overhead
         if answer.version:
             g.confirmed[neighbour] = answer.version
         sub = answer.payload
@@ -864,18 +868,15 @@ class PeerNode:
         (:meth:`_integrate_fetch`), and add every unpruned neighbour's
         instance to ``payload``."""
         answers = self.network.fan_out(self.name, fetches)
-        tuples_moved = bytes_moved = 0
+        g.requests += len(fetches)
         for request, base, answer in zip(fetches, bases, answers):
-            bytes_moved += (g.index.observe_digests(answer.digests)
-                            + answer.bytes_estimate)
+            g.bytes += (g.index.observe_digests(answer.digests)
+                        + answer.bytes_estimate)
             relation_rows, moved = self._integrate_fetch(request, base,
                                                          answer)
             rows[request.target][request.relation] = relation_rows
-            tuples_moved += moved
+            g.tuples += moved
             g.fetched.setdefault(request.target, set()).add(answer.version)
-        g.stats += ExchangeStats(requests=len(fetches),
-                                 tuples_transferred=tuples_moved,
-                                 bytes_estimate=bytes_moved)
         for neighbour in g.pending:
             if neighbour not in g.skipped:
                 payload["instances"][neighbour] = DatabaseInstance(

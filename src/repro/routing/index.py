@@ -50,6 +50,7 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from ..core.results import ExchangeStats
@@ -152,7 +153,7 @@ class PeerDescription:
     trust: tuple
     targets: frozenset
 
-    @property
+    @cached_property
     def safe(self) -> bool:
         """Whether the peer is prune-safe (:func:`~repro.routing.
         aggregate.prune_safe`)."""
