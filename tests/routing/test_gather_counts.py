@@ -22,12 +22,8 @@ from repro.core import PeerQuerySession
 from repro.net import NetworkSession
 from repro.workloads import topology_system
 
-from .test_routed_differential import (
-    QUERIES,
-    TOPOLOGIES,
-    TestSubtreePruning,
-    mutate_leaf,
-)
+from . import test_routed_differential as routed
+from .test_routed_differential import QUERIES, TOPOLOGIES, mutate_leaf
 
 MULTI_ROOT = (("P0", 'q(Y) := R0("p9k1", Y)'),
               ("P1", 'q(Y) := R1("p10k2", Y)'),
@@ -55,7 +51,7 @@ def schedules():
                                  seed=seed)
         cases[f"tree-{seed}"] = (system, [
             (round_no, "P0", query) for round_no in range(3)
-            for query in TestSubtreePruning.TREE_QUERIES])
+            for query in routed.TestSubtreePruning.TREE_QUERIES])
     warm = [(0, peer, f"q(X, Y) := R{peer[1:]}(X, Y)")
             for peer in ("P0", "P1", "P2")]
     cases["multi-root"] = (
